@@ -1,11 +1,11 @@
 """Tape-based reverse-mode differentiation over dense float64 matrices.
 
-Deliberately minimal: the op set below is exactly what the pose regressor and
-its training objective need, plus the elementwise primitives that tests and
-demos build small graphs from. Values are handles into an append-only Tape;
-the tape is rebuilt for every forward pass (define-by-run), while long-lived
-parameters and their Adam state live in a ParamStore and are re-attached to
-each new tape as leaves.
+Deliberately minimal: the op set below is what the pose regressor and its
+training objective need, plus ``sum`` and ``square`` for building scalar
+losses. Values are handles into an append-only Tape; the tape is rebuilt for
+every forward pass (define-by-run), while long-lived parameters and their
+Adam state live in a ParamStore and are re-attached to each new tape as
+leaves.
 
 A tape node is its forward array, its parents' node ids and one VJP callable
 that maps the node's adjoint to one contribution per parent. The tape holds
@@ -16,11 +16,6 @@ off-tape (the LSTM cell, the pose error, the SE(3) window composition), and
 ``linear_sum`` adds up all loss terms of a sequence. The linear head and
 dropout use ``matmul``, ``add``, ``tanh`` and ``mul_elementwise``. VJPs run
 only in ``backward``, so a forward pass computes no derivatives.
-
-Externally computed derivative chains can also enter the tape through
-``splice_external`` (a node with caller-supplied input Jacobians) or
-``inject_external_gradient`` (a pending adjoint consumed by the next backward
-pass).
 """
 
 from __future__ import annotations
@@ -70,7 +65,6 @@ class Tape:
         self._vjps: list = []  # adjoint -> one contribution per parent
         self._owners: dict[int, tuple] = {}  # (ParamStore, name) of watched leaves
         self._grads: list[np.ndarray] = []  # filled by backward
-        self._pending: dict[int, np.ndarray] = {}
         self._param_leaves: dict[tuple[int, str], int] = {}  # -> node id
 
     def __len__(self) -> int:
@@ -139,34 +133,6 @@ def mul_elementwise(a: Value, b: Value) -> Value:
     )
 
 
-def concat_rows(a: Value, b: Value) -> Value:
-    tape = _check_same_tape("concat_rows", a, b)
-    if a.data.shape[1] != b.data.shape[1]:
-        raise ShapeMismatchError("concat_rows", a.data.shape, b.data.shape)
-    split = a.data.shape[0]
-    return tape._record(
-        np.vstack([a.data, b.data]), (a.node_id, b.node_id), lambda g: (g[:split], g[split:])
-    )
-
-
-def slice_rows(a: Value, start: int, stop: int) -> Value:
-    if not (0 <= start < stop <= a.data.shape[0]):
-        raise ShapeMismatchError("slice_rows", a.data.shape, (start, stop))
-    shape = a.data.shape
-
-    def vjp(g):
-        out = np.zeros(shape)
-        out[start:stop] = g
-        return (out,)
-
-    return a.tape._record(a.data[start:stop].copy(), (a.node_id,), vjp)
-
-
-def sigmoid(a: Value) -> Value:
-    out = 1.0 / (1.0 + np.exp(-a.data))
-    return a.tape._record(out, (a.node_id,), lambda g: (g * out * (1.0 - out),))
-
-
 def tanh(a: Value) -> Value:
     out = np.tanh(a.data)
     return a.tape._record(out, (a.node_id,), lambda g: (g * (1.0 - out * out),))
@@ -183,17 +149,12 @@ def sum(a: Value) -> Value:  # noqa: A001 - deliberate, mirrors the op vocabular
     return a.tape._record(out, (a.node_id,), lambda g: (np.full(shape, float(g[0, 0])),))
 
 
-def scale(a: Value, c: float) -> Value:
-    c = float(c)
-    return a.tape._record(a.data * c, (a.node_id,), lambda g: (g * c,))
-
-
 def linear_sum(groups) -> Value:
     """One node for sum_k c_k * (v_k1 + v_k2 + ...) over (c_k, values_k) groups.
 
     Each group is added left to right, scaled, and the scaled groups are added
-    in order, so the result equals the same fold of ``add`` and ``scale``
-    nodes bit for bit.
+    in order, so the result equals that chain of elementwise adds and
+    multiplies bit for bit.
     """
     groups = [(float(c), list(values)) for c, values in groups]
     parents = [v for _, values in groups for v in values]
@@ -231,51 +192,18 @@ def fused(inputs, data, vjp) -> Value:
     )
 
 
-def splice_external(inputs, data, jacobians) -> Value:
-    """Node whose forward value and input Jacobians were computed off-tape.
-
-    ``data`` is an (m, 1) column; ``jacobians[i]`` is the (m, n_i) derivative
-    of the output with respect to input i (an (n_i, 1) column Value). During
-    backward the upstream adjoint is pushed through each Jacobian transpose.
-    """
-    if len(inputs) != len(jacobians):
-        raise ValueError("splice_external: one Jacobian per input required")
-    data = np.asarray(data, dtype=np.float64).reshape(-1, 1)
-    jacobians = [np.asarray(jac, dtype=np.float64) for jac in jacobians]
-    for value, jac in zip(inputs, jacobians):
-        if jac.shape != (data.shape[0], value.data.shape[0]) or value.data.shape[1] != 1:
-            raise ShapeMismatchError("splice_external", jac.shape, value.data.shape)
-    return fused(inputs, data, lambda g: [jac.T @ g for jac in jacobians])
-
-
-def inject_external_gradient(v: Value, upstream) -> None:
-    """Queue an adjoint for ``v``, applied when backward next runs on its tape."""
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != v.data.shape:
-        raise ShapeMismatchError("inject_external_gradient", upstream.shape, v.data.shape)
-    pending = v.tape._pending
-    if v.node_id in pending:
-        pending[v.node_id] = pending[v.node_id] + upstream
-    else:
-        pending[v.node_id] = upstream.copy()
-
-
 def backward(loss: Value) -> None:
     """Reverse sweep from a scalar loss; fills grads and ParamStore.grads.
 
     Every node touched by the sweep gets its adjoint; all remaining nodes get
-    an explicit zero gradient. Pending injected adjoints are consumed.
+    an explicit zero gradient.
     """
     if loss.data.shape != (1, 1):
         raise NonScalarLossError(f"loss must be 1x1, got {loss.data.shape}")
     tape = loss.tape
     data, parents_of, vjps, owners = tape._data, tape._parents, tape._vjps, tape._owners
     adjoint: list[np.ndarray | None] = [None] * len(data)
-    for node_id, g in tape._pending.items():
-        adjoint[node_id] = g.copy()
-    tape._pending.clear()
-    seed = np.ones((1, 1))
-    adjoint[loss.node_id] = seed if adjoint[loss.node_id] is None else adjoint[loss.node_id] + seed
+    adjoint[loss.node_id] = np.ones((1, 1))
 
     grads: list[np.ndarray] = [None] * len(data)
     for node_id in range(len(data) - 1, -1, -1):

@@ -36,18 +36,6 @@ class LineCountMismatchError(ValueError):
     pass
 
 
-def _parse_int(v):
-    return int(v)
-
-
-def _parse_float(v):
-    return float(v)
-
-
-def _parse_str(v):
-    return str(v)
-
-
 def _parse_optional_int(v):
     return None if v.strip() == "" else int(v)
 
@@ -68,38 +56,38 @@ def _parse_float_tuple(v):
 CONFIG_SCHEMA = {
     "data": {
         "dataset_dir": ("dataset_dir", _parse_optional_str),
-        "preset": ("preset", _parse_str),
-        "sequences": ("n_sequences", _parse_int),
-        "length": ("seq_length", _parse_int),
-        "feature_dim": ("feature_dim", _parse_int),
-        "nuisance_dim": ("nuisance_dim", _parse_int),
-        "noise_sigma": ("noise_sigma", _parse_float),
-        "noise_rho": ("noise_rho", _parse_float),
-        "bias_sigma": ("bias_sigma", _parse_float),
+        "preset": ("preset", str),
+        "sequences": ("n_sequences", int),
+        "length": ("seq_length", int),
+        "feature_dim": ("feature_dim", int),
+        "nuisance_dim": ("nuisance_dim", int),
+        "noise_sigma": ("noise_sigma", float),
+        "noise_rho": ("noise_rho", float),
+        "bias_sigma": ("bias_sigma", float),
     },
     "model": {
         "lstm_sizes": ("lstm_sizes", _parse_int_tuple),
         "head_hidden": ("head_hidden", _parse_optional_int),
-        "dropout": ("dropout", _parse_float),
+        "dropout": ("dropout", float),
     },
     "objective": {
-        "mode": ("mode", _parse_str),
+        "mode": ("mode", str),
         "alphas": ("alphas", _parse_float_tuple),
-        "delta": ("delta", _parse_float),
-        "zeta": ("zeta", _parse_float),
-        "window": ("window", _parse_int),
+        "delta": ("delta", float),
+        "zeta": ("zeta", float),
+        "window": ("window", int),
     },
     "training": {
-        "learning_rate": ("learning_rate", _parse_float),
-        "grad_clip": ("grad_clip", _parse_float),
-        "max_epochs_per_stage": ("max_epochs_per_stage", _parse_int),
-        "patience": ("patience", _parse_int),
-        "min_delta": ("min_delta", _parse_float),
-        "subseq_count": ("subseq_count", _parse_int),
-        "subseq_min": ("subseq_min", _parse_int),
-        "subseq_max": ("subseq_max", _parse_int),
-        "val_split": ("val_split", _parse_float),
-        "seed": ("seed", _parse_int),
+        "learning_rate": ("learning_rate", float),
+        "grad_clip": ("grad_clip", float),
+        "max_epochs_per_stage": ("max_epochs_per_stage", int),
+        "patience": ("patience", int),
+        "min_delta": ("min_delta", float),
+        "subseq_count": ("subseq_count", int),
+        "subseq_min": ("subseq_min", int),
+        "subseq_max": ("subseq_max", int),
+        "val_split": ("val_split", float),
+        "seed": ("seed", int),
     },
 }
 
@@ -155,20 +143,16 @@ def write_manifest(out_dir: Path, command: str, config: tr.RunConfig | None, ext
 
 def cmd_gen_data(args) -> int:
     out = Path(args.out)
-    motion = sd.MOTION_PRESETS[args.preset]()
-    seed_rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    feature_model = sd.FeatureModel.seeded(
-        args.feature_dim,
-        seed=int(seed_rng.integers(2**31)),
-        noise_sigma=args.noise_sigma,
+    config = tr.RunConfig(
+        preset=args.preset,
+        n_sequences=args.sequences,
+        seq_length=args.length,
+        feature_dim=args.feature_dim,
         nuisance_dim=args.nuisance_dim,
-        nuisance_sigma=args.noise_sigma * 5.0,
+        noise_sigma=args.noise_sigma,
+        seed=args.seed,
     )
-    sequences = [
-        sd.generate(motion, feature_model, length=args.length,
-                    seed=int(seed_rng.integers(2**31)))
-        for _ in range(args.sequences)
-    ]
+    sequences = tr.generate_sequences(config)
     meta = {
         "preset": args.preset,
         "master_seed": args.seed,

@@ -131,14 +131,6 @@ class Pose:
 
 
 @dataclass(frozen=True)
-class PoseJacobians:
-    """6x6 derivatives of ``compose`` in (t, r) coordinates, per operand."""
-
-    d_out_d_left: np.ndarray
-    d_out_d_right: np.ndarray
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Time-ordered absolute poses, optionally with strictly increasing stamps."""
 
@@ -242,8 +234,9 @@ def vector_to_pose(v) -> Pose:
     return euler_to_pose(v[:3], v[3:])
 
 
-# --- analytic Jacobians of the composition in (t, r) coordinates ------------
+# --- derivatives of the composition in (t, r) coordinates -------------------
 #
+# Building blocks of the window composition's VJP (loss._compose_chain_vjp).
 # The chain runs through the quaternion representation:
 #   r -> q (per operand), q_out = q_parent x q_child, q_out -> r_out,
 #   t_out = t_parent + R(q_parent) t_child.
@@ -330,37 +323,6 @@ def _drotate_dquat(q: np.ndarray, v: np.ndarray) -> np.ndarray:
             [-y * vx + x * vy, z * vx + w * vy - 2 * x * vz, -w * vx + z * vy - 2 * y * vz, x * vx + y * vy],
         ]
     )
-
-
-def compose_with_jacobians(parent: Pose, child: Pose) -> tuple[Pose, PoseJacobians]:
-    """Compose two poses and return the 6x6 derivatives of the result.
-
-    The Jacobians are taken in (t, r) coordinates of each operand and of the
-    output, and match central finite differences of ``compose`` at the same
-    point. Raises GimbalLockError if an operand or the result sits at the
-    Euler singularity.
-    """
-    out = compose(parent, child)
-    _, r_parent = pose_to_euler(parent)
-    _, r_child = pose_to_euler(child)
-    q_parent = parent.quaternion
-    q_child = child.quaternion
-    q_out_raw = quat_mul(q_parent, q_child)
-
-    dq_parent = _dquat_deuler(r_parent)
-    dq_child = _dquat_deuler(r_child)
-    deuler = _deuler_dquat(q_out_raw)
-
-    d_left = np.zeros((6, 6))
-    d_left[:3, :3] = np.eye(3)
-    d_left[:3, 3:] = _drotate_dquat(q_parent, child.translation) @ dq_parent
-    d_left[3:, 3:] = deuler @ _right_mult_matrix(q_child) @ dq_parent
-
-    d_right = np.zeros((6, 6))
-    d_right[:3, :3] = quat_to_matrix(q_parent)
-    d_right[3:, 3:] = deuler @ _left_mult_matrix(q_parent) @ dq_child
-
-    return out, PoseJacobians(d_left, d_right)
 
 
 # --- trajectory file I/O (KITTI odometry ground-truth layout) ----------------

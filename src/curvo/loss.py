@@ -50,9 +50,6 @@ class LossWeights:
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
 
-    def term_weights(self) -> np.ndarray:
-        return np.array([self.delta] * 3 + [self.zeta] * 3).reshape(6, 1)
-
 
 @dataclass(frozen=True)
 class WindowState:

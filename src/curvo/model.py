@@ -13,7 +13,7 @@ ordered (tx, ty, tz, roll, pitch, yaw).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,7 +8,6 @@ no timestamps), so identical inputs produce identical files.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")

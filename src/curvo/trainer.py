@@ -183,16 +183,24 @@ def build_feature_model(config: RunConfig, data_rng) -> sd.FeatureModel:
     )
 
 
-def generate_sequences(config: RunConfig, count: int | None = None) -> list[sd.Sequence]:
-    """The run's synthetic dataset; one extra call yields the held-out set."""
-    data_rng, *_ = _seed_streams(config.seed)
+def _synthesize(config: RunConfig, count: int, stream: int) -> list[sd.Sequence]:
+    """``count`` sequences seeded from ``_seed_streams(config.seed)[stream]``.
+
+    The feature model always takes the first draw of the data stream, so the
+    training and held-out sequences share one feature encoding.
+    """
+    streams = _seed_streams(config.seed)
     motion = sd.MOTION_PRESETS[config.preset]()
-    feature_model = build_feature_model(config, data_rng)
-    count = count if count is not None else config.n_sequences
-    seeds = [int(data_rng.integers(2**31)) for _ in range(count)]
+    feature_model = build_feature_model(config, streams[0])
+    seeds = [int(streams[stream].integers(2**31)) for _ in range(count)]
     return [
         sd.generate(motion, feature_model, length=config.seq_length, seed=s) for s in seeds
     ]
+
+
+def generate_sequences(config: RunConfig, count: int | None = None) -> list[sd.Sequence]:
+    """The run's synthetic dataset, as ``train`` and ``gen-data`` build it."""
+    return _synthesize(config, count if count is not None else config.n_sequences, 0)
 
 
 def prepare_data(config: RunConfig, sequences: list[sd.Sequence] | None = None) -> PreparedData:
@@ -406,17 +414,7 @@ def _mode_config(config: RunConfig, mode: str) -> RunConfig:
 
 def holdout_sequences(config: RunConfig, stats: sd.FeatureStats, count: int) -> list[sd.Sequence]:
     """Extra sequences never seen in training, normalized like test data."""
-    data_rng, _, _, holdout_rng = _seed_streams(config.seed)
-    motion = sd.MOTION_PRESETS[config.preset]()
-    feature_model = build_feature_model(config, data_rng)
-    out = []
-    for _ in range(count):
-        seq = sd.generate(
-            motion, feature_model, length=config.seq_length,
-            seed=int(holdout_rng.integers(2**31)),
-        )
-        out.append(sd.apply_feature_stats(seq, stats))
-    return out
+    return [sd.apply_feature_stats(seq, stats) for seq in _synthesize(config, count, 3)]
 
 
 def _segment_metrics(store, model_cfg, holdouts, lengths) -> tuple[float, float]:

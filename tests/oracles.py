@@ -61,22 +61,6 @@ def euler_from_matrix(m):
     return Rotation.from_matrix(m[:3, :3]).as_euler("xyz")
 
 
-def central_difference(f, x, step=1e-6):
-    """Dense Jacobian of f: R^n -> R^m by central differences."""
-    x = np.asarray(x, dtype=float)
-    f0 = np.atleast_1d(np.asarray(f(x), dtype=float))
-    jac = np.empty((f0.size, x.size))
-    for i in range(x.size):
-        hi = x.copy()
-        lo = x.copy()
-        hi[i] += step
-        lo[i] -= step
-        fhi = np.atleast_1d(np.asarray(f(hi), dtype=float)).reshape(-1)
-        flo = np.atleast_1d(np.asarray(f(lo), dtype=float)).reshape(-1)
-        jac[:, i] = (fhi - flo) / (2.0 * step)
-    return jac
-
-
 def gradients_close(analytic, numeric, rtol=1e-5):
     """Norm-wise gradient check with an absolute floor for near-zero grads."""
     analytic = np.asarray(analytic, dtype=float)

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``. The experiment criterion
-(schedule comparison over 10 seeds) dominates the runtime; everything else
-finishes in seconds.
+Run with ``pytest tests/test_acceptance.py -v -s``. The gradient check in
+``test_01`` is the slow one, at about 21 s; everything else finishes in
+seconds.
 """
 
 import math

@@ -3,6 +3,8 @@ import pytest
 
 from curvo import cli
 from curvo import geometry as geo
+from curvo import synthdata as sd
+from curvo import trainer as tr
 
 
 CONFIG_TEXT = """\
@@ -90,6 +92,22 @@ class TestGenData:
         for rel in ("poses/00.txt", "features/01.csv", "meta.txt"):
             assert (a / rel).read_bytes() == (b / rel).read_bytes()
         assert (a / "manifest.txt").exists()
+
+    def test_writes_the_sequences_train_generates(self, tmp_path):
+        assert cli.main([
+            "gen-data", "--preset", "vehicle", "--sequences", "3", "--length", "25",
+            "--seed", "4", "--feature-dim", "7", "--nuisance-dim", "1",
+            "--noise-sigma", "0.05", "--out", str(tmp_path),
+        ]) == 0
+        written, meta = sd.load_dataset(tmp_path)
+        expected = tr.generate_sequences(tr.RunConfig(
+            preset="vehicle", n_sequences=3, seq_length=25, seed=4,
+            feature_dim=7, nuisance_dim=1, noise_sigma=0.05,
+        ))
+        assert len(written) == len(expected)
+        for index, (got, want) in enumerate(zip(written, expected)):
+            assert int(meta[f"seed_{index:02d}"]) == want.seed
+            assert np.array_equal(got.features, want.features)
 
     def test_walker_turns_more_than_vehicle(self, tmp_path):
         for preset in ("walker", "vehicle"):

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from curvo import geometry as geo
-from oracles import (
-    central_difference,
-    euler_matrix,
-    gradients_close,
-    pose_matrix,
-    random_pose_matrix,
-)
+from oracles import euler_matrix, pose_matrix, random_pose_matrix
 
 
 def random_pose(rng, **kwargs):
@@ -183,43 +177,6 @@ class TestAccumulate:
         for k, rel in enumerate(rels):
             rec = geo.relative_between(traj.poses[k], traj.poses[k + 1])
             np.testing.assert_allclose(pose_matrix(rec), pose_matrix(rel), atol=1e-9)
-
-
-class TestComposeJacobians:
-    @staticmethod
-    def _compose_vec(left6, right6):
-        out = geo.compose(geo.vector_to_pose(left6), geo.vector_to_pose(right6))
-        return geo.pose_to_vector(out)
-
-    def test_identity_parent_right_jacobian(self):
-        rng = np.random.default_rng(9)
-        child = random_pose(rng)
-        _, jac = geo.compose_with_jacobians(geo.Pose.identity(), child)
-        np.testing.assert_allclose(jac.d_out_d_right, np.eye(6), atol=1e-9)
-
-    def test_both_identity(self):
-        _, jac = geo.compose_with_jacobians(geo.Pose.identity(), geo.Pose.identity())
-        np.testing.assert_allclose(jac.d_out_d_left, np.eye(6), atol=1e-12)
-        np.testing.assert_allclose(jac.d_out_d_right, np.eye(6), atol=1e-12)
-
-    def test_pose_output_matches_compose(self):
-        rng = np.random.default_rng(10)
-        a, b = random_pose(rng), random_pose(rng)
-        out, _ = geo.compose_with_jacobians(a, b)
-        np.testing.assert_allclose(pose_matrix(out), pose_matrix(a) @ pose_matrix(b), atol=1e-12)
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            a = random_pose(rng, angle_scale=0.6)
-            b = random_pose(rng, angle_scale=0.6)
-            left6 = geo.pose_to_vector(a)
-            right6 = geo.pose_to_vector(b)
-            _, jac = geo.compose_with_jacobians(a, b)
-            fd_left = central_difference(lambda v: self._compose_vec(v, right6), left6)
-            fd_right = central_difference(lambda v: self._compose_vec(left6, v), right6)
-            assert gradients_close(jac.d_out_d_left, fd_left, rtol=1e-5)
-            assert gradients_close(jac.d_out_d_right, fd_right, rtol=1e-5)
 
 
 class TestTrajectoryValidation:
