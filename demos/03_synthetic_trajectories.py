@@ -48,7 +48,7 @@ sequences = [
 ]
 sd.save_dataset(dataset_dir, sequences, {"preset": "walker"})
 loaded, meta = sd.load_dataset(dataset_dir)
-rebuilt = geo.accumulate([geo.vector_to_pose(r) for r in loaded[0].relatives])
+rebuilt = geo.accumulate_vectors(loaded[0].relatives)
 drift = np.linalg.norm(
     rebuilt.positions() - loaded[0].trajectory.positions(), axis=1
 ).max()

@@ -17,8 +17,6 @@ Rotation mismatch is always the geodesic angle of the error rotation.
 
 from __future__ import annotations
 
-import bisect
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,13 +67,34 @@ def _check_aligned(gt: geo.Trajectory, est: geo.Trajectory) -> None:
         raise ValueError(f"trajectories differ in length: {len(gt)} vs {len(est)}")
 
 
-def _path_distances(gt: geo.Trajectory) -> list[float]:
-    positions = gt.positions()
-    steps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
-    distances = [0.0]
-    for step in steps:
-        distances.append(distances[-1] + float(step))
-    return distances
+def _pose_arrays(traj: geo.Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 3) positions and (N, 4) quaternions of a trajectory."""
+    return traj.positions(), np.array([p.quaternion for p in traj.poses])
+
+
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _between(a, b):
+    """relative_between(a[k], b[k]) for row-aligned (positions, quaternions) arrays."""
+    (ta, qa), (tb, qb) = a, b
+    q_inv = (qa * _CONJUGATE).T  # geometry's kernels take one quaternion per column
+    rotated = np.einsum("ijn,nj->ni", geo.quat_to_matrix(q_inv), tb - ta)
+    return rotated, geo.quat_mul(q_inv, qb.T).T
+
+
+def _relatives(poses, start: np.ndarray, end: np.ndarray):
+    """relative_between(pose[start], pose[end]) per index pair."""
+    positions, quaternions = poses
+    return _between((positions[start], quaternions[start]), (positions[end], quaternions[end]))
+
+
+def _mismatch(gt_rel, est_rel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of relative_between(gt_rel, est_rel): its translation norm and
+    geodesic angle (radians), plus the norm of the gt_rel translation."""
+    t, q = _between(gt_rel, est_rel)
+    angle = 2.0 * np.arccos(np.minimum(1.0, np.abs(q[:, 0]) / np.linalg.norm(q, axis=1)))
+    return np.linalg.norm(t, axis=1), angle, np.linalg.norm(gt_rel[0], axis=1)
 
 
 def segment_errors(gt: geo.Trajectory, est: geo.Trajectory, lengths) -> SegmentErrorReport:
@@ -86,28 +105,24 @@ def segment_errors(gt: geo.Trajectory, est: geo.Trajectory, lengths) -> SegmentE
     are dropped; if none survives, SegmentTooLongError is raised.
     """
     _check_aligned(gt, est)
-    distances = _path_distances(gt)
+    gt_poses, est_poses = _pose_arrays(gt), _pose_arrays(est)
+    steps = np.linalg.norm(np.diff(gt_poses[0], axis=0), axis=1)
+    distances = np.concatenate([[0.0], np.cumsum(steps)])
+    starts = np.arange(len(gt))
     out_lengths, out_trans, out_rot, out_counts = [], [], [], []
     for length in lengths:
         if length <= 0:
             raise ValueError(f"segment length must be positive, got {length}")
-        trans_sum = rot_sum = 0.0
-        count = 0
-        for start in range(len(gt)):
-            end = bisect.bisect_left(distances, distances[start] + length, lo=start + 1)
-            if end >= len(gt):
-                break
-            gt_rel = geo.relative_between(gt.poses[start], gt.poses[end])
-            est_rel = geo.relative_between(est.poses[start], est.poses[end])
-            mismatch = geo.relative_between(gt_rel, est_rel)
-            trans_sum += float(np.linalg.norm(mismatch.translation)) / length * 100.0
-            rot_sum += math.degrees(geo.rotation_angle(mismatch)) / length
-            count += 1
-        if count:
+        # the first frame at or past the target path length, and never the start itself
+        ends = np.maximum(np.searchsorted(distances, distances + length), starts + 1)
+        start, end = starts[ends < len(gt)], ends[ends < len(gt)]
+        if len(start):
+            trans, angle, _ = _mismatch(_relatives(gt_poses, start, end),
+                                        _relatives(est_poses, start, end))
             out_lengths.append(float(length))
-            out_trans.append(trans_sum / count)
-            out_rot.append(rot_sum / count)
-            out_counts.append(count)
+            out_trans.append(float(np.mean(trans / length * 100.0)))
+            out_rot.append(float(np.mean(np.degrees(angle) / length)))
+            out_counts.append(len(start))
     if not out_lengths:
         raise SegmentTooLongError(
             f"no segment of any requested length fits a path of {distances[-1]:.3f} m"
@@ -120,23 +135,16 @@ def segment_errors(gt: geo.Trajectory, est: geo.Trajectory, lengths) -> SegmentE
 def rpe(gt: geo.Trajectory, est: geo.Trajectory) -> RpeReport:
     """Frame-to-frame relative-pose mismatch, averaged over the sequence."""
     _check_aligned(gt, est)
-    trans_terms, rot_terms = [], []
-    skipped = 0
     frames = len(gt) - 1
-    for k in range(frames):
-        gt_rel = geo.relative_between(gt.poses[k], gt.poses[k + 1])
-        est_rel = geo.relative_between(est.poses[k], est.poses[k + 1])
-        mismatch = geo.relative_between(gt_rel, est_rel)
-        rot_terms.append(math.degrees(geo.rotation_angle(mismatch)))
-        motion = float(np.linalg.norm(gt_rel.translation))
-        if motion <= DEGENERATE_MOTION:
-            skipped += 1
-            continue
-        trans_terms.append(float(np.linalg.norm(mismatch.translation)) / motion * 100.0)
+    start = np.arange(frames)
+    trans, angle, motion = _mismatch(_relatives(_pose_arrays(gt), start, start + 1),
+                                     _relatives(_pose_arrays(est), start, start + 1))
+    moving = motion > DEGENERATE_MOTION
+    trans_pct = trans[moving] / motion[moving] * 100.0
     return RpeReport(
-        trans_err_pct=float(np.mean(trans_terms)) if trans_terms else 0.0,
-        rot_err_deg=float(np.mean(rot_terms)) if rot_terms else 0.0,
-        skipped_frames=skipped,
+        trans_err_pct=float(np.mean(trans_pct)) if len(trans_pct) else 0.0,
+        rot_err_deg=float(np.mean(np.degrees(angle))) if frames else 0.0,
+        skipped_frames=int(frames - moving.sum()),
         frames=frames,
     )
 

@@ -182,15 +182,34 @@ def accumulate(relatives, initial: Pose | None = None) -> Trajectory:
     pose[0] is ``initial`` (identity by default) and
     pose[k+1] = compose(pose[k], relatives[k]).
     """
-    poses = [initial if initial is not None else Pose.identity()]
-    for rel in relatives:
-        poses.append(compose(poses[-1], rel))
-    return Trajectory(tuple(poses))
+    steps = [(*p.translation.tolist(), *p.quaternion.tolist()) for p in relatives]
+    return _accumulate(steps, initial if initial is not None else Pose.identity())
 
 
-def rotation_angle(p: Pose) -> float:
-    """Geodesic rotation angle in radians: 2*acos(|w|)."""
-    return 2.0 * math.acos(min(1.0, abs(float(p.quaternion[0]))))
+def accumulate_vectors(rows) -> Trajectory:
+    """``accumulate`` of (N, 6) vector rows (t, r), without a Pose per row."""
+    return _accumulate(np.hstack(_vector_arrays(rows)).tolist(), Pose.identity())
+
+
+def _accumulate(steps, initial: Pose) -> Trajectory:
+    """The scan behind both over (t, q) 7-float steps: it renormalizes q each
+    step, as ``compose`` into a Pose does, and builds the Poses once, at the end."""
+    rows = [(*initial.translation.tolist(), *initial.quaternion.tolist())]
+    tx, ty, tz, w, x, y, z = rows[0]
+    for vx, vy, vz, bw, bx, by, bz in steps:
+        tx += (1 - 2 * (y * y + z * z)) * vx + 2 * (x * y - w * z) * vy + 2 * (x * z + w * y) * vz
+        ty += 2 * (x * y + w * z) * vx + (1 - 2 * (x * x + z * z)) * vy + 2 * (y * z - w * x) * vz
+        tz += 2 * (x * z - w * y) * vx + 2 * (y * z + w * x) * vy + (1 - 2 * (x * x + y * y)) * vz
+        w, x, y, z = (
+            w * bw - x * bx - y * by - z * bz,
+            w * bx + x * bw + y * bz - z * by,
+            w * by - x * bz + y * bw + z * bx,
+            w * bz + x * by - y * bx + z * bw,
+        )
+        norm = math.sqrt(w * w + x * x + y * y + z * z)
+        w, x, y, z = w / norm, x / norm, y / norm, z / norm
+        rows.append((tx, ty, tz, w, x, y, z))
+    return Trajectory(tuple(Pose(row[:3], row[3:]) for row in rows))
 
 
 def euler_to_pose(t, r) -> Pose:
@@ -232,6 +251,26 @@ def vector_to_pose(v) -> Pose:
     """Pose from a 6-vector (t, r)."""
     v = np.asarray(v, dtype=np.float64).reshape(6)
     return euler_to_pose(v[:3], v[3:])
+
+
+def _euler_quat(roll: float, pitch: float, yaw: float) -> tuple[float, float, float, float]:
+    """Quaternion (w, x, y, z) of Rz(yaw) Ry(pitch) Rx(roll)."""
+    cr, sr = math.cos(roll / 2), math.sin(roll / 2)
+    cp, sp = math.cos(pitch / 2), math.sin(pitch / 2)
+    cy, sy = math.cos(yaw / 2), math.sin(yaw / 2)
+    return (
+        cy * cp * cr + sy * sp * sr,
+        cy * cp * sr - sy * sp * cr,
+        cy * sp * cr + sy * cp * sr,
+        sy * cp * cr - cy * sp * sr,
+    )
+
+
+def _vector_arrays(rows) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 3) translations and (N, 4) quaternions of (N, 6) vector rows."""
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 6)
+    quaternions = np.array([_euler_quat(*r) for r in rows[:, 3:].tolist()]).reshape(-1, 4)
+    return rows[:, :3], quaternions
 
 
 # --- derivatives of the composition in (t, r) coordinates -------------------

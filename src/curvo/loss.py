@@ -20,13 +20,13 @@ with no gradient. The comparison itself never carries gradient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import geometry as geo
+from .geometry import _euler_quat
 
 
 class InsufficientHistoryError(ValueError):
@@ -73,19 +73,6 @@ def pose_error_value(estimate6: np.ndarray, truth6: np.ndarray, delta: float, ze
     """Plain-number version of pose_error for gating decisions and metrics."""
     diff = np.asarray(estimate6, float).reshape(6) - np.asarray(truth6, float).reshape(6)
     return float(delta * np.dot(diff[:3], diff[:3]) + zeta * np.dot(diff[3:], diff[3:]))
-
-
-def _euler_quat(roll: float, pitch: float, yaw: float) -> tuple[float, float, float, float]:
-    """Quaternion (w, x, y, z) of Rz(yaw) Ry(pitch) Rx(roll)."""
-    cr, sr = math.cos(roll / 2), math.sin(roll / 2)
-    cp, sp = math.cos(pitch / 2), math.sin(pitch / 2)
-    cy, sy = math.cos(yaw / 2), math.sin(yaw / 2)
-    return (
-        cy * cp * cr + sy * sp * sr,
-        cy * cp * sr - sy * sp * cr,
-        cy * sp * cr + sy * cp * sr,
-        sy * cp * cr - cy * sp * sr,
-    )
 
 
 def _compose_chain(rows: list[list[float]]):

@@ -86,6 +86,19 @@ def init_params(config: RegressorConfig, seed: int) -> ad.ParamStore:
     return store
 
 
+def _cell_kernel(x, h_prev, c_prev, w, b):
+    """The cell on plain (n, 1) arrays: (h', c', what the VJPs read)."""
+    n = h_prev.shape[0]
+    stacked = np.vstack([x, h_prev])
+    gates = w @ stacked + b
+    sig = 1.0 / (1.0 + np.exp(-gates[: 3 * n]))
+    g = np.tanh(gates[3 * n :])
+    c_new = sig[n : 2 * n] * c_prev + sig[:n] * g
+    tanh_c = np.tanh(c_new)
+    o = sig[2 * n :]
+    return o * tanh_c, c_new, (stacked, sig[:n], sig[n : 2 * n], o, g, tanh_c)
+
+
 def lstm_cell(x: ad.Value, state: tuple[ad.Value, ad.Value], weights: ad.Value, bias: ad.Value):
     """One cell update; returns (h', c') as tape Values.
 
@@ -102,14 +115,9 @@ def lstm_cell(x: ad.Value, state: tuple[ad.Value, ad.Value], weights: ad.Value, 
     if bias.shape != (4 * n, 1):
         raise ad.ShapeMismatchError("lstm_cell", bias.shape, (4 * n, 1))
     w = weights.data
-    stacked = np.vstack([x.data, h_prev.data])
-    gates = w @ stacked + bias.data
-    sig = 1.0 / (1.0 + np.exp(-gates[: 3 * n]))
-    i, f, o = sig[:n], sig[n : 2 * n], sig[2 * n :]
-    g = np.tanh(gates[3 * n :])
     c_old = c_prev.data
-    c_new = f * c_old + i * g
-    tanh_c = np.tanh(c_new)
+    h_new, c_new, saved = _cell_kernel(x.data, h_prev.data, c_old, w, bias.data)
+    stacked, i, f, o, g, tanh_c = saved
     output_gate_adjoint = []  # handed from the VJP of h' to the VJP of c'
 
     def c_vjp(gc):
@@ -126,7 +134,19 @@ def lstm_cell(x: ad.Value, state: tuple[ad.Value, ad.Value], weights: ad.Value, 
         return (gh * o * (1.0 - tanh_c * tanh_c),)
 
     c_value = ad.fused((x, h_prev, c_prev, weights, bias), c_new, c_vjp)
-    return ad.fused((c_value,), o * tanh_c, h_vjp), c_value
+    return ad.fused((c_value,), h_new, h_vjp), c_value
+
+
+def _checked_inputs(op: str, features, config: RegressorConfig, initial: HiddenState | None):
+    """The (T, input_dim) float block and the validated start state."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != config.input_dim:
+        raise ad.ShapeMismatchError(op, features.shape, ("T", config.input_dim))
+    if features.shape[0] < 1:
+        raise ValueError(f"{op} needs at least one timestep")
+    state = initial if initial is not None else HiddenState.zeros(config)
+    state.validate(config)
+    return features, state
 
 
 def forward_sequence(
@@ -145,14 +165,7 @@ def forward_sequence(
     Dropout is applied only when the config enables it and a generator is
     supplied (training time).
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != config.input_dim:
-        raise ad.ShapeMismatchError("forward_sequence", features.shape, ("T", config.input_dim))
-    if features.shape[0] < 1:
-        raise ValueError("forward_sequence needs at least one timestep")
-    state = initial if initial is not None else HiddenState.zeros(config)
-    state.validate(config)
-
+    features, state = _checked_inputs("forward_sequence", features, config, initial)
     weights = [
         (store.leaf(tape, f"lstm{layer}.W"), store.leaf(tape, f"lstm{layer}.b"))
         for layer in range(len(config.lstm_sizes))
@@ -186,6 +199,22 @@ def forward_sequence(
     return predictions, final
 
 
-def predictions_matrix(predictions) -> np.ndarray:
-    """Stack per-step 6x1 prediction Values into a (T, 6) array."""
-    return np.hstack([p.data for p in predictions]).T
+def predict(features, config: RegressorConfig, store: ad.ParamStore,
+            initial: HiddenState | None = None) -> tuple[np.ndarray, HiddenState]:
+    """The no-grad forward: (T, 6) rows and the final state, both equal bit for
+    bit to ``forward_sequence``'s without a dropout generator; no tape."""
+    features, state = _checked_inputs("predict", features, config, initial)
+    params = store.params
+    cells = [(params[f"lstm{layer}.W"], params[f"lstm{layer}.b"])
+             for layer in range(len(config.lstm_sizes))]
+    layer_state = list(state.layers)
+    rows = np.empty((features.shape[0], OUTPUT_DIM))
+    for t in range(features.shape[0]):
+        x = features[t].reshape(-1, 1)
+        for layer, (w, b) in enumerate(cells):
+            x, c, _ = _cell_kernel(x, *layer_state[layer], w, b)
+            layer_state[layer] = (x, c)
+        if config.head_hidden is not None:
+            x = np.tanh(params["head0.W"] @ x + params["head0.b"])
+        rows[t] = (params["head.W"] @ x + params["head.b"])[:, 0]
+    return rows, HiddenState(layer_state)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -265,7 +266,7 @@ def sample_subsequences(
         start = int(rng.integers(0, total - length + 1))
         relatives = sequence.relatives[start : start + length].copy()
         features = sequence.features[start : start + length].copy()
-        trajectory = geo.accumulate([geo.vector_to_pose(r) for r in relatives])
+        trajectory = geo.accumulate_vectors(relatives)
         samples.append(
             Sequence(trajectory=trajectory, relatives=relatives, features=features, seed=seed)
         )
@@ -299,23 +300,38 @@ def normalize_features(dataset: list[Sequence]) -> tuple[list[Sequence], Feature
 
 # --- dataset directory layout -------------------------------------------------
 #
-#   poses/NN.txt     ground-truth trajectory, 3x4-per-line layout
-#   features/NN.csv  header row, then one feature row per relative step
-#   meta.txt         flat key=value lines (seeds, model parameters)
+#   poses/NN.txt      ground-truth trajectory, 3x4-per-line layout
+#   relatives/NN.csv  header row, then the generated (t, r) row of each step
+#   features/NN.csv   header row, then one feature row per relative step
+#   meta.txt          flat key=value lines (seeds, model parameters)
+#
+# Floats are written with repr, so every array reads back bit for bit.
+
+_RELATIVE_COLUMNS = ("tx", "ty", "tz", "roll", "pitch", "yaw")
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def _read_csv(path) -> np.ndarray:
+    with open(path) as f:
+        next(f)  # header
+        return np.array([[float(v) for v in line.split(",")] for line in f if line.strip()])
 
 
 def save_dataset(directory, sequences: list[Sequence], meta: dict) -> None:
-    from pathlib import Path
-
     directory = Path(directory)
-    (directory / "poses").mkdir(parents=True, exist_ok=True)
-    (directory / "features").mkdir(parents=True, exist_ok=True)
+    for sub in ("poses", "relatives", "features"):
+        (directory / sub).mkdir(parents=True, exist_ok=True)
     for index, seq in enumerate(sequences):
         geo.save_trajectory_kitti(seq.trajectory, directory / "poses" / f"{index:02d}.txt")
-        with open(directory / "features" / f"{index:02d}.csv", "w") as f:
-            f.write(",".join(f"feat_{i}" for i in range(seq.features.shape[1])) + "\n")
-            for row in seq.features:
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
+        _write_csv(directory / "relatives" / f"{index:02d}.csv", _RELATIVE_COLUMNS, seq.relatives)
+        feature_header = [f"feat_{i}" for i in range(seq.features.shape[1])]
+        _write_csv(directory / "features" / f"{index:02d}.csv", feature_header, seq.features)
     lines = dict(meta)
     lines["sequences"] = len(sequences)
     for index, seq in enumerate(sequences):
@@ -326,8 +342,6 @@ def save_dataset(directory, sequences: list[Sequence], meta: dict) -> None:
 
 
 def load_dataset(directory) -> tuple[list[Sequence], dict]:
-    from pathlib import Path
-
     directory = Path(directory)
     meta = {}
     with open(directory / "meta.txt") as f:
@@ -339,17 +353,8 @@ def load_dataset(directory) -> tuple[list[Sequence], dict]:
     sequences = []
     for index in range(count):
         trajectory = geo.load_trajectory_kitti(directory / "poses" / f"{index:02d}.txt")
-        with open(directory / "features" / f"{index:02d}.csv") as f:
-            next(f)  # header
-            features = np.array(
-                [[float(v) for v in line.split(",")] for line in f if line.strip()]
-            )
-        relatives = np.array(
-            [
-                geo.pose_to_vector(geo.relative_between(trajectory.poses[k], trajectory.poses[k + 1]))
-                for k in range(len(trajectory) - 1)
-            ]
-        )
+        relatives = _read_csv(directory / "relatives" / f"{index:02d}.csv")
+        features = _read_csv(directory / "features" / f"{index:02d}.csv")
         seed = int(meta.get(f"seed_{index:02d}", 0))
         sequences.append(
             Sequence(trajectory=trajectory, relatives=relatives, features=features, seed=seed)

@@ -232,9 +232,10 @@ def sequence_objective(
     sequence: sd.Sequence,
     weights: ls.LossWeights,
 ) -> float:
-    """Per-step objective value of one sequence under the given weights."""
+    """Per-step objective of one sequence; the no-grad rows enter it as tape constants."""
     tape = ad.Tape()
-    preds, _ = md.forward_sequence(tape, sequence.features, model_cfg, store)
+    rows = predict_relatives(store, model_cfg, sequence)
+    preds = [tape.constant(row.reshape(6, 1)) for row in rows]
     total = ls.sequence_loss(preds, sequence.relatives, weights)
     return total.item() / len(sequence)
 
@@ -250,28 +251,19 @@ def relative_validation_loss(store, model_cfg, config: RunConfig, sequences) -> 
 
 
 def predict_relatives(store, model_cfg, sequence: sd.Sequence) -> np.ndarray:
-    tape = ad.Tape()
-    preds, _ = md.forward_sequence(tape, sequence.features, model_cfg, store)
-    return md.predictions_matrix(preds)
+    return md.predict(sequence.features, model_cfg, store)[0]
 
 
 def relative_pose_errors(store, model_cfg, sequences) -> tuple[float, float]:
     """Mean per-frame translation error (m) and rotation error (deg)."""
-    trans_terms, rot_terms = [], []
-    for seq in sequences:
-        predicted = predict_relatives(store, model_cfg, seq)
-        for pred_row, gt_row in zip(predicted, seq.relatives):
-            mismatch = geo.relative_between(
-                geo.vector_to_pose(gt_row), geo.vector_to_pose(pred_row)
-            )
-            trans_terms.append(float(np.linalg.norm(mismatch.translation)))
-            rot_terms.append(math.degrees(geo.rotation_angle(mismatch)))
-    return float(np.mean(trans_terms)), float(np.mean(rot_terms))
+    truth = np.vstack([seq.relatives for seq in sequences])
+    predicted = np.vstack([predict_relatives(store, model_cfg, seq) for seq in sequences])
+    trans, angle, _ = ev._mismatch(geo._vector_arrays(truth), geo._vector_arrays(predicted))
+    return float(np.mean(trans)), float(np.mean(np.degrees(angle)))
 
 
 def predicted_trajectory(store, model_cfg, sequence: sd.Sequence) -> geo.Trajectory:
-    rows = predict_relatives(store, model_cfg, sequence)
-    return geo.accumulate([geo.vector_to_pose(row) for row in rows])
+    return geo.accumulate_vectors(predict_relatives(store, model_cfg, sequence))
 
 
 def train(

@@ -108,6 +108,7 @@ class TestGenData:
         for index, (got, want) in enumerate(zip(written, expected)):
             assert int(meta[f"seed_{index:02d}"]) == want.seed
             assert np.array_equal(got.features, want.features)
+            assert np.array_equal(got.relatives, want.relatives)
 
     def test_walker_turns_more_than_vehicle(self, tmp_path):
         for preset in ("walker", "vehicle"):

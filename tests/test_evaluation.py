@@ -5,6 +5,7 @@ import pytest
 
 from curvo import evaluation as ev
 from curvo import geometry as geo
+from oracles import pose_matrix
 
 
 def straight_line(n, step=1.0):
@@ -24,6 +25,48 @@ def random_trajectory(rng, n, angle=0.2, step=0.5):
         r = rng.uniform(-angle, angle, size=3)
         rels.append(geo.euler_to_pose(t, r))
     return geo.accumulate(rels)
+
+
+def trajectory_with_stops(rng, n, angle=0.3):
+    """Random motion where every fourth step only rotates, repeating a position."""
+    rels = []
+    for k in range(n - 1):
+        t = rng.uniform(0.1, 0.5, size=3) * np.array([1.0, 0.3, 0.1]) if k % 4 else np.zeros(3)
+        rels.append(geo.euler_to_pose(t, rng.uniform(-angle, angle, size=3)))
+    return geo.accumulate(rels)
+
+
+def mismatch_matrix(gt, est, start, end):
+    """The 4x4 matrices of the gt relative and of its mismatch with est's."""
+    g = np.linalg.inv(pose_matrix(gt.poses[start])) @ pose_matrix(gt.poses[end])
+    e = np.linalg.inv(pose_matrix(est.poses[start])) @ pose_matrix(est.poses[end])
+    return g, np.linalg.inv(g) @ e
+
+
+def angle_deg(m):
+    return math.degrees(math.acos(max(-1.0, min(1.0, (np.trace(m[:3, :3]) - 1.0) / 2.0))))
+
+
+def brute_force_segments(gt, est, lengths):
+    """Segment errors by linear search over the path and 4x4 matrix products."""
+    positions = [pose_matrix(p)[:3, 3] for p in gt.poses]
+    distances = [0.0]
+    for a, b in zip(positions, positions[1:]):
+        distances.append(distances[-1] + float(np.linalg.norm(b - a)))
+    rows = []
+    for length in lengths:
+        trans, rot = [], []
+        for start in range(len(gt)):
+            ends = [j for j in range(start + 1, len(gt))
+                    if distances[j] >= distances[start] + length]
+            if not ends:
+                break
+            _, d = mismatch_matrix(gt, est, start, ends[0])
+            trans.append(np.linalg.norm(d[:3, 3]) / length * 100.0)
+            rot.append(angle_deg(d) / length)
+        if trans:
+            rows.append((float(length), np.mean(trans), np.mean(rot), len(trans)))
+    return rows
 
 
 def transform_trajectory(traj, rigid):
@@ -83,6 +126,23 @@ class TestSegmentErrors:
         with pytest.raises(ValueError):
             ev.segment_errors(straight_line(5), straight_line(6), [1])
 
+    @pytest.mark.parametrize("make", [random_trajectory, trajectory_with_stops])
+    def test_matches_brute_force_recomputation(self, make):
+        rng = np.random.default_rng(9)
+        gt = make(rng, 60, angle=0.3)
+        est = make(rng, 60, angle=0.3)
+        lengths = [0.5, 1.0, 2.0, 5.0, 10.0, 1000.0]
+        report = ev.segment_errors(gt, est, lengths)
+        want = brute_force_segments(gt, est, lengths)
+        assert report.lengths == tuple(row[0] for row in want)
+        assert report.lengths[-1] < 1000.0
+        assert report.segment_counts == tuple(row[3] for row in want)
+        np.testing.assert_allclose(report.trans_err_pct, [row[1] for row in want], atol=1e-9)
+        np.testing.assert_allclose(report.rot_err_deg_per_m, [row[2] for row in want], atol=1e-9)
+        # a length below the float spacing of the path still spans one step or more
+        tiny = ev.segment_errors(gt, est, [1e-300])
+        assert tiny.segment_counts == (brute_force_segments(gt, est, [1e-300])[0][3],)
+
 
 class TestRpe:
     def test_equal_trajectories_zero(self):
@@ -125,6 +185,24 @@ class TestRpe:
             rot_terms.append(angle)
             denom = np.linalg.norm(g[:3, 3])
             trans_terms.append(np.linalg.norm(d[:3, 3]) / denom * 100.0)
+        assert abs(report.trans_err_pct - np.mean(trans_terms)) < 1e-9
+        assert abs(report.rot_err_deg - np.mean(rot_terms)) < 1e-9
+
+    def test_matches_brute_force_with_repeated_positions(self):
+        rng = np.random.default_rng(10)
+        gt = trajectory_with_stops(rng, 60)
+        est = random_trajectory(rng, 60, angle=0.3)
+        report = ev.rpe(gt, est)
+        trans_terms, rot_terms, skipped = [], [], 0
+        for k in range(59):
+            g, d = mismatch_matrix(gt, est, k, k + 1)
+            rot_terms.append(angle_deg(d))
+            if np.linalg.norm(g[:3, 3]) <= ev.DEGENERATE_MOTION:
+                skipped += 1
+                continue
+            trans_terms.append(np.linalg.norm(d[:3, 3]) / np.linalg.norm(g[:3, 3]) * 100.0)
+        assert report.skipped_frames == skipped == 15
+        assert report.frames == 59
         assert abs(report.trans_err_pct - np.mean(trans_terms)) < 1e-9
         assert abs(report.rot_err_deg - np.mean(rot_terms)) < 1e-9
 

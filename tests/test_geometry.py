@@ -41,7 +41,8 @@ class TestCompose:
         step = geo.Pose(translation=[1, 0, 0])
         out = geo.compose(yaw90, step)
         np.testing.assert_allclose(out.translation, [0, 1, 0], atol=1e-12)
-        assert abs(geo.rotation_angle(out) - math.pi / 2) < 1e-12
+        half = math.sqrt(0.5)
+        np.testing.assert_allclose(out.quaternion, [half, 0, 0, half], atol=1e-12)
 
     def test_matches_matrix_oracle(self):
         rng = np.random.default_rng(1)

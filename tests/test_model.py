@@ -35,6 +35,11 @@ def scalar_lstm_reference(x, h_prev, c_prev, weights, bias):
     return h_out, c_out
 
 
+def predictions_matrix(predictions):
+    """Stack the per-step 6x1 prediction Values of forward_sequence into (T, 6)."""
+    return np.hstack([p.data for p in predictions]).T
+
+
 def run_cell(x, h, c, w, b):
     tape = ad.Tape()
     hv, cv = model.lstm_cell(
@@ -141,7 +146,7 @@ class TestForwardSequence:
         preds, _ = model.forward_sequence(
             tape, np.random.default_rng(4).normal(size=(5, 3)), cfg, store
         )
-        np.testing.assert_allclose(model.predictions_matrix(preds), 0.0, atol=1e-15)
+        np.testing.assert_allclose(predictions_matrix(preds), 0.0, atol=1e-15)
 
     def test_state_threading_bit_identical(self):
         cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4, 3))
@@ -153,8 +158,8 @@ class TestForwardSequence:
         preds_a, mid = model.forward_sequence(tape2, features[:3], cfg, store)
         tape3 = ad.Tape()
         preds_b, _ = model.forward_sequence(tape3, features[3:], cfg, store, initial=mid)
-        full = model.predictions_matrix(preds_full)
-        split = np.vstack([model.predictions_matrix(preds_a), model.predictions_matrix(preds_b)])
+        full = predictions_matrix(preds_full)
+        split = np.vstack([predictions_matrix(preds_a), predictions_matrix(preds_b)])
         assert np.array_equal(full, split)
 
     def test_bptt_gradient_matches_finite_differences(self):
@@ -204,7 +209,7 @@ class TestForwardSequence:
         plain_cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4, 4))
         plain, _ = model.forward_sequence(tape2, features, plain_cfg, store)
         assert np.array_equal(
-            model.predictions_matrix(no_rng), model.predictions_matrix(plain)
+            predictions_matrix(no_rng), predictions_matrix(plain)
         )
         out = []
         for _ in range(2):
@@ -212,12 +217,42 @@ class TestForwardSequence:
             preds, _ = model.forward_sequence(
                 tape_n, features, cfg, store, dropout_rng=np.random.default_rng(99)
             )
-            out.append(model.predictions_matrix(preds))
+            out.append(predictions_matrix(preds))
         assert np.array_equal(out[0], out[1])
-        assert not np.array_equal(out[0], model.predictions_matrix(plain))
+        assert not np.array_equal(out[0], predictions_matrix(plain))
 
     def test_feature_width_checked(self):
         cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4,))
         store = model.init_params(cfg, seed=13)
         with pytest.raises(ad.ShapeMismatchError):
             model.forward_sequence(ad.Tape(), np.zeros((2, 5)), cfg, store)
+
+
+class TestPredict:
+    @pytest.mark.parametrize("sizes,head_hidden,dropout", [
+        ((5,), None, 0.0),
+        ((4, 3), 7, 0.0),
+        ((3, 4, 2), None, 0.0),
+        ((4, 4), None, 0.5),  # dropout configured, but no generator: off in both
+    ])
+    def test_equals_forward_sequence_bit_for_bit(self, sizes, head_hidden, dropout):
+        cfg = model.RegressorConfig(input_dim=3, lstm_sizes=sizes, head_hidden=head_hidden,
+                                    dropout=dropout)
+        store = model.init_params(cfg, seed=14)
+        rng = np.random.default_rng(15)
+        features = rng.normal(size=(9, 3))
+        initial = model.HiddenState(
+            [(rng.normal(size=(n, 1)), rng.normal(size=(n, 1))) for n in sizes]
+        )
+        preds, taped = model.forward_sequence(ad.Tape(), features, cfg, store, initial=initial)
+        rows, final = model.predict(features, cfg, store, initial=initial)
+        assert np.array_equal(rows, predictions_matrix(preds))
+        assert len(final.layers) == len(sizes)
+        for (h, c), (h_ref, c_ref) in zip(final.layers, taped.layers):
+            assert np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
+
+    def test_feature_width_checked(self):
+        cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4,))
+        store = model.init_params(cfg, seed=13)
+        with pytest.raises(ad.ShapeMismatchError):
+            model.predict(np.zeros((2, 5)), cfg, store)

@@ -4,7 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from curvo import autodiff as ad
 from curvo import curriculum as cur
+from curvo import loss as ls
+from curvo import model as md
 from curvo import synthdata as sd
 from curvo import trainer as tr
 
@@ -232,3 +235,14 @@ class TestPredictionHelpers:
         assert rows.shape == (len(seq), 6)
         traj = tr.predicted_trajectory(store, model_cfg, seq)
         assert len(traj) == len(seq) + 1
+
+    def test_validation_loss_equals_the_taped_objective(self):
+        config = tiny_config()
+        data = tr.prepare_data(config)
+        model_cfg = config.regressor_config(data.input_dim)
+        store = md.init_params(model_cfg, seed=3)
+        seq = data.val[0]
+        weights = ls.LossWeights(alpha=0.5, delta=1.0, zeta=10.0, window=3)
+        preds, _ = md.forward_sequence(ad.Tape(), seq.features, model_cfg, store)
+        taped = ls.sequence_loss(preds, seq.relatives, weights).item() / len(seq)
+        assert tr.validation_loss(store, model_cfg, [seq], weights) == taped
