@@ -29,30 +29,38 @@ recovered = geo.relative_between(square.poses[1], square.poses[2])
 print("\nrelative transform between poses 1 and 2 recovers the step:")
 print("  translation:", np.round(recovered.translation, 9))
 
-# loss.windowed_compose chains two (t, roll, pitch, yaw) vectors in one tape
-# node. Its tape gradient with respect to the first operand is checked here
-# against central differences of compose().
+# At alpha = 0 with a window of 2, sequence_loss over two steps is the error
+# of their composite against the composed truth. Its tape gradient, one tape
+# node for the whole objective, is checked here against central differences
+# of the same window error computed through compose().
 rng = np.random.default_rng(0)
-v_left = np.concatenate([rng.uniform(-1, 1, 3), rng.uniform(-0.5, 0.5, 3)])
-v_right = np.concatenate([rng.uniform(-1, 1, 3), rng.uniform(-0.5, 0.5, 3)])
+rows = np.concatenate([rng.uniform(-1, 1, (2, 3)), rng.uniform(-0.5, 0.5, (2, 3))], axis=1)
+gt = np.concatenate([rng.uniform(-1, 1, (2, 3)), rng.uniform(-0.5, 0.5, (2, 3))], axis=1)
+weights = loss.LossWeights(alpha=0.0, window=2)
 
-jac = np.zeros((6, 6))
-for i in range(6):
-    tape = ad.Tape()
-    left = tape.leaf(v_left.reshape(6, 1))
-    composite = loss.windowed_compose([left, tape.constant(v_right)], window=2)
-    ad.backward(ad.sum(ad.mul_elementwise(composite, tape.constant(np.eye(6)[:, i]))))
-    jac[i] = left.grad.reshape(-1)
+tape = ad.Tape()
+leaves = [tape.leaf(row.reshape(6, 1)) for row in rows]
+objective = loss.sequence_loss(leaves, gt, weights)
+ad.backward(objective)
+analytic = np.concatenate([leaf.grad.reshape(-1) for leaf in leaves])
+print(f"\nsequence_loss records {len(tape) - len(leaves)} tape node")
+
+
+def window_error(flat):
+    left, right = (geo.vector_to_pose(v) for v in flat.reshape(2, 6))
+    truth = geo.compose(geo.vector_to_pose(gt[0]), geo.vector_to_pose(gt[1]))
+    d = geo.pose_to_vector(geo.compose(left, right)) - geo.pose_to_vector(truth)
+    return float(d @ d)
+
 
 step_size = 1e-6
-b = geo.vector_to_pose(v_right)
-fd = np.zeros((6, 6))
-for i in range(6):
-    hi, lo = v_left.copy(), v_left.copy()
+flat = rows.reshape(-1)
+fd = np.zeros_like(flat)
+for i in range(flat.size):
+    hi, lo = flat.copy(), flat.copy()
     hi[i] += step_size
     lo[i] -= step_size
-    f_hi = geo.pose_to_vector(geo.compose(geo.vector_to_pose(hi), b))
-    f_lo = geo.pose_to_vector(geo.compose(geo.vector_to_pose(lo), b))
-    fd[:, i] = (f_hi - f_lo) / (2 * step_size)
-err = np.abs(jac - fd).max()
-print(f"\nwindow composite's tape gradient vs central differences: max |diff| = {err:.2e}")
+    fd[i] = (window_error(hi) - window_error(lo)) / (2 * step_size)
+err = np.abs(analytic - fd).max()
+print(f"window error {objective.item():.6f} vs {window_error(flat):.6f} through compose()")
+print(f"its tape gradient vs central differences: max |diff| = {err:.2e}")

@@ -14,33 +14,33 @@ rng = np.random.default_rng(0)
 gt = rng.uniform(-0.3, 0.3, size=(6, 6))
 estimates = gt + rng.normal(scale=0.05, size=gt.shape)
 
-tape = ad.Tape()
-predictions = [tape.leaf(row.reshape(6, 1)) for row in estimates]
+# The per-step term is a weighted squared pose error: the objective of one
+# step at alpha = 1.
+weights6 = np.array([1.0] * 3 + [5.0] * 3)
+step0 = loss.sequence_loss_value(estimates[:1], gt[:1], loss.LossWeights(zeta=5.0))
+print(f"step-0 pose error: {step0:.6f}")
 
-# The per-step term is a weighted squared pose error.
-step0 = loss.pose_error(predictions[0], gt[0], delta=1.0, zeta=5.0)
-print(f"step-0 pose error: {step0.item():.6f}")
-
-# The window composite chains predictions through SE(3) composition; its
-# value is compared against the matching ground-truth span.
+# The window composite chains steps through SE(3) composition; the estimates'
+# composite is compared against the matching ground-truth span.
 window = 2
-composed = loss.windowed_compose(predictions[0:2], window)
+est_windows = loss.ground_truth_window_relatives(estimates, window)
 truth_windows = loss.ground_truth_window_relatives(gt, window)
-print("window composite over steps 0-1:", np.round(composed.data.reshape(-1), 4))
+print("window composite over steps 0-1:", np.round(est_windows[1], 4))
 print("ground-truth window relative:   ", np.round(truth_windows[1], 4))
 
 # The composite only contributes where its raw value rises vs the previous
 # step; falling windows contribute exactly zero (and no gradient).
-state = loss.WindowState()
-weights = loss.LossWeights(alpha=0.5, delta=1.0, zeta=5.0, window=window)
 print("\ngating trace (t, raw window loss, contributed):")
-for t in range(window - 1, len(predictions)):
-    composed = loss.windowed_compose(predictions[t - window + 1 : t + 1], window)
-    term, state = loss.composite_loss(composed, truth_windows[t], state, weights)
-    print(f"  t={t}: raw {state.previous_window_loss:.6f} contributed {term.item():.6f}")
+previous = None
+for t in range(window - 1, len(gt)):
+    d = est_windows[t] - truth_windows[t]
+    raw = float(np.sum(weights6 * (d * d)))
+    contributed = raw if previous is None or raw > previous else 0.0
+    print(f"  t={t}: raw {raw:.6f} contributed {contributed:.6f}")
+    previous = raw
 
-# The full objective blends both term families; alpha = 1 turns the
-# composite machinery off entirely.
+# The full objective blends both term families in one tape node; alpha = 1
+# turns the composite machinery off entirely.
 for alpha in (1.0, 0.5, 0.1):
     tape = ad.Tape()
     predictions = [tape.leaf(row.reshape(6, 1)) for row in estimates]

@@ -12,10 +12,10 @@ that maps the node's adjoint to one contribution per parent. The tape holds
 no Value, and no VJP captures one, so a tape is freed as soon as its last
 Value is dropped, without waiting for the cycle collector. The hot paths are
 single nodes with hand-written VJPs: ``fused`` records a kernel computed
-off-tape (the LSTM cell, the pose error, the SE(3) window composition), and
-``linear_sum`` adds up all loss terms of a sequence. The linear head and
-dropout use ``matmul``, ``add``, ``tanh`` and ``mul_elementwise``. VJPs run
-only in ``backward``, so a forward pass computes no derivatives.
+off-tape (the LSTM cell, and the whole training objective of a sequence). The
+linear head and dropout use ``matmul``, ``add``, ``tanh`` and
+``mul_elementwise``. VJPs run only in ``backward``, so a forward pass computes
+no derivatives.
 """
 
 from __future__ import annotations
@@ -147,36 +147,6 @@ def sum(a: Value) -> Value:  # noqa: A001 - deliberate, mirrors the op vocabular
     shape = a.data.shape
     out = np.array([[a.data.sum()]])
     return a.tape._record(out, (a.node_id,), lambda g: (np.full(shape, float(g[0, 0])),))
-
-
-def linear_sum(groups) -> Value:
-    """One node for sum_k c_k * (v_k1 + v_k2 + ...) over (c_k, values_k) groups.
-
-    Each group is added left to right, scaled, and the scaled groups are added
-    in order, so the result equals that chain of elementwise adds and
-    multiplies bit for bit.
-    """
-    groups = [(float(c), list(values)) for c, values in groups]
-    parents = [v for _, values in groups for v in values]
-    tape = _check_same_tape("linear_sum", *parents)
-    total = None
-    for c, values in groups:
-        acc = values[0].data
-        for v in values[1:]:
-            if v.data.shape != acc.shape:
-                raise ShapeMismatchError("linear_sum", acc.shape, v.data.shape)
-            acc = acc + v.data
-        acc = acc * c
-        total = acc if total is None else total + acc
-    counts = [(c, len(values)) for c, values in groups]
-
-    def vjp(g):
-        out = []
-        for c, count in counts:
-            out.extend([g * c] * count)
-        return out
-
-    return tape._record(total, tuple(v.node_id for v in parents), vjp)
 
 
 def fused(inputs, data, vjp) -> Value:

@@ -1,21 +1,22 @@
-"""The training objective: per-step pose error, the differentiable window
-composition layer, the rise-gated composite term, and their alpha blend.
+"""The training objective: per-step relative errors and rise-gated window
+composites, blended by alpha.
 
-A prediction is a 6x1 column (t, r). The window composite chains the last w
-step predictions through SE(3) composition in chronological order (the step
-w frames back is applied first), so with perfect predictions it reproduces
-the ground-truth pose of frame t relative to frame t-w. Predictions and the
-ground truth go through the same closed-form chain: quaternions straight from
-the Euler inputs, one product per operand, Euler angles extracted once at the
+A prediction is a (t, r) row. The window composite chains the last w step
+predictions through SE(3) composition in chronological order (the step w
+frames back is applied first), so with perfect predictions it reproduces the
+ground-truth pose of frame t relative to frame t-w. Predictions and the ground
+truth go through the same closed-form chain: quaternions straight from the
+Euler inputs, one product per operand, Euler angles extracted once at the
 end, no Pose objects.
 
-Each piece is one tape node with a hand-written VJP: a pose error, a window
-composite (its VJP uses quaternion prefix and suffix products), and the
-final blend of all terms.
+Every term is the weighted squared error delta*||t_hat - t||^2 +
+zeta*||r_hat - r||^2. The composite term at step t contributes only when its
+value exceeds the previous step's value (strictly); otherwise it contributes
+nothing and passes no gradient. The comparison itself never carries gradient.
 
-The composite term at step t contributes only when its raw value exceeds the
-previous step's raw value (strictly); otherwise it contributes an exact zero
-with no gradient. The comparison itself never carries gradient.
+The whole objective is one kernel, ``_objective``, with a hand-written VJP:
+``sequence_loss`` records it as a single tape node, and
+``sequence_loss_value`` runs it with no tape.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry as geo
 from .geometry import _euler_quat
-
-
-class InsufficientHistoryError(ValueError):
-    """A window composite was requested with fewer predictions than the window."""
 
 
 @dataclass(frozen=True)
@@ -49,30 +46,6 @@ class LossWeights:
             raise ValueError("delta and zeta must be non-negative")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-
-
-@dataclass(frozen=True)
-class WindowState:
-    """Raw window loss from the previous step; None before the first window."""
-
-    previous_window_loss: float | None = None
-
-
-def pose_error(estimate: ad.Value, truth, delta: float, zeta: float) -> ad.Value:
-    """delta*||t_hat - t||^2 + zeta*||r_hat - r||^2 as a differentiable scalar."""
-    truth = np.asarray(truth, dtype=np.float64).reshape(6, 1)
-    if estimate.shape != (6, 1):
-        raise ad.ShapeMismatchError("pose_error", estimate.shape, (6, 1))
-    weights = np.array([delta] * 3 + [zeta] * 3).reshape(6, 1)
-    diff = estimate.data - truth
-    out = np.array([[np.sum(weights * (diff * diff))]])
-    return ad.fused((estimate,), out, lambda g: (g[0, 0] * weights * 2.0 * diff,))
-
-
-def pose_error_value(estimate6: np.ndarray, truth6: np.ndarray, delta: float, zeta: float) -> float:
-    """Plain-number version of pose_error for gating decisions and metrics."""
-    diff = np.asarray(estimate6, float).reshape(6) - np.asarray(truth6, float).reshape(6)
-    return float(delta * np.dot(diff[:3], diff[:3]) + zeta * np.dot(diff[3:], diff[3:]))
 
 
 def _compose_chain(rows: list[list[float]]):
@@ -133,69 +106,6 @@ def _compose_chain_vjp(rows, quats, g: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def windowed_compose(relatives: list[ad.Value], window: int) -> ad.Value:
-    """Chain exactly ``window`` predicted relatives into the window composite.
-
-    ``relatives`` is in chronological order (oldest first); the result is the
-    pose of the newest frame relative to the frame ``window`` steps earlier.
-    It is one tape node: the forward pass runs the closed-form quaternion
-    chain, and the VJP applies the composition derivatives to the adjoint
-    during backward.
-    """
-    if len(relatives) < window:
-        raise InsufficientHistoryError(
-            f"window of {window} needs {window} predictions, got {len(relatives)}"
-        )
-    if len(relatives) != window:
-        raise ValueError(f"expected exactly {window} predictions, got {len(relatives)}")
-    for v in relatives:
-        if v.shape != (6, 1):
-            raise ad.ShapeMismatchError("windowed_compose", v.shape, (6, 1))
-    rows = [v.data.ravel().tolist() for v in relatives]
-    composed, quats = _compose_chain(rows)
-    return ad.fused(
-        relatives,
-        np.array(composed).reshape(6, 1),
-        lambda g: _compose_chain_vjp(rows, quats, g),
-    )
-
-
-def composite_loss(
-    composed: ad.Value,
-    truth_window_relative,
-    state: WindowState,
-    weights: LossWeights,
-) -> tuple[ad.Value, WindowState]:
-    """Gate the window loss on rising raw value; always roll the state forward.
-
-    Contributes pose_error(composed, truth) when the raw window loss exceeds
-    the previous step's raw loss (or when there is no previous step); an exact
-    zero constant otherwise. The new state carries the raw loss regardless.
-    """
-    truth = np.asarray(truth_window_relative, dtype=np.float64).reshape(6)
-    raw = pose_error_value(composed.data, truth, weights.delta, weights.zeta)
-    gate_open = state.previous_window_loss is None or raw > state.previous_window_loss
-    if gate_open:
-        contribution = pose_error(composed, truth, weights.delta, weights.zeta)
-    else:
-        contribution = composed.tape.constant(np.zeros((1, 1)))
-    return contribution, WindowState(previous_window_loss=raw)
-
-
-def bounded_total(rel_losses: list[ad.Value], com_losses: list[ad.Value], alpha: float) -> ad.Value:
-    """alpha * sum(relative terms) + (1 - alpha) * sum(composite terms).
-
-    One tape node; each sum is added left to right. At alpha = 1 the
-    composite terms are left out entirely.
-    """
-    if len(rel_losses) != len(com_losses):
-        raise ad.ShapeMismatchError("bounded_total", len(rel_losses), len(com_losses))
-    groups = [(alpha, rel_losses)]
-    if alpha < 1.0:
-        groups.append((1.0 - alpha, com_losses))
-    return ad.linear_sum(groups)
-
-
 def ground_truth_window_relatives(gt_relatives: np.ndarray, window: int) -> np.ndarray:
     """(T, 6) of the truth pose of frame t relative to frame t-window.
 
@@ -209,42 +119,79 @@ def ground_truth_window_relatives(gt_relatives: np.ndarray, window: int) -> np.n
     return out
 
 
+def _objective(rows: np.ndarray, gt_relatives, weights: LossWeights):
+    """The blended objective of (T, 6) predicted rows; returns ((1, 1) total, vjp).
+
+    Relative terms run over every step; composite terms start at the first
+    step with a full window and pass through the rising-value gate. Each sum
+    adds left to right. At alpha = 1 the windows are skipped entirely, which
+    keeps the total bit-identical to a composite-free sum of the relative
+    terms. ``vjp(g)`` maps the total's adjoint to one (6, 1) adjoint per row.
+    """
+    gt_relatives = np.asarray(gt_relatives, dtype=np.float64)
+    steps = len(rows)
+    if steps < 1:
+        raise ValueError("sequence_loss needs at least one prediction")
+    if rows.shape != (steps, 6):
+        raise ad.ShapeMismatchError("sequence_loss", rows.shape, (steps, 6))
+    if gt_relatives.shape != (steps, 6):
+        raise ad.ShapeMismatchError("sequence_loss", gt_relatives.shape, (steps, 6))
+    alpha, window = weights.alpha, weights.window
+    w6 = np.array([weights.delta] * 3 + [weights.zeta] * 3).reshape(6, 1)
+
+    diff = (rows - gt_relatives).T  # (6, T), one column per step
+    rel = 0.0
+    for term in np.sum(w6 * (diff * diff), axis=0).tolist():
+        rel += term
+    total = rel * alpha
+    opened: list[int] = []  # window i covers rows i .. i + window - 1
+    if alpha < 1.0:
+        chains = rows.tolist()
+        windows = [_compose_chain(chains[i : i + window]) for i in range(steps - window + 1)]
+        truth = ground_truth_window_relatives(gt_relatives, window)[window - 1 :]
+        com_diff = (np.array([c for c, _ in windows]).reshape(-1, 6) - truth).T
+        com, previous = 0.0, None
+        for i, raw in enumerate(np.sum(w6 * (com_diff * com_diff), axis=0).tolist()):
+            if previous is None or raw > previous:
+                com += raw
+                opened.append(i)
+            previous = raw
+        total += com * (1.0 - alpha)
+
+    def vjp(g):
+        # a row's adjoint adds the newest open window's part first, then
+        # older windows', then its own relative term: the order in which
+        # ``backward`` adds them over one node per term, so gradients equal
+        # that graph's bit for bit
+        adjoints = [None] * steps
+        if opened:
+            com_g = g[0, 0] * (1.0 - alpha) * w6 * 2.0 * com_diff
+            for i in reversed(opened):
+                operands = chains[i : i + window]
+                parts = _compose_chain_vjp(operands, windows[i][1], com_g[:, i : i + 1])
+                for k, part in enumerate(parts, i):
+                    adjoints[k] = part if adjoints[k] is None else adjoints[k] + part
+        rel_g = g[0, 0] * alpha * w6 * 2.0 * diff
+        return [rel_g[:, k : k + 1] if a is None else a + rel_g[:, k : k + 1]
+                for k, a in enumerate(adjoints)]
+
+    return np.array([[total]]), vjp
+
+
 def sequence_loss(
     predictions: list[ad.Value],
     gt_relatives: np.ndarray,
     weights: LossWeights,
 ) -> ad.Value:
-    """Assemble the full objective over a predicted sequence.
+    """The objective over a predicted sequence of (6, 1) Values, as one tape node."""
+    for v in predictions:
+        if v.shape != (6, 1):
+            raise ad.ShapeMismatchError("sequence_loss", v.shape, (6, 1))
+    rows = np.hstack([v.data for v in predictions]).T if predictions else np.zeros((0, 6))
+    total, vjp = _objective(rows, gt_relatives, weights)
+    return ad.fused(predictions, total, vjp)
 
-    Per-step relative terms run over every step; composite terms start at the
-    first step with a full window and pass through the rising-value gate. At
-    alpha = 1 the composite machinery is skipped entirely, which keeps the
-    result bit-identical to a composite-free sum of the relative terms.
-    """
-    gt_relatives = np.asarray(gt_relatives, dtype=np.float64)
-    steps = len(predictions)
-    if steps < 1:
-        raise ValueError("sequence_loss needs at least one prediction")
-    if gt_relatives.shape != (steps, 6):
-        raise ad.ShapeMismatchError("sequence_loss", gt_relatives.shape, (steps, 6))
-    tape = predictions[0].tape
 
-    rel_losses = [
-        pose_error(predictions[t], gt_relatives[t], weights.delta, weights.zeta)
-        for t in range(steps)
-    ]
-    if weights.alpha >= 1.0:
-        return bounded_total(rel_losses, [tape.constant(np.zeros((1, 1)))] * steps, 1.0)
-
-    window = weights.window
-    truth_windows = ground_truth_window_relatives(gt_relatives, window)
-    com_losses: list[ad.Value] = []
-    state = WindowState()
-    for t in range(steps):
-        if t < window - 1:
-            com_losses.append(tape.constant(np.zeros((1, 1))))
-            continue
-        composed = windowed_compose(predictions[t - window + 1 : t + 1], window)
-        term, state = composite_loss(composed, truth_windows[t], state, weights)
-        com_losses.append(term)
-    return bounded_total(rel_losses, com_losses, weights.alpha)
+def sequence_loss_value(rows: np.ndarray, gt_relatives: np.ndarray, weights: LossWeights) -> float:
+    """``sequence_loss`` of plain (T, 6) rows, with no tape: the no-grad twin."""
+    return _objective(np.asarray(rows, dtype=np.float64), gt_relatives, weights)[0].item()

@@ -35,9 +35,18 @@ SWEEP_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 class NonFiniteLossError(RuntimeError):
-    def __init__(self, epoch: int, kind: str, value: float):
-        super().__init__(f"non-finite {kind} loss ({value}) at epoch {epoch}")
+    """A non-finite loss, located by epoch, stage and, for a training loss,
+    the index of the training sequence in ``PreparedData.train``.
+    """
+
+    def __init__(self, epoch: int, stage: int, kind: str, value: float, sequence: int | None = None):
+        where = f"epoch {epoch}, stage {stage}"
+        if sequence is not None:
+            where += f", training sequence {sequence}"
+        super().__init__(f"non-finite {kind} loss ({value}) at {where}")
         self.epoch = epoch
+        self.stage = stage
+        self.sequence = sequence
 
 
 @dataclass(frozen=True)
@@ -232,12 +241,9 @@ def sequence_objective(
     sequence: sd.Sequence,
     weights: ls.LossWeights,
 ) -> float:
-    """Per-step objective of one sequence; the no-grad rows enter it as tape constants."""
-    tape = ad.Tape()
+    """Per-step objective of one sequence, from the no-grad forward and loss."""
     rows = predict_relatives(store, model_cfg, sequence)
-    preds = [tape.constant(row.reshape(6, 1)) for row in rows]
-    total = ls.sequence_loss(preds, sequence.relatives, weights)
-    return total.item() / len(sequence)
+    return ls.sequence_loss_value(rows, sequence.relatives, weights) / len(sequence)
 
 
 def validation_loss(store, model_cfg, sequences, weights) -> float:
@@ -295,7 +301,7 @@ def train(
         epoch += 1
         started = time.perf_counter()
         batch_losses = []
-        for seq in data.train:
+        for seq_index, seq in enumerate(data.train):
             sample_seed = int(epoch_rng.integers(2**31))
             subsequences = sd.sample_subsequences(
                 seq, config.subseq_count, config.subseq_min, config.subseq_max, sample_seed
@@ -311,7 +317,7 @@ def train(
                 total = ls.sequence_loss(preds, sub.relatives, weights)
                 value = total.item()
                 if not math.isfinite(value):
-                    raise NonFiniteLossError(epoch, "train", value)
+                    raise NonFiniteLossError(epoch, progress.stage_index, "train", value, seq_index)
                 ad.backward(total)
                 if config.grad_clip > 0.0:
                     norm = store.grad_norm()
@@ -322,7 +328,7 @@ def train(
         train_loss = float(np.mean(batch_losses))
         val_loss = validation_loss(store, model_cfg, data.val, weights)
         if not math.isfinite(val_loss):
-            raise NonFiniteLossError(epoch, "validation", val_loss)
+            raise NonFiniteLossError(epoch, progress.stage_index, "validation", val_loss)
         runlog.records.append(
             EpochRecord(
                 epoch=epoch,

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The gradient check in
-``test_01`` is the slow one, at about 21 s; everything else finishes in
+``test_01`` is the slow one, at about 16 s; everything else finishes in
 seconds.
 """
 

@@ -44,29 +44,42 @@ def make_predictions(tape, rows):
     return [tape.leaf(np.asarray(row, float).reshape(6, 1)) for row in rows]
 
 
+def step_loss(rows, gt, alpha=1.0, delta=1.0, zeta=1.0, window=1):
+    """sequence_loss over leaf rows; returns the scalar and the leaves."""
+    tape = ad.Tape()
+    values = make_predictions(tape, rows)
+    weights = loss.LossWeights(alpha=alpha, delta=delta, zeta=zeta, window=window)
+    return loss.sequence_loss(values, np.asarray(gt, float), weights), values
+
+
+def pure_translation(xs):
+    """Rows that step xs[t] along x, with no rotation."""
+    rows = np.zeros((len(xs), 6))
+    rows[:, 0] = xs
+    return rows
+
+
 class TestPoseError:
+    # the per-step term: sequence_loss of one step at alpha = 1
+
     def test_exact_match_is_zero(self):
-        tape = ad.Tape()
-        v = tape.leaf(np.arange(6.0).reshape(6, 1))
-        assert loss.pose_error(v, np.arange(6.0), 1.0, 1.0).item() == 0.0
+        total, _ = step_loss([np.arange(6.0)], [np.arange(6.0)])
+        assert total.item() == 0.0
 
     def test_translation_offset(self):
-        tape = ad.Tape()
-        v = tape.leaf(np.array([0.1, 0, 0, 0, 0, 0]).reshape(6, 1))
-        assert abs(loss.pose_error(v, np.zeros(6), 1.0, 1.0).item() - 0.01) < 1e-15
+        total, _ = step_loss([[0.1, 0, 0, 0, 0, 0]], np.zeros((1, 6)))
+        assert abs(total.item() - 0.01) < 1e-15
 
     def test_kitti_weighting(self):
         # delta = 1, zeta = 100 with a 0.01 rad yaw error contributes 0.01
-        tape = ad.Tape()
-        v = tape.leaf(np.array([0, 0, 0, 0, 0, 0.01]).reshape(6, 1))
-        assert abs(loss.pose_error(v, np.zeros(6), 1.0, 100.0).item() - 0.01) < 1e-15
+        total, _ = step_loss([[0, 0, 0, 0, 0, 0.01]], np.zeros((1, 6)), zeta=100.0)
+        assert abs(total.item() - 0.01) < 1e-15
 
     def test_gradient(self):
-        tape = ad.Tape()
         est = np.array([0.3, -0.2, 0.1, 0.05, -0.04, 0.02])
-        v = tape.leaf(est.reshape(6, 1))
         truth = np.array([0.1, 0.1, 0.1, 0.0, 0.0, 0.0])
-        ad.backward(loss.pose_error(v, truth, 2.0, 3.0))
+        total, (v,) = step_loss([est], [truth], delta=2.0, zeta=3.0)
+        ad.backward(total)
         expected = 2.0 * np.array([2.0] * 3 + [3.0] * 3) * (est - truth)
         np.testing.assert_allclose(v.grad.reshape(-1), expected, atol=1e-12)
 
@@ -82,50 +95,49 @@ class TestLossWeights:
 
 
 class TestWindowedCompose:
+    # the window composite: the last row of ground_truth_window_relatives,
+    # which runs the same chain as the predicted windows
+
     def test_window_one_passthrough(self):
-        tape = ad.Tape()
         row = np.array([0.1, 0.2, 0.3, 0.01, 0.02, 0.03])
-        (v,) = make_predictions(tape, [row])
-        out = loss.windowed_compose([v], 1)
-        np.testing.assert_allclose(out.data.reshape(-1), row, atol=1e-12)
+        out = loss.ground_truth_window_relatives([row], 1)[-1]
+        np.testing.assert_allclose(out, row, atol=1e-12)
 
     def test_two_translations_add(self):
-        tape = ad.Tape()
         rows = [[1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]]
-        out = loss.windowed_compose(make_predictions(tape, rows), 2)
-        np.testing.assert_allclose(out.data.reshape(-1), [2, 0, 0, 0, 0, 0], atol=1e-12)
+        out = loss.ground_truth_window_relatives(rows, 2)[-1]
+        np.testing.assert_allclose(out, [2, 0, 0, 0, 0, 0], atol=1e-12)
 
     def test_matches_accumulate_final_pose(self):
         rng = np.random.default_rng(31)
-        tape = ad.Tape()
         rows = rng.uniform(-0.3, 0.3, size=(3, 6))
-        out = loss.windowed_compose(make_predictions(tape, rows), 3)
+        out = loss.ground_truth_window_relatives(rows, 3)[-1]
         final = geo.accumulate([geo.vector_to_pose(r) for r in rows]).poses[-1]
-        np.testing.assert_allclose(out.data.reshape(-1), geo.pose_to_vector(final), atol=1e-12)
+        np.testing.assert_allclose(out, geo.pose_to_vector(final), atol=1e-12)
 
     def test_matches_matrix_chain_oracle(self):
         rng = np.random.default_rng(32)
         for _ in range(20):
             rows = rng.uniform(-0.4, 0.4, size=(3, 6))
-            tape = ad.Tape()
-            out = loss.windowed_compose(make_predictions(tape, rows), 3)
+            out = loss.ground_truth_window_relatives(rows, 3)[-1]
             m = np.eye(4)
             for row in rows:
                 m = m @ vec_to_matrix(row)
-            np.testing.assert_allclose(out.data.reshape(-1), matrix_to_vec(m), atol=1e-9)
+            np.testing.assert_allclose(out, matrix_to_vec(m), atol=1e-9)
 
     @staticmethod
-    def _gradient_error(rows, truth):
-        """Analytic and central-difference gradients of a window's pose error."""
+    def _gradient_error(rows, gt):
+        """Analytic and central-difference gradients of one window's error.
+
+        At alpha = 0 with the window as long as the sequence, the objective
+        is the error of that single window, whose gate is always open.
+        """
         window = len(rows)
 
         def run(flat):
-            tape = ad.Tape()
-            values = make_predictions(tape, flat.reshape(window, 6))
-            out = loss.windowed_compose(values, window)
-            return values, loss.pose_error(out, truth, 1.0, 1.0)
+            return step_loss(flat.reshape(window, 6), gt, alpha=0.0, window=window)
 
-        values, scalar = run(rows.reshape(-1))
+        scalar, values = run(rows.reshape(-1))
         ad.backward(scalar)
         analytic = np.concatenate([v.grad.reshape(-1) for v in values])
 
@@ -136,7 +148,7 @@ class TestWindowedCompose:
             hi, lo = flat.copy(), flat.copy()
             hi[i] += step
             lo[i] -= step
-            fd[i] = (run(hi)[1].item() - run(lo)[1].item()) / (2 * step)
+            fd[i] = (run(hi)[0].item() - run(lo)[0].item()) / (2 * step)
         return analytic, fd
 
     @pytest.mark.parametrize("window", [2, 3, 4])
@@ -144,8 +156,8 @@ class TestWindowedCompose:
         rng = np.random.default_rng(33)
         for _ in range(10):
             rows = rng.uniform(-0.3, 0.3, size=(window, 6))
-            truth = rng.uniform(-0.5, 0.5, size=6)
-            analytic, fd = self._gradient_error(rows, truth)
+            gt = rng.uniform(-0.3, 0.3, size=(window, 6))
+            analytic, fd = self._gradient_error(rows, gt)
             assert gradients_close(analytic, fd, rtol=1e-5)
 
     @pytest.mark.parametrize("operand", [0, 1, 2])
@@ -156,86 +168,69 @@ class TestWindowedCompose:
         rng = np.random.default_rng(34)
         rows = rng.uniform(-0.3, 0.3, size=(3, 6))
         rows[operand, 4] = 2.0
-        truth = rng.uniform(-0.5, 0.5, size=6)
-        analytic, fd = self._gradient_error(rows, truth)
+        gt = rng.uniform(-0.3, 0.3, size=(3, 6))
+        analytic, fd = self._gradient_error(rows, gt)
         assert gradients_close(analytic, fd, rtol=1e-5)
 
     def test_insufficient_history(self):
-        tape = ad.Tape()
-        values = make_predictions(tape, [[0.1, 0, 0, 0, 0, 0]])
-        with pytest.raises(loss.InsufficientHistoryError):
-            loss.windowed_compose(values, 2)
+        # fewer steps than the window: no composite, relative terms only
+        rng = np.random.default_rng(35)
+        gt = rng.uniform(-0.3, 0.3, size=(2, 6))
+        pred = gt + rng.uniform(-0.1, 0.1, size=(2, 6))
+        relative, rel_values = step_loss(pred, gt, alpha=1.0, window=3)
+        ad.backward(relative)
+        blended, values = step_loss(pred, gt, alpha=0.5, window=3)
+        ad.backward(blended)
+        assert blended.item() == relative.item() * 0.5
+        for v, r in zip(values, rel_values):
+            np.testing.assert_array_equal(v.grad, r.grad * 0.5)
+        assert step_loss(pred, gt, alpha=0.0, window=3)[0].item() == 0.0
 
 
 class TestCompositeLoss:
-    def _composed(self, tape, value6):
-        return tape.leaf(np.asarray(value6, float).reshape(6, 1))
+    # the rise gate: at window 1 and alpha = 0 the objective is the sum of
+    # the step errors that rose above the previous step's error
 
     def test_first_step_contributes_raw(self):
-        tape = ad.Tape()
-        composed = self._composed(tape, [0.5, 0, 0, 0, 0, 0])
-        term, state = loss.composite_loss(
-            composed, np.zeros(6), loss.WindowState(), loss.LossWeights()
-        )
-        assert abs(term.item() - 0.25) < 1e-15
-        assert abs(state.previous_window_loss - 0.25) < 1e-15
+        total, _ = step_loss(pure_translation([0.5]), np.zeros((1, 6)), alpha=0.0)
+        assert abs(total.item() - 0.25) < 1e-15
 
     def test_falling_value_contributes_zero(self):
-        tape = ad.Tape()
-        composed = self._composed(tape, [0.5, 0, 0, 0, 0, 0])  # raw = 0.25 < 0.7
-        term, state = loss.composite_loss(
-            composed, np.zeros(6), loss.WindowState(0.7), loss.LossWeights()
-        )
-        assert term.item() == 0.0
-        assert abs(state.previous_window_loss - 0.25) < 1e-15
+        # raws 1.0 then 0.25: only the first contributes
+        total, _ = step_loss(pure_translation([1.0, 0.5]), np.zeros((2, 6)), alpha=0.0)
+        assert total.item() == 1.0
 
     def test_rising_value_contributes(self):
-        tape = ad.Tape()
-        composed = self._composed(tape, [0.5, 0, 0, 0, 0, 0])  # raw = 0.25 > 0.1
-        term, _ = loss.composite_loss(
-            composed, np.zeros(6), loss.WindowState(0.1), loss.LossWeights()
-        )
-        assert abs(term.item() - 0.25) < 1e-15
+        # raws 0.0625 then 0.25: both contribute
+        total, _ = step_loss(pure_translation([0.25, 0.5]), np.zeros((2, 6)), alpha=0.0)
+        assert total.item() == 0.3125
 
     def test_tie_contributes_zero(self):
-        tape = ad.Tape()
-        composed = self._composed(tape, [0.5, 0, 0, 0, 0, 0])
-        term, _ = loss.composite_loss(
-            composed, np.zeros(6), loss.WindowState(0.25), loss.LossWeights()
-        )
-        assert term.item() == 0.0
+        total, _ = step_loss(pure_translation([0.5, 0.5]), np.zeros((2, 6)), alpha=0.0)
+        assert total.item() == 0.25
 
     def test_gated_zero_has_no_gradient(self):
-        tape = ad.Tape()
-        composed = self._composed(tape, [0.5, 0, 0, 0, 0, 0])
-        term, _ = loss.composite_loss(
-            composed, np.zeros(6), loss.WindowState(0.7), loss.LossWeights()
-        )
-        ad.backward(term)
-        np.testing.assert_allclose(composed.grad, np.zeros((6, 1)))
+        total, values = step_loss(pure_translation([1.0, 0.5]), np.zeros((2, 6)), alpha=0.0)
+        ad.backward(total)
+        assert np.all(values[1].grad == 0.0)
+        assert values[0].grad[0, 0] == 2.0
 
 
 class TestBoundedTotal:
-    def _scalars(self, tape, values):
-        return [tape.constant(np.array([[v]])) for v in values]
+    # alpha * (relative sum) + (1 - alpha) * (composite sum); steps of 1 and 2
+    # along x give relative terms 1 and 4 and one window-2 composite of 9
 
     def test_alpha_one_is_pure_relative(self):
-        tape = ad.Tape()
-        rel = self._scalars(tape, [1.0, 2.0])
-        com = self._scalars(tape, [10.0, 20.0])
-        assert loss.bounded_total(rel, com, 1.0).item() == 3.0
+        total, _ = step_loss(pure_translation([1.0, 2.0]), np.zeros((2, 6)), window=2)
+        assert total.item() == 5.0
 
     def test_alpha_zero_is_pure_composite(self):
-        tape = ad.Tape()
-        rel = self._scalars(tape, [1.0, 2.0])
-        com = self._scalars(tape, [10.0, 20.0])
-        assert loss.bounded_total(rel, com, 0.0).item() == 30.0
+        total, _ = step_loss(pure_translation([1.0, 2.0]), np.zeros((2, 6)), alpha=0.0, window=2)
+        assert total.item() == 9.0
 
     def test_midpoint_blend(self):
-        tape = ad.Tape()
-        rel = self._scalars(tape, [1.5, 0.5])
-        com = self._scalars(tape, [0.25, 0.75])
-        assert abs(loss.bounded_total(rel, com, 0.5).item() - 1.5) < 1e-15
+        total, _ = step_loss(pure_translation([1.0, 2.0]), np.zeros((2, 6)), alpha=0.5, window=2)
+        assert total.item() == 7.0
 
 
 class TestSequenceLoss:
@@ -301,24 +296,23 @@ class TestSequenceLoss:
         assert abs(total - (1.0 + 0.0 + 0.64 + 0.0)) < 1e-12
 
     def test_gating_monotonicity_property(self):
+        # at alpha = 0 the total is exactly the sum of the window errors that
+        # rose above the previous window's error
         rng = np.random.default_rng(55)
+        w6 = np.ones((6, 1))
         for _ in range(20):
             steps = 6
             gt = rng.uniform(-0.2, 0.2, size=(steps, 6))
             pred = gt + rng.uniform(-0.15, 0.15, size=(steps, 6))
-            weights = loss.LossWeights(alpha=0.5, window=2)
-            truth_windows = loss.ground_truth_window_relatives(gt, 2)
-            tape = ad.Tape()
-            values = make_predictions(tape, pred)
-            state = loss.WindowState()
-            previous_raw = None
-            for t in range(1, steps):
-                composed = loss.windowed_compose(values[t - 1 : t + 1], 2)
-                term, state = loss.composite_loss(composed, truth_windows[t], state, weights)
-                if previous_raw is not None:
-                    contributed = term.item()
-                    assert contributed == 0.0 or contributed > previous_raw
-                previous_raw = state.previous_window_loss
+            diffs = (loss.ground_truth_window_relatives(pred, 2)
+                     - loss.ground_truth_window_relatives(gt, 2))[1:]
+            raws = [np.sum(w6 * (d.reshape(6, 1) ** 2)) for d in diffs]
+            expected = raws[0]
+            for previous, raw in zip(raws, raws[1:]):
+                if raw > previous:
+                    expected += raw
+            total, _ = step_loss(pred, gt, alpha=0.0, window=2)
+            assert total.item() == expected
 
     def test_end_to_end_gradient_through_model(self):
         cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4, 3))
@@ -354,3 +348,19 @@ class TestSequenceLoss:
                     param[idx] = orig
                     fd[idx] = (hi - lo) / (2 * step)
                 assert gradients_close(analytic[name], fd, rtol=1e-5), (name, window)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1, 0.0])
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_value_equals_taped_loss(self, alpha, window):
+        pred, gt = self._seeded_case(60 + window, steps=7)
+        weights = loss.LossWeights(alpha=alpha, delta=1.3, zeta=4.0, window=window)
+        taped = loss.sequence_loss(make_predictions(ad.Tape(), pred), gt, weights).item()
+        assert loss.sequence_loss_value(pred, gt, weights) == taped
+
+    def test_records_one_tape_node(self):
+        pred, gt = self._seeded_case(61, steps=6)
+        tape = ad.Tape()
+        values = make_predictions(tape, pred)
+        before = len(tape)
+        loss.sequence_loss(values, gt, loss.LossWeights(alpha=0.5, window=3))
+        assert len(tape) == before + 1

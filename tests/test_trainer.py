@@ -171,6 +171,10 @@ class TestTrain:
             with pytest.raises(tr.NonFiniteLossError) as err:
                 tr.train(config)
         assert err.value.epoch >= 1
+        # the first Adam step blows up, so the next sub-trajectory of the
+        # first training sequence, still in the first stage, is non-finite
+        assert (err.value.stage, err.value.sequence) == (0, 0)
+        assert "stage 0, training sequence 0" in str(err.value)
 
     def test_stage_end_hook_fires_per_stage(self):
         calls = []
