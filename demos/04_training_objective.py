@@ -43,9 +43,9 @@ for t in range(window - 1, len(gt)):
 # turns the composite machinery off entirely.
 for alpha in (1.0, 0.5, 0.1):
     tape = ad.Tape()
-    predictions = [tape.leaf(row.reshape(6, 1)) for row in estimates]
+    predictions = tape.leaf(estimates)
     w = loss.LossWeights(alpha=alpha, delta=1.0, zeta=5.0, window=window)
     total = loss.sequence_loss(predictions, gt, w)
     ad.backward(total)
-    grad_norm = float(np.sqrt(sum(np.sum(p.grad**2) for p in predictions)))
+    grad_norm = float(np.sqrt(np.sum(predictions.grad**2)))
     print(f"alpha={alpha:4.2f}: total {total.item():.6f}  |grad| {grad_norm:.4f}")

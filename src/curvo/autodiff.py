@@ -1,21 +1,19 @@
 """Tape-based reverse-mode differentiation over dense float64 matrices.
 
-Deliberately minimal: the op set below is what the pose regressor and its
-training objective need, plus ``sum`` and ``square`` for building scalar
-losses. Values are handles into an append-only Tape; the tape is rebuilt for
-every forward pass (define-by-run), while long-lived parameters and their
-Adam state live in a ParamStore and are re-attached to each new tape as
-leaves.
+Deliberately minimal: the engine is ``Tape``, ``Value``, ``fused``,
+``backward``, ``ParamStore`` and ``adam_step``. Values are handles into an
+append-only Tape; the tape is rebuilt for every forward pass
+(define-by-run), while long-lived parameters and their Adam state live in a
+ParamStore and are re-attached to each new tape as leaves.
 
 A tape node is its forward array, its parents' node ids and one VJP callable
 that maps the node's adjoint to one contribution per parent. The tape holds
 no Value, and no VJP captures one, so a tape is freed as soon as its last
-Value is dropped, without waiting for the cycle collector. The hot paths are
-single nodes with hand-written VJPs: ``fused`` records a kernel computed
-off-tape (the LSTM cell, and the whole training objective of a sequence). The
-linear head and dropout use ``matmul``, ``add``, ``tanh`` and
-``mul_elementwise``. VJPs run only in ``backward``, so a forward pass computes
-no derivatives.
+Value is dropped, without waiting for the cycle collector. Every operation is
+a kernel computed off-tape and recorded by ``fused`` with its hand-written
+VJP: a training step records the parameter leaves, one node for the whole
+LSTM sequence (the forward and its BPTT) and one for the training objective.
+VJPs run only in ``backward``, so a forward pass computes no derivatives.
 """
 
 from __future__ import annotations
@@ -77,76 +75,11 @@ class Tape:
         self._vjps.append(vjp)
         return Value(self, node_id, data)
 
-    def constant(self, data) -> Value:
-        """A leaf that participates in the forward pass but keeps no gradient use."""
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim != 2:
-            arr = arr.reshape(-1, 1)
-        return self._record(arr)
-
     def leaf(self, data, owner=None) -> Value:
         value = self._record(np.asarray(data, dtype=np.float64))
         if owner is not None:
             self._owners[value.node_id] = owner
         return value
-
-
-def _check_same_tape(op, *values):
-    tape = values[0].tape
-    for v in values[1:]:
-        if v.tape is not tape:
-            raise ValueError(f"{op}: values belong to different tapes")
-    return tape
-
-
-def matmul(a: Value, b: Value) -> Value:
-    tape = _check_same_tape("matmul", a, b)
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatchError("matmul", a.data.shape, b.data.shape)
-    a_data, b_data = a.data, b.data
-    return tape._record(
-        a_data @ b_data, (a.node_id, b.node_id), lambda g: (g @ b_data.T, a_data.T @ g)
-    )
-
-
-def add(a: Value, b: Value) -> Value:
-    """Elementwise sum; also accepts a (1, m) row bias against an (n, m) matrix."""
-    tape = _check_same_tape("add", a, b)
-    if a.data.shape == b.data.shape:
-        return tape._record(a.data + b.data, (a.node_id, b.node_id), lambda g: (g, g))
-    if b.data.shape == (1, a.data.shape[1]):
-        return tape._record(
-            a.data + b.data,
-            (a.node_id, b.node_id),
-            lambda g: (g, g.sum(axis=0, keepdims=True)),
-        )
-    raise ShapeMismatchError("add", a.data.shape, b.data.shape)
-
-
-def mul_elementwise(a: Value, b: Value) -> Value:
-    tape = _check_same_tape("mul_elementwise", a, b)
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatchError("mul_elementwise", a.data.shape, b.data.shape)
-    a_data, b_data = a.data, b.data
-    return tape._record(
-        a_data * b_data, (a.node_id, b.node_id), lambda g: (g * b_data, g * a_data)
-    )
-
-
-def tanh(a: Value) -> Value:
-    out = np.tanh(a.data)
-    return a.tape._record(out, (a.node_id,), lambda g: (g * (1.0 - out * out),))
-
-
-def square(a: Value) -> Value:
-    a_data = a.data
-    return a.tape._record(a_data * a_data, (a.node_id,), lambda g: (g * 2.0 * a_data,))
-
-
-def sum(a: Value) -> Value:  # noqa: A001 - deliberate, mirrors the op vocabulary
-    shape = a.data.shape
-    out = np.array([[a.data.sum()]])
-    return a.tape._record(out, (a.node_id,), lambda g: (np.full(shape, float(g[0, 0])),))
 
 
 def fused(inputs, data, vjp) -> Value:
@@ -156,7 +89,9 @@ def fused(inputs, data, vjp) -> Value:
     adjoint to one contribution per input, each shaped like that input. The
     VJP runs only during ``backward``.
     """
-    tape = _check_same_tape("fused", *inputs)
+    tape = inputs[0].tape
+    if any(v.tape is not tape for v in inputs):
+        raise ValueError("fused: values belong to different tapes")
     return tape._record(
         np.asarray(data, dtype=np.float64), tuple(v.node_id for v in inputs), vjp
     )

@@ -126,7 +126,7 @@ def _objective(rows: np.ndarray, gt_relatives, weights: LossWeights):
     step with a full window and pass through the rising-value gate. Each sum
     adds left to right. At alpha = 1 the windows are skipped entirely, which
     keeps the total bit-identical to a composite-free sum of the relative
-    terms. ``vjp(g)`` maps the total's adjoint to one (6, 1) adjoint per row.
+    terms. ``vjp(g)`` maps the total's adjoint to ``(rows' (T, 6) adjoint,)``.
     """
     gt_relatives = np.asarray(gt_relatives, dtype=np.float64)
     steps = len(rows)
@@ -163,33 +163,31 @@ def _objective(rows: np.ndarray, gt_relatives, weights: LossWeights):
         # older windows', then its own relative term: the order in which
         # ``backward`` adds them over one node per term, so gradients equal
         # that graph's bit for bit
-        adjoints = [None] * steps
+        adjoint = g[0, 0] * alpha * w6 * 2.0 * diff  # (6, T): the relative terms
         if opened:
+            window_parts = [None] * steps
             com_g = g[0, 0] * (1.0 - alpha) * w6 * 2.0 * com_diff
             for i in reversed(opened):
                 operands = chains[i : i + window]
                 parts = _compose_chain_vjp(operands, windows[i][1], com_g[:, i : i + 1])
                 for k, part in enumerate(parts, i):
-                    adjoints[k] = part if adjoints[k] is None else adjoints[k] + part
-        rel_g = g[0, 0] * alpha * w6 * 2.0 * diff
-        return [rel_g[:, k : k + 1] if a is None else a + rel_g[:, k : k + 1]
-                for k, a in enumerate(adjoints)]
+                    window_parts[k] = part if window_parts[k] is None else window_parts[k] + part
+            for k, part in enumerate(window_parts):
+                if part is not None:
+                    adjoint[:, k : k + 1] = part + adjoint[:, k : k + 1]
+        return (adjoint.T,)
 
     return np.array([[total]]), vjp
 
 
 def sequence_loss(
-    predictions: list[ad.Value],
+    predictions: ad.Value,
     gt_relatives: np.ndarray,
     weights: LossWeights,
 ) -> ad.Value:
-    """The objective over a predicted sequence of (6, 1) Values, as one tape node."""
-    for v in predictions:
-        if v.shape != (6, 1):
-            raise ad.ShapeMismatchError("sequence_loss", v.shape, (6, 1))
-    rows = np.hstack([v.data for v in predictions]).T if predictions else np.zeros((0, 6))
-    total, vjp = _objective(rows, gt_relatives, weights)
-    return ad.fused(predictions, total, vjp)
+    """The objective over ``forward_sequence``'s (T, 6) predictions, as one tape node."""
+    total, vjp = _objective(predictions.data, gt_relatives, weights)
+    return ad.fused((predictions,), total, vjp)
 
 
 def sequence_loss_value(rows: np.ndarray, gt_relatives: np.ndarray, weights: LossWeights) -> float:

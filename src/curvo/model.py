@@ -7,8 +7,11 @@ tanh, then ``c' = f*c + i*g`` and ``h' = o*tanh(c')``. A bias column is added
 on top of the stacked product (zero bias reproduces the bias-free cell
 exactly); the forget-gate slice is initialized to +1 for trainability.
 
-Vectors are (n, 1) columns throughout; per-step outputs are 6x1 pose columns
-ordered (tx, ty, tz, roll, pitch, yaw).
+Vectors are (n, 1) columns throughout; the outputs of a sequence are (T, 6)
+rows, one pose per step, ordered (tx, ty, tz, roll, pitch, yaw). One time
+loop runs the sequence: ``predict`` calls it with no tape, and
+``forward_sequence`` records its rows as a single tape node whose VJP is the
+hand-written BPTT.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ def init_params(config: RegressorConfig, seed: int) -> ad.ParamStore:
 
 
 def _cell_kernel(x, h_prev, c_prev, w, b):
-    """The cell on plain (n, 1) arrays: (h', c', what the VJPs read)."""
+    """The cell on plain (n, 1) arrays: (h', c', what the adjoint helpers read)."""
     n = h_prev.shape[0]
     stacked = np.vstack([x, h_prev])
     gates = w @ stacked + b
@@ -96,7 +99,28 @@ def _cell_kernel(x, h_prev, c_prev, w, b):
     c_new = sig[n : 2 * n] * c_prev + sig[:n] * g
     tanh_c = np.tanh(c_new)
     o = sig[2 * n :]
-    return o * tanh_c, c_new, (stacked, sig[:n], sig[n : 2 * n], o, g, tanh_c)
+    return o * tanh_c, c_new, (stacked, c_prev, sig[:n], sig[n : 2 * n], o, g, tanh_c)
+
+
+def _output_adjoint(gh, cache):
+    """From h''s adjoint: the output gate's pre-activation adjoint and c''s share."""
+    o, tanh_c = cache[4], cache[6]
+    return gh * tanh_c * o * (1.0 - o), gh * o * (1.0 - tanh_c * tanh_c)
+
+
+def _gate_adjoint(gc, d_o, w, cache):
+    """The cell's adjoint from c''s whole adjoint ``gc`` and the output gate's
+    ``d_o``: one contribution each to x, h, c, the weights and the bias."""
+    stacked, c_prev, i, f, _, g, _ = cache
+    n = i.shape[0]
+    d_gates = np.empty((4 * n, 1))
+    d_gates[:n] = gc * g * i * (1.0 - i)
+    d_gates[n : 2 * n] = gc * c_prev * f * (1.0 - f)
+    d_gates[2 * n : 3 * n] = d_o
+    d_gates[3 * n :] = gc * i * (1.0 - g * g)
+    d_stacked = w.T @ d_gates
+    m = stacked.shape[0] - n
+    return d_stacked[:m], d_stacked[m:], gc * f, d_gates @ stacked.T, d_gates
 
 
 def lstm_cell(x: ad.Value, state: tuple[ad.Value, ad.Value], weights: ad.Value, bias: ad.Value):
@@ -115,23 +139,17 @@ def lstm_cell(x: ad.Value, state: tuple[ad.Value, ad.Value], weights: ad.Value, 
     if bias.shape != (4 * n, 1):
         raise ad.ShapeMismatchError("lstm_cell", bias.shape, (4 * n, 1))
     w = weights.data
-    c_old = c_prev.data
-    h_new, c_new, saved = _cell_kernel(x.data, h_prev.data, c_old, w, bias.data)
-    stacked, i, f, o, g, tanh_c = saved
+    h_new, c_new, cache = _cell_kernel(x.data, h_prev.data, c_prev.data, w, bias.data)
     output_gate_adjoint = []  # handed from the VJP of h' to the VJP of c'
 
     def c_vjp(gc):
-        d_gates = np.empty((4 * n, 1))
-        d_gates[:n] = gc * g * i * (1.0 - i)
-        d_gates[n : 2 * n] = gc * c_old * f * (1.0 - f)
-        d_gates[2 * n : 3 * n] = output_gate_adjoint.pop() if output_gate_adjoint else 0.0
-        d_gates[3 * n :] = gc * i * (1.0 - g * g)
-        d_stacked = w.T @ d_gates
-        return d_stacked[:m], d_stacked[m:], gc * f, d_gates @ stacked.T, d_gates
+        d_o = output_gate_adjoint.pop() if output_gate_adjoint else 0.0
+        return _gate_adjoint(gc, d_o, w, cache)
 
     def h_vjp(gh):
-        output_gate_adjoint.append(gh * tanh_c * o * (1.0 - o))
-        return (gh * o * (1.0 - tanh_c * tanh_c),)
+        d_o, d_c = _output_adjoint(gh, cache)
+        output_gate_adjoint.append(d_o)
+        return (d_c,)
 
     c_value = ad.fused((x, h_prev, c_prev, weights, bias), c_new, c_vjp)
     return ad.fused((c_value,), h_new, h_vjp), c_value
@@ -149,72 +167,104 @@ def _checked_inputs(op: str, features, config: RegressorConfig, initial: HiddenS
     return features, state
 
 
-def forward_sequence(
-    tape: ad.Tape,
-    features: np.ndarray,
-    config: RegressorConfig,
-    store: ad.ParamStore,
-    initial: HiddenState | None = None,
-    dropout_rng: np.random.Generator | None = None,
-):
+def _run(features, config: RegressorConfig, params, layers, dropout_rng=None, saved=None):
+    """The time loop: cells, inter-layer dropout (only with a generator; masks
+    drawn time-major, then by layer) and head. Returns the (T, 6) rows and the
+    final per-layer (h, c); each step appends what ``_bptt`` reads to ``saved``.
+    """
+    cells = [(params[f"lstm{layer}.W"], params[f"lstm{layer}.b"])
+             for layer in range(len(config.lstm_sizes))]
+    dropout = config.dropout if dropout_rng is not None else 0.0
+    layers = list(layers)
+    rows = np.empty((features.shape[0], OUTPUT_DIM))
+    for t in range(features.shape[0]):
+        x = features[t].reshape(-1, 1)
+        step = []
+        for layer, (w, b) in enumerate(cells):
+            x, c, cache = _cell_kernel(x, *layers[layer], w, b)
+            layers[layer] = (x, c)
+            keep = None
+            if dropout > 0.0 and layer < len(cells) - 1:
+                keep = (dropout_rng.random(x.shape) >= dropout) / (1.0 - dropout)
+                x = x * keep
+            step.append((cache, keep))
+        head_in = x
+        if config.head_hidden is not None:
+            x = np.tanh(params["head0.W"] @ x + params["head0.b"])
+        rows[t] = (params["head.W"] @ x + params["head.b"])[:, 0]
+        if saved is not None:
+            saved.append((step, head_in, x))
+    return rows, layers
+
+
+def _bptt(g, config: RegressorConfig, params, saved) -> dict[str, np.ndarray]:
+    """Each parameter's gradient from the rows' (T, 6) adjoint ``g``. Steps run
+    from T-1 down to 0 and each parameter's parts add to a running sum in that
+    order, the order ``ad.backward`` uses over a graph of one node per cell,
+    dropout mask and head op, so the sums equal that graph's bit for bit."""
+    sums: dict[str, np.ndarray] = {}
+
+    def accumulate(name, part):
+        sums[name] = part if name not in sums else sums[name] + part
+
+    top = len(config.lstm_sizes) - 1
+    d_h = [None] * (top + 1)  # adjoint reaching each layer's h from the next step
+    d_c = [None] * (top + 1)
+    g = np.ascontiguousarray(g)
+    for t in range(len(saved) - 1, -1, -1):
+        step, head_in, head_out = saved[t]
+        d_row = g[t].reshape(-1, 1)
+        accumulate("head.b", d_row)
+        accumulate("head.W", d_row @ head_out.T)
+        d_x = params["head.W"].T @ d_row
+        if config.head_hidden is not None:
+            d_z = d_x * (1.0 - head_out * head_out)
+            accumulate("head0.b", d_z)
+            accumulate("head0.W", d_z @ head_in.T)
+            d_x = params["head0.W"].T @ d_z
+        for layer in range(top, -1, -1):
+            cache, keep = step[layer]
+            if keep is not None:
+                d_x = d_x * keep
+            gh = d_x if d_h[layer] is None else d_h[layer] + d_x
+            d_o, gc = _output_adjoint(gh, cache)
+            if d_c[layer] is not None:
+                gc = d_c[layer] + gc
+            d_x, d_h[layer], d_c[layer], d_w, d_b = _gate_adjoint(
+                gc, d_o, params[f"lstm{layer}.W"], cache)
+            accumulate(f"lstm{layer}.W", d_w)
+            accumulate(f"lstm{layer}.b", d_b)
+    return sums
+
+
+def forward_sequence(tape: ad.Tape, features: np.ndarray, config: RegressorConfig,
+                     store: ad.ParamStore, initial: HiddenState | None = None,
+                     dropout_rng: np.random.Generator | None = None):
     """Run the regressor over a (T, input_dim) feature block.
 
-    Returns (predictions, final_state): predictions is a length-T list of 6x1
-    Values, row t being the estimated step-t relative pose; final_state holds
-    detached (h, c) arrays so a sequence can be continued across calls.
-    Dropout is applied only when the config enables it and a generator is
-    supplied (training time).
+    Returns (predictions, final_state): predictions is one (T, 6) Value over
+    the parameter leaves, row t the step-t relative pose; its VJP is the BPTT.
+    final_state holds detached (h, c) arrays so a sequence can be continued.
+    Dropout runs only if the config enables it and a generator is supplied.
     """
     features, state = _checked_inputs("forward_sequence", features, config, initial)
-    weights = [
-        (store.leaf(tape, f"lstm{layer}.W"), store.leaf(tape, f"lstm{layer}.b"))
-        for layer in range(len(config.lstm_sizes))
-    ]
-    head_w = store.leaf(tape, "head.W")
-    head_b = store.leaf(tape, "head.b")
-    head0 = None
-    if config.head_hidden is not None:
-        head0 = (store.leaf(tape, "head0.W"), store.leaf(tape, "head0.b"))
+    names = store.names()
+    leaves = [store.leaf(tape, name) for name in names]
+    saved = []
+    rows, layers = _run(features, config, store.params, state.layers, dropout_rng, saved)
 
-    layer_state = [
-        (tape.constant(h), tape.constant(c)) for h, c in state.layers
-    ]
-    use_dropout = config.dropout > 0.0 and dropout_rng is not None
+    def vjp(g):
+        sums = _bptt(g, config, store.params, saved)
+        return [sums[name] for name in names]
 
-    predictions = []
-    for t in range(features.shape[0]):
-        x = tape.constant(features[t].reshape(-1, 1))
-        for layer, (w, b) in enumerate(weights):
-            h, c = lstm_cell(x, layer_state[layer], w, b)
-            layer_state[layer] = (h, c)
-            x = h
-            if use_dropout and layer < len(weights) - 1:
-                keep = (dropout_rng.random(h.shape) >= config.dropout) / (1.0 - config.dropout)
-                x = ad.mul_elementwise(x, tape.constant(keep))
-        if head0 is not None:
-            x = ad.tanh(ad.add(ad.matmul(head0[0], x), head0[1]))
-        predictions.append(ad.add(ad.matmul(head_w, x), head_b))
-
-    final = HiddenState([(h.data.copy(), c.data.copy()) for h, c in layer_state])
-    return predictions, final
+    return ad.fused(leaves, rows, vjp), HiddenState(layers)
 
 
 def predict(features, config: RegressorConfig, store: ad.ParamStore,
             initial: HiddenState | None = None) -> tuple[np.ndarray, HiddenState]:
-    """The no-grad forward: (T, 6) rows and the final state, both equal bit for
-    bit to ``forward_sequence``'s without a dropout generator; no tape."""
+    """The no-grad forward: ``forward_sequence``'s time loop with no tape, so its
+    (T, 6) rows and final state equal those of ``forward_sequence`` without a
+    dropout generator bit for bit."""
     features, state = _checked_inputs("predict", features, config, initial)
-    params = store.params
-    cells = [(params[f"lstm{layer}.W"], params[f"lstm{layer}.b"])
-             for layer in range(len(config.lstm_sizes))]
-    layer_state = list(state.layers)
-    rows = np.empty((features.shape[0], OUTPUT_DIM))
-    for t in range(features.shape[0]):
-        x = features[t].reshape(-1, 1)
-        for layer, (w, b) in enumerate(cells):
-            x, c, _ = _cell_kernel(x, *layer_state[layer], w, b)
-            layer_state[layer] = (x, c)
-        if config.head_hidden is not None:
-            x = np.tanh(params["head0.W"] @ x + params["head0.b"])
-        rows[t] = (params["head.W"] @ x + params["head.b"])[:, 0]
-    return rows, HiddenState(layer_state)
+    rows, layers = _run(features, config, store.params, state.layers)
+    return rows, HiddenState(layers)

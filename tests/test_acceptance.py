@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The gradient check in
-``test_01`` is the slow one, at about 16 s; everything else finishes in
+``test_01`` is the slow one, at about 13 s; everything else finishes in
 seconds.
 """
 
@@ -126,7 +126,7 @@ def test_03_loss_identities():
     # alpha = 1 is bit-identical to a composite-free sum of the step terms
     delta, zeta = 1.0, 3.0
     tape = ad.Tape()
-    values = [tape.leaf(row.reshape(6, 1)) for row in pred]
+    values = tape.leaf(pred)
     ours = ls.sequence_loss(values, gt, ls.LossWeights(alpha=1.0, delta=delta,
                                                        zeta=zeta, window=2)).item()
     weights6 = np.array([delta] * 3 + [zeta] * 3)
@@ -139,7 +139,7 @@ def test_03_loss_identities():
     # perfect predictions give exactly zero at any alpha
     for alpha in (1.0, 0.5, 0.0):
         tape = ad.Tape()
-        values = [tape.leaf(row.reshape(6, 1)) for row in gt]
+        values = tape.leaf(gt)
         assert ls.sequence_loss(values, gt, ls.LossWeights(alpha=alpha, window=2)).item() == 0.0
 
     # the rise/fall gate, hand-computed on pure-translation steps where the
@@ -149,7 +149,7 @@ def test_03_loss_identities():
     pred_pure = np.zeros((5, 6))
     pred_pure[:, 0] = xs
     tape = ad.Tape()
-    values = [tape.leaf(row.reshape(6, 1)) for row in pred_pure]
+    values = tape.leaf(pred_pure)
     alpha = 0.25
     total = ls.sequence_loss(values, gt_zero, ls.LossWeights(alpha=alpha, window=2)).item()
     rel_sum = None
@@ -175,9 +175,9 @@ def test_04_lstm_cell_conformance():
     def run_cell(x, h, c, w, b):
         tape = ad.Tape()
         hv, cv = md.lstm_cell(
-            tape.constant(np.asarray(x, float).reshape(-1, 1)),
-            (tape.constant(np.asarray(h, float).reshape(-1, 1)),
-             tape.constant(np.asarray(c, float).reshape(-1, 1))),
+            tape.leaf(np.asarray(x, float).reshape(-1, 1)),
+            (tape.leaf(np.asarray(h, float).reshape(-1, 1)),
+             tape.leaf(np.asarray(c, float).reshape(-1, 1))),
             tape.leaf(np.asarray(w, float)),
             tape.leaf(np.asarray(b, float).reshape(-1, 1)),
         )

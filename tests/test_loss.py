@@ -41,11 +41,11 @@ def reference_sequence_loss(pred, gt, alpha, delta, zeta, window):
 
 
 def make_predictions(tape, rows):
-    return [tape.leaf(np.asarray(row, float).reshape(6, 1)) for row in rows]
+    return tape.leaf(np.asarray(rows, float).reshape(-1, 6))
 
 
 def step_loss(rows, gt, alpha=1.0, delta=1.0, zeta=1.0, window=1):
-    """sequence_loss over leaf rows; returns the scalar and the leaves."""
+    """sequence_loss over a (T, 6) leaf; returns the scalar and the leaf."""
     tape = ad.Tape()
     values = make_predictions(tape, rows)
     weights = loss.LossWeights(alpha=alpha, delta=delta, zeta=zeta, window=window)
@@ -78,7 +78,7 @@ class TestPoseError:
     def test_gradient(self):
         est = np.array([0.3, -0.2, 0.1, 0.05, -0.04, 0.02])
         truth = np.array([0.1, 0.1, 0.1, 0.0, 0.0, 0.0])
-        total, (v,) = step_loss([est], [truth], delta=2.0, zeta=3.0)
+        total, v = step_loss([est], [truth], delta=2.0, zeta=3.0)
         ad.backward(total)
         expected = 2.0 * np.array([2.0] * 3 + [3.0] * 3) * (est - truth)
         np.testing.assert_allclose(v.grad.reshape(-1), expected, atol=1e-12)
@@ -139,7 +139,7 @@ class TestWindowedCompose:
 
         scalar, values = run(rows.reshape(-1))
         ad.backward(scalar)
-        analytic = np.concatenate([v.grad.reshape(-1) for v in values])
+        analytic = values.grad.reshape(-1)
 
         step = 1e-6
         flat = rows.reshape(-1).copy()
@@ -182,8 +182,7 @@ class TestWindowedCompose:
         blended, values = step_loss(pred, gt, alpha=0.5, window=3)
         ad.backward(blended)
         assert blended.item() == relative.item() * 0.5
-        for v, r in zip(values, rel_values):
-            np.testing.assert_array_equal(v.grad, r.grad * 0.5)
+        np.testing.assert_array_equal(values.grad, rel_values.grad * 0.5)
         assert step_loss(pred, gt, alpha=0.0, window=3)[0].item() == 0.0
 
 
@@ -212,8 +211,8 @@ class TestCompositeLoss:
     def test_gated_zero_has_no_gradient(self):
         total, values = step_loss(pure_translation([1.0, 0.5]), np.zeros((2, 6)), alpha=0.0)
         ad.backward(total)
-        assert np.all(values[1].grad == 0.0)
-        assert values[0].grad[0, 0] == 2.0
+        assert np.all(values.grad[1] == 0.0)
+        assert values.grad[0, 0] == 2.0
 
 
 class TestBoundedTotal:

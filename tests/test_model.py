@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from curvo import autodiff as ad
+from curvo import loss
 from curvo import model
 from oracles import gradients_close
 
@@ -35,21 +36,55 @@ def scalar_lstm_reference(x, h_prev, c_prev, weights, bias):
     return h_out, c_out
 
 
-def predictions_matrix(predictions):
-    """Stack the per-step 6x1 prediction Values of forward_sequence into (T, 6)."""
-    return np.hstack([p.data for p in predictions]).T
-
-
 def run_cell(x, h, c, w, b):
     tape = ad.Tape()
     hv, cv = model.lstm_cell(
-        tape.constant(np.asarray(x, float).reshape(-1, 1)),
-        (tape.constant(np.asarray(h, float).reshape(-1, 1)),
-         tape.constant(np.asarray(c, float).reshape(-1, 1))),
+        tape.leaf(np.asarray(x, float).reshape(-1, 1)),
+        (tape.leaf(np.asarray(h, float).reshape(-1, 1)),
+         tape.leaf(np.asarray(c, float).reshape(-1, 1))),
         tape.leaf(np.asarray(w, float)),
         tape.leaf(np.asarray(b, float).reshape(-1, 1)),
     )
     return hv.data.reshape(-1), cv.data.reshape(-1)
+
+
+def dense(w, b, x, tanh=False):
+    """``w x + b``, or ``tanh(w x + b)``, as one fused node over (w, b, x)."""
+    w_data, x_data = w.data, x.data
+    out = w_data @ x_data + b.data
+    if not tanh:
+        return ad.fused((w, b, x), out, lambda g: (g @ x_data.T, g, w_data.T @ g))
+    out = np.tanh(out)
+
+    def vjp(g):
+        d_z = g * (1.0 - out * out)
+        return d_z @ x_data.T, d_z, w_data.T @ d_z
+
+    return ad.fused((w, b, x), out, vjp)
+
+
+def per_step_graph(tape, features, cfg, store, initial=None, dropout_rng=None):
+    """forward_sequence as one node per cell, dropout mask and head layer:
+    ``lstm_cell`` plus small fused kernels, with forward_sequence's signature."""
+    leaf = {name: store.leaf(tape, name) for name in store.names()}
+    state = initial if initial is not None else model.HiddenState.zeros(cfg)
+    layers = [(tape.leaf(h), tape.leaf(c)) for h, c in state.layers]
+    rows = []
+    for t in range(len(features)):
+        x = tape.leaf(features[t].reshape(-1, 1))
+        for layer in range(len(layers)):
+            x, c = model.lstm_cell(x, layers[layer],
+                                   leaf[f"lstm{layer}.W"], leaf[f"lstm{layer}.b"])
+            layers[layer] = (x, c)
+            if dropout_rng is not None and cfg.dropout > 0.0 and layer < len(layers) - 1:
+                keep = (dropout_rng.random(x.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
+                x = ad.fused((x,), x.data * keep, lambda g, keep=keep: (g * keep,))
+        if cfg.head_hidden is not None:
+            x = dense(leaf["head0.W"], leaf["head0.b"], x, tanh=True)
+        rows.append(dense(leaf["head.W"], leaf["head.b"], x))
+    stacked = ad.fused(rows, np.hstack([r.data for r in rows]).T,
+                       lambda g: [g[t].reshape(6, 1) for t in range(len(rows))])
+    return stacked, model.HiddenState([(h.data, c.data) for h, c in layers])
 
 
 class TestLstmCell:
@@ -87,8 +122,8 @@ class TestLstmCell:
         tape = ad.Tape()
         with pytest.raises(ad.ShapeMismatchError):
             model.lstm_cell(
-                tape.constant(np.zeros((2, 1))),
-                (tape.constant(np.zeros((3, 1))), tape.constant(np.zeros((3, 1)))),
+                tape.leaf(np.zeros((2, 1))),
+                (tape.leaf(np.zeros((3, 1))), tape.leaf(np.zeros((3, 1)))),
                 tape.leaf(np.zeros((12, 4))),
                 tape.leaf(np.zeros((12, 1))),
             )
@@ -134,7 +169,7 @@ class TestForwardSequence:
             store.params["lstm0.W"], store.params["lstm0.b"].reshape(-1),
         )
         expected = store.params["head.W"] @ h.reshape(-1, 1) + store.params["head.b"]
-        np.testing.assert_allclose(preds[0].data, expected, atol=1e-12)
+        np.testing.assert_allclose(preds.data[0], expected[:, 0], atol=1e-12)
         np.testing.assert_allclose(state.layers[0][0].reshape(-1), h, atol=1e-12)
 
     def test_zero_head_outputs_identity_motion(self):
@@ -146,7 +181,7 @@ class TestForwardSequence:
         preds, _ = model.forward_sequence(
             tape, np.random.default_rng(4).normal(size=(5, 3)), cfg, store
         )
-        np.testing.assert_allclose(predictions_matrix(preds), 0.0, atol=1e-15)
+        np.testing.assert_allclose(preds.data, 0.0, atol=1e-15)
 
     def test_state_threading_bit_identical(self):
         cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4, 3))
@@ -158,28 +193,36 @@ class TestForwardSequence:
         preds_a, mid = model.forward_sequence(tape2, features[:3], cfg, store)
         tape3 = ad.Tape()
         preds_b, _ = model.forward_sequence(tape3, features[3:], cfg, store, initial=mid)
-        full = predictions_matrix(preds_full)
-        split = np.vstack([predictions_matrix(preds_a), predictions_matrix(preds_b)])
+        full = preds_full.data
+        split = np.vstack([preds_a.data, preds_b.data])
         assert np.array_equal(full, split)
 
-    def test_bptt_gradient_matches_finite_differences(self):
-        cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4, 3))
+    @pytest.mark.parametrize("sizes,head_hidden,dropout", [
+        ((4, 3), None, 0.0),
+        ((3, 4, 2), 5, 0.0),
+        ((4, 4), None, 0.5),
+    ])
+    def test_bptt_gradient_matches_finite_differences(self, sizes, head_hidden, dropout):
+        cfg = model.RegressorConfig(input_dim=3, lstm_sizes=sizes, head_hidden=head_hidden,
+                                    dropout=dropout)
         store = model.init_params(cfg, seed=7)
+        # unit-scale weights keep every layer and the head in their nonlinear
+        # range: at init scale the top of a 3-layer stack is nearly zero
+        rng = np.random.default_rng(7)
+        for param in store.params.values():
+            param[...] = rng.normal(size=param.shape)
         features = np.random.default_rng(8).normal(size=(6, 3))
         target = np.random.default_rng(9).normal(size=(6, 6))
+        # alpha 1, window 1, unit weights: exactly the sum of ||p_t - target_t||^2
+        weights = loss.LossWeights(alpha=1.0, delta=1.0, zeta=1.0, window=1)
 
         def loss_value():
             tape = ad.Tape()
-            preds, _ = model.forward_sequence(tape, features, cfg, store)
-            total = None
-            for t, p in enumerate(preds):
-                diff = ad.add(p, tape.constant(-target[t].reshape(-1, 1)))
-                term = ad.sum(ad.square(diff))
-                total = term if total is None else ad.add(total, term)
-            return tape, total
+            preds, _ = model.forward_sequence(tape, features, cfg, store,
+                                              dropout_rng=np.random.default_rng(10))
+            return loss.sequence_loss(preds, target, weights)
 
-        tape, loss = loss_value()
-        ad.backward(loss)
+        ad.backward(loss_value())
         analytic = {name: store.grads[name].copy() for name in store.names()}
         store.zero_grads()
 
@@ -192,9 +235,9 @@ class TestForwardSequence:
                 idx = it.multi_index
                 orig = param[idx]
                 param[idx] = orig + step
-                hi = loss_value()[1].item()
+                hi = loss_value().item()
                 param[idx] = orig - step
-                lo = loss_value()[1].item()
+                lo = loss_value().item()
                 param[idx] = orig
                 fd[idx] = (hi - lo) / (2 * step)
             assert gradients_close(analytic[name], fd, rtol=1e-5), name
@@ -208,18 +251,58 @@ class TestForwardSequence:
         tape2 = ad.Tape()
         plain_cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4, 4))
         plain, _ = model.forward_sequence(tape2, features, plain_cfg, store)
-        assert np.array_equal(
-            predictions_matrix(no_rng), predictions_matrix(plain)
-        )
+        assert np.array_equal(no_rng.data, plain.data)
         out = []
         for _ in range(2):
             tape_n = ad.Tape()
             preds, _ = model.forward_sequence(
                 tape_n, features, cfg, store, dropout_rng=np.random.default_rng(99)
             )
-            out.append(predictions_matrix(preds))
+            out.append(preds.data)
         assert np.array_equal(out[0], out[1])
-        assert not np.array_equal(out[0], predictions_matrix(plain))
+        assert not np.array_equal(out[0], plain.data)
+
+    def test_records_one_tape_node(self):
+        cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4, 3), head_hidden=5, dropout=0.5)
+        store = model.init_params(cfg, seed=16)
+        features = np.random.default_rng(17).normal(size=(7, 3))
+        tape = ad.Tape()
+        model.forward_sequence(tape, features, cfg, store, dropout_rng=np.random.default_rng(18))
+        assert len(tape) == len(store.names()) + 1
+
+    @pytest.mark.parametrize("sizes,head_hidden,dropout,seeded", [
+        ((5,), None, 0.0, False),
+        ((4, 3), 7, 0.0, False),
+        ((3, 4, 2), None, 0.0, False),
+        ((4, 4), None, 0.5, False),
+        ((4, 4), None, 0.5, True),
+    ])
+    def test_gradients_equal_per_step_graph(self, sizes, head_hidden, dropout, seeded):
+        # the BPTT adds each parameter's per-step parts in the order backward
+        # adds them over a graph of one node per step op: equal under ==
+        cfg = model.RegressorConfig(input_dim=3, lstm_sizes=sizes, head_hidden=head_hidden,
+                                    dropout=dropout)
+        store = model.init_params(cfg, seed=14)
+        rng = np.random.default_rng(15)
+        features = rng.normal(size=(9, 3))
+        gt = rng.uniform(-0.3, 0.3, size=(9, 6))
+        initial = model.HiddenState(
+            [(rng.normal(size=(n, 1)), rng.normal(size=(n, 1))) for n in sizes]
+        )
+        weights = loss.LossWeights(alpha=0.5, delta=1.0, zeta=3.0, window=2)
+        grads = []
+        for run in (model.forward_sequence, per_step_graph):
+            drop = np.random.default_rng(19) if seeded else None
+            tape = ad.Tape()
+            preds, _ = run(tape, features, cfg, store, initial, drop)
+            total = loss.sequence_loss(preds, gt, weights)
+            ad.backward(total)
+            grads.append((total.item(), {n: g.copy() for n, g in store.grads.items()}))
+            store.zero_grads()
+        (fused_loss, fused), (graph_loss, graph) = grads
+        assert fused_loss == graph_loss
+        for name in store.names():
+            assert np.array_equal(fused[name], graph[name]), name
 
     def test_feature_width_checked(self):
         cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4,))
@@ -246,7 +329,7 @@ class TestPredict:
         )
         preds, taped = model.forward_sequence(ad.Tape(), features, cfg, store, initial=initial)
         rows, final = model.predict(features, cfg, store, initial=initial)
-        assert np.array_equal(rows, predictions_matrix(preds))
+        assert np.array_equal(rows, preds.data)
         assert len(final.layers) == len(sizes)
         for (h, c), (h_ref, c_ref) in zip(final.layers, taped.layers):
             assert np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
