@@ -20,7 +20,7 @@ features = sd.FeatureModel.seeded(8, seed=0, noise_sigma=0.03, nuisance_dim=2)
 paths = []
 for name in ("walker", "vehicle"):
     seq = sd.generate(sd.MOTION_PRESETS[name](), features, length=400, seed=7)
-    positions = seq.trajectory.positions()
+    positions = seq.trajectory.positions
     paths.append((name, positions[:, :2]))
     yaw_rate = np.abs(seq.relatives[:, 5]).mean() / sd.MOTION_PRESETS[name]().dt
     speed = np.linalg.norm(seq.relatives[:, :3], axis=1).mean() / sd.MOTION_PRESETS[name]().dt
@@ -38,7 +38,7 @@ samples = sd.sample_subsequences(seq, count=3, min_len=20, max_len=50, seed=2)
 print("\nthree random sub-trajectories of a 200-step walker sequence:")
 for k, sample in enumerate(samples):
     print(f"  sample {k}: {len(sample)} steps, starts at",
-          np.round(sample.trajectory.poses[0].translation, 6))
+          np.round(sample.trajectory.positions[0], 6))
 
 # Datasets persist as KITTI-style pose files plus feature CSVs.
 dataset_dir = out_dir / "walker_dataset"
@@ -50,7 +50,7 @@ sd.save_dataset(dataset_dir, sequences, {"preset": "walker"})
 loaded, meta = sd.load_dataset(dataset_dir)
 rebuilt = geo.accumulate_vectors(loaded[0].relatives)
 drift = np.linalg.norm(
-    rebuilt.positions() - loaded[0].trajectory.positions(), axis=1
+    rebuilt.positions - loaded[0].trajectory.positions, axis=1
 ).max()
 print(f"\ndataset round trip: {len(loaded)} sequences, "
       f"accumulate-vs-file max drift {drift:.2e} m")

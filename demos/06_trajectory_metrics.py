@@ -53,7 +53,7 @@ ev.write_ate_csv(ate, out_dir / "ate.csv", out_dir / "ate_cdf.csv")
 
 svgplot.save_plot(
     svgplot.trajectory_plot(
-        [("ground truth", gt.positions()[:, :2]), ("estimate", est.positions()[:, :2])]
+        [("ground truth", gt.positions[:, :2]), ("estimate", est.positions[:, :2])]
     ),
     out_dir / "trajectory.svg",
 )

@@ -233,33 +233,10 @@ def cmd_eval(args) -> int:
     ev.write_rpe_csv(rpe_report, out / "rpe.csv")
     ev.write_ate_csv(ate_report, out / "ate.csv", out / "ate_cdf.csv")
 
-    svgplot.save_plot(
-        svgplot.line_plot(
-            [
-                ("translation [% of length]", segment.lengths, segment.trans_err_pct),
-                ("rotation [deg/m]", segment.lengths, segment.rot_err_deg_per_m),
-            ],
-            title="segment errors vs path length",
-            xlabel="segment length [m]",
-            ylabel="error",
-        ),
-        out / "segment_errors.svg",
-    )
-    svgplot.save_plot(
-        svgplot.trajectory_plot(
-            [("ground truth", gt.positions()[:, :2]), ("estimate", est.positions()[:, :2])]
-        ),
-        out / "trajectory.svg",
-    )
-    svgplot.save_plot(
-        svgplot.line_plot(
-            [("absolute position error", ate_report.cdf_values, ate_report.cdf_fractions)],
-            title="CDF of absolute position errors",
-            xlabel="error [m]",
-            ylabel="fraction of frames",
-        ),
-        out / "ate_cdf.svg",
-    )
+    for report in ("segment_errors", "ate_cdf"):  # the plots `curvo plot` makes of the CSVs
+        svgplot.save_plot(_plot_csv(out / f"{report}.csv"), out / f"{report}.svg")
+    paths = [("ground truth", gt.positions[:, :2]), ("estimate", est.positions[:, :2])]
+    svgplot.save_plot(svgplot.trajectory_plot(paths), out / "trajectory.svg")
     write_manifest(out, "eval", None,
                    extra={"gt": args.gt, "est": args.est, "segments": args.segments})
     print(f"rpe: translation {rpe_report.trans_err_pct:.3f}% "
@@ -274,15 +251,18 @@ def cmd_plot(args) -> int:
     source = Path(args.runlog if args.runlog else args.report)
     if not source.exists():
         raise UsageError(f"input file not found: {source}")
+    svgplot.save_plot(_plot_csv(source, metric=args.metric), args.out)
+    print(f"wrote {args.out}")
+    return 0
+
+
+def _plot_csv(source: Path, metric="trans") -> str:
     with open(source) as f:
         header = f.readline().strip()
         rows = [line.strip().split(",") for line in f if line.strip()]
     if not rows:
         raise ValueError(f"{source}: no data rows to plot")
-    svg = _dispatch_plot(header, rows, metric=args.metric)
-    svgplot.save_plot(svg, args.out)
-    print(f"wrote {args.out}")
-    return 0
+    return _dispatch_plot(header, rows, metric=metric)
 
 
 def _dispatch_plot(header: str, rows, metric="trans") -> str:

@@ -67,25 +67,17 @@ def _check_aligned(gt: geo.Trajectory, est: geo.Trajectory) -> None:
         raise ValueError(f"trajectories differ in length: {len(gt)} vs {len(est)}")
 
 
-def _pose_arrays(traj: geo.Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 3) positions and (N, 4) quaternions of a trajectory."""
-    return traj.positions(), np.array([p.quaternion for p in traj.poses])
-
-
-_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
-
-
 def _between(a, b):
     """relative_between(a[k], b[k]) for row-aligned (positions, quaternions) arrays."""
     (ta, qa), (tb, qb) = a, b
-    q_inv = (qa * _CONJUGATE).T  # geometry's kernels take one quaternion per column
+    q_inv = (qa * geo._CONJUGATE).T  # geometry's kernels take one quaternion per column
     rotated = np.einsum("ijn,nj->ni", geo.quat_to_matrix(q_inv), tb - ta)
     return rotated, geo.quat_mul(q_inv, qb.T).T
 
 
-def _relatives(poses, start: np.ndarray, end: np.ndarray):
+def _relatives(traj: geo.Trajectory, start: np.ndarray, end: np.ndarray):
     """relative_between(pose[start], pose[end]) per index pair."""
-    positions, quaternions = poses
+    positions, quaternions = traj.positions, traj.quaternions
     return _between((positions[start], quaternions[start]), (positions[end], quaternions[end]))
 
 
@@ -105,8 +97,7 @@ def segment_errors(gt: geo.Trajectory, est: geo.Trajectory, lengths) -> SegmentE
     are dropped; if none survives, SegmentTooLongError is raised.
     """
     _check_aligned(gt, est)
-    gt_poses, est_poses = _pose_arrays(gt), _pose_arrays(est)
-    steps = np.linalg.norm(np.diff(gt_poses[0], axis=0), axis=1)
+    steps = np.linalg.norm(np.diff(gt.positions, axis=0), axis=1)
     distances = np.concatenate([[0.0], np.cumsum(steps)])
     starts = np.arange(len(gt))
     out_lengths, out_trans, out_rot, out_counts = [], [], [], []
@@ -117,8 +108,7 @@ def segment_errors(gt: geo.Trajectory, est: geo.Trajectory, lengths) -> SegmentE
         ends = np.maximum(np.searchsorted(distances, distances + length), starts + 1)
         start, end = starts[ends < len(gt)], ends[ends < len(gt)]
         if len(start):
-            trans, angle, _ = _mismatch(_relatives(gt_poses, start, end),
-                                        _relatives(est_poses, start, end))
+            trans, angle, _ = _mismatch(_relatives(gt, start, end), _relatives(est, start, end))
             out_lengths.append(float(length))
             out_trans.append(float(np.mean(trans / length * 100.0)))
             out_rot.append(float(np.mean(np.degrees(angle) / length)))
@@ -137,8 +127,8 @@ def rpe(gt: geo.Trajectory, est: geo.Trajectory) -> RpeReport:
     _check_aligned(gt, est)
     frames = len(gt) - 1
     start = np.arange(frames)
-    trans, angle, motion = _mismatch(_relatives(_pose_arrays(gt), start, start + 1),
-                                     _relatives(_pose_arrays(est), start, start + 1))
+    trans, angle, motion = _mismatch(_relatives(gt, start, start + 1),
+                                     _relatives(est, start, start + 1))
     moving = motion > DEGENERATE_MOTION
     trans_pct = trans[moving] / motion[moving] * 100.0
     return RpeReport(
@@ -152,7 +142,7 @@ def rpe(gt: geo.Trajectory, est: geo.Trajectory) -> RpeReport:
 def ate(gt: geo.Trajectory, est: geo.Trajectory) -> AteReport:
     """Per-frame absolute position error and its empirical CDF."""
     _check_aligned(gt, est)
-    errors = np.linalg.norm(gt.positions() - est.positions(), axis=1)
+    errors = np.linalg.norm(gt.positions - est.positions, axis=1)
     order = np.sort(errors)
     fractions = np.arange(1, len(order) + 1) / len(order)
     return AteReport(

@@ -3,12 +3,15 @@
 Conventions, fixed once for the whole package:
 
 - Rotations are stored as unit quaternions ``(w, x, y, z)``, normalized and
-  canonicalized to ``w >= 0`` after every public operation.
+  canonicalized to ``w >= 0`` by one kernel after every public operation.
 - The 6-DoF parameter vector of a pose is ``(tx, ty, tz, roll, pitch, yaw)``
   with Euler angles applied as ``R = Rz(yaw) @ Ry(pitch) @ Rx(roll)``.
 - ``compose(parent, child)`` is the homogeneous matrix product
   ``T_parent @ T_child``: the child transform expressed in the parent frame.
 - Absolute poses live in the world frame; relative poses are parent-frame.
+
+``Pose`` is the type at the API boundary; a ``Trajectory`` is two arrays of
+canonical rows, which its producers fill without building a Pose per row.
 
 All functions are pure and operate on float64 throughout.
 """
@@ -21,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _QUAT_NORM_TOL = 1e-12
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 _GIMBAL_GUARD = 1e-6
 
 
@@ -37,13 +41,15 @@ class KittiParseError(ValueError):
 
 
 def _normalize_quat(q: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(q)
-    if norm < _QUAT_NORM_TOL:
-        raise ValueError("quaternion norm is numerically zero")
+    """Unit, ``w >= 0`` rows of (N, 4) quaternions: the one normalization kernel. Each
+    norm is the BLAS dot of a contiguous row, as ``np.linalg.norm`` of a 4-vector
+    computes it; other sums round differently. Not idempotent."""
+    q = np.ascontiguousarray(q, dtype=np.float64).reshape(-1, 4)
+    norm = np.sqrt(np.matmul(q[:, None, :], q[:, :, None]).reshape(-1, 1))
+    if not (norm >= _QUAT_NORM_TOL).all() or not np.isfinite(norm).all():
+        raise ValueError("quaternion norm is numerically zero or not finite")
     q = q / norm
-    if q[0] < 0.0:  # double-cover canonicalization
-        q = -q
-    return q
+    return np.where(q[:, :1] < 0.0, -q, q)  # double-cover canonicalization
 
 
 def quat_mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
@@ -88,7 +94,7 @@ def matrix_to_quat(m: np.ndarray) -> np.ndarray:
         else:
             t = 1 + m[0, 0] + m[1, 1] + m[2, 2]
             q = [t, m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]]
-    return _normalize_quat(np.array(q) * (0.5 / math.sqrt(t)))
+    return _normalize_quat(np.array(q) * (0.5 / math.sqrt(t)))[0]
 
 
 @dataclass(frozen=True)
@@ -105,11 +111,9 @@ class Pose:
 
     def __post_init__(self):
         t = np.array(self.translation, dtype=np.float64).reshape(3)
-        q = _normalize_quat(np.array(self.quaternion, dtype=np.float64).reshape(4))
-        t.flags.writeable = False
-        q.flags.writeable = False
-        object.__setattr__(self, "translation", t)
-        object.__setattr__(self, "quaternion", q)
+        q = _normalize_quat(np.asarray(self.quaternion, dtype=np.float64).reshape(1, 4))[0]
+        t.flags.writeable = q.flags.writeable = False
+        self.__dict__.update(translation=t, quaternion=q)  # frozen: bypass __setattr__
 
     @staticmethod
     def identity() -> "Pose":
@@ -118,13 +122,6 @@ class Pose:
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_matrix(self.quaternion)
 
-    def as_matrix(self) -> np.ndarray:
-        """Homogeneous 4x4 transform."""
-        m = np.eye(4)
-        m[:3, :3] = self.rotation_matrix()
-        m[:3, 3] = self.translation
-        return m
-
     @staticmethod
     def from_matrix(m: np.ndarray) -> "Pose":
         return Pose(m[:3, 3], matrix_to_quat(m[:3, :3]))
@@ -132,29 +129,31 @@ class Pose:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered absolute poses, optionally with strictly increasing stamps."""
+    """Time-ordered absolute poses: read-only (N, 3) positions, (N, 4) quaternions.
+    Row k holds the bits of ``Pose(positions[k], quaternions[k])``: the
+    constructor canonicalizes the quaternions with the kernel Pose uses."""
 
-    poses: tuple[Pose, ...]
-    timestamps: np.ndarray | None = None
+    positions: np.ndarray
+    quaternions: np.ndarray
 
     def __post_init__(self):
-        poses = tuple(self.poses)
-        if not poses:
-            raise ValueError("a trajectory needs at least one pose")
-        object.__setattr__(self, "poses", poses)
-        if self.timestamps is not None:
-            ts = np.array(self.timestamps, dtype=np.float64).reshape(len(poses))
-            if np.any(np.diff(ts) <= 0):
-                raise ValueError("timestamps must be strictly increasing")
-            ts.flags.writeable = False
-            object.__setattr__(self, "timestamps", ts)
+        t = np.array(self.positions, dtype=np.float64).reshape(-1, 3)
+        q = _normalize_quat(self.quaternions)
+        if not len(q) or len(t) != len(q):
+            raise ValueError(f"need >= 1 pose, got {len(t)} positions, {len(q)} quaternions")
+        t.flags.writeable = q.flags.writeable = False
+        self.__dict__.update(positions=t, quaternions=q)
 
     def __len__(self) -> int:
-        return len(self.poses)
+        return len(self.positions)
 
-    def positions(self) -> np.ndarray:
-        """(N, 3) array of world-frame positions."""
-        return np.array([p.translation for p in self.poses])
+    @property
+    def poses(self) -> tuple[Pose, ...]:
+        """Poses over the rows, which are canonical already and not normalized again."""
+        poses = tuple(object.__new__(Pose) for _ in range(len(self)))
+        for pose, t, q in zip(poses, self.positions, self.quaternions):
+            pose.__dict__.update(translation=t, quaternion=q)
+        return poses
 
 
 def compose(parent: Pose, child: Pose) -> Pose:
@@ -166,7 +165,7 @@ def compose(parent: Pose, child: Pose) -> Pose:
 
 def inverse(p: Pose) -> Pose:
     """The transform undoing ``p``: compose(p, inverse(p)) == identity."""
-    q = p.quaternion * np.array([1.0, -1.0, -1.0, -1.0])
+    q = p.quaternion * _CONJUGATE
     t = -(quat_to_matrix(q) @ p.translation)
     return Pose(t, q)
 
@@ -176,6 +175,9 @@ def relative_between(a: Pose, b: Pose) -> Pose:
     return compose(inverse(a), b)
 
 
+_IDENTITY = Pose()
+
+
 def accumulate(relatives, initial: Pose | None = None) -> Trajectory:
     """Chain relative transforms into an absolute trajectory.
 
@@ -183,17 +185,18 @@ def accumulate(relatives, initial: Pose | None = None) -> Trajectory:
     pose[k+1] = compose(pose[k], relatives[k]).
     """
     steps = [(*p.translation.tolist(), *p.quaternion.tolist()) for p in relatives]
-    return _accumulate(steps, initial if initial is not None else Pose.identity())
+    return _accumulate(steps, initial if initial is not None else _IDENTITY)
 
 
 def accumulate_vectors(rows) -> Trajectory:
     """``accumulate`` of (N, 6) vector rows (t, r), without a Pose per row."""
-    return _accumulate(np.hstack(_vector_arrays(rows)).tolist(), Pose.identity())
+    return _accumulate(np.hstack(_vector_arrays(rows)).tolist(), _IDENTITY)
 
 
 def _accumulate(steps, initial: Pose) -> Trajectory:
     """The scan behind both over (t, q) 7-float steps: it renormalizes q each
-    step, as ``compose`` into a Pose does, and builds the Poses once, at the end."""
+    step, as ``compose`` into a Pose does, and Trajectory then canonicalizes
+    each row, as that Pose's constructor does."""
     rows = [(*initial.translation.tolist(), *initial.quaternion.tolist())]
     tx, ty, tz, w, x, y, z = rows[0]
     for vx, vy, vz, bw, bx, by, bz in steps:
@@ -209,16 +212,23 @@ def _accumulate(steps, initial: Pose) -> Trajectory:
         norm = math.sqrt(w * w + x * x + y * y + z * z)
         w, x, y, z = w / norm, x / norm, y / norm, z / norm
         rows.append((tx, ty, tz, w, x, y, z))
-    return Trajectory(tuple(Pose(row[:3], row[3:]) for row in rows))
+    rows = np.array(rows)
+    return Trajectory(rows[:, :3], rows[:, 3:])
 
 
 def euler_to_pose(t, r) -> Pose:
     """Pose from translation and (roll, pitch, yaw); R = Rz(yaw) Ry(pitch) Rx(roll)."""
-    roll, pitch, yaw = np.asarray(r, dtype=np.float64).reshape(3)
-    qx = np.array([math.cos(roll / 2), math.sin(roll / 2), 0.0, 0.0])
-    qy = np.array([math.cos(pitch / 2), 0.0, math.sin(pitch / 2), 0.0])
-    qz = np.array([math.cos(yaw / 2), 0.0, 0.0, math.sin(yaw / 2)])
-    return Pose(np.asarray(t, dtype=np.float64), quat_mul(qz, quat_mul(qy, qx)))
+    return Pose(np.asarray(t, dtype=np.float64), _euler_quats(r)[0])
+
+
+def _euler_quats(r) -> np.ndarray:
+    """(N, 4) un-normalized products qz qy qx of (N, 3) Euler rows, on columns."""
+    half = [[f(a / 2) for f in (math.cos, math.sin) for a in row]
+            for row in np.asarray(r, dtype=np.float64).reshape(-1, 3).tolist()]
+    cr, cp, cy, sr, sp, sy = np.array(half).reshape(-1, 6).T
+    zero = np.zeros(len(cr))
+    qy_qx = quat_mul(np.array([cp, zero, sp, zero]), np.array([cr, sr, zero, zero]))
+    return quat_mul(np.array([cy, zero, zero, sy]), qy_qx).T
 
 
 def pose_to_euler(p: Pose) -> tuple[np.ndarray, np.ndarray]:
@@ -251,6 +261,25 @@ def vector_to_pose(v) -> Pose:
     """Pose from a 6-vector (t, r)."""
     v = np.asarray(v, dtype=np.float64).reshape(6)
     return euler_to_pose(v[:3], v[3:])
+
+
+def _step_vectors(trajectory: Trajectory) -> np.ndarray:
+    """Rows pose_to_vector(relative_between(poses[k], poses[k+1])), bit for bit:
+    ``inverse`` rotates by the un-normalized conjugate, ``compose`` by the normalized one."""
+    t, q = trajectory.positions, trajectory.quaternions
+    conjugate = q[:-1] * _CONJUGATE
+    inverse_q = _normalize_quat(conjugate)
+    rel_t = -_rotate(conjugate, t[:-1]) + _rotate(inverse_q, t[1:])
+    rel_q = _normalize_quat(quat_mul(inverse_q.T, q[1:].T).T)
+    return np.hstack([rel_t, [_quat_to_euler(*row) for row in rel_q.tolist()]])
+
+
+def _rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows quat_to_matrix(q[k]) @ v[k]. A stacked matmul over C-contiguous operands
+    runs the BLAS product of ``@`` on one matrix, so each row keeps its bits; einsum,
+    plain-float sums or a strided operand add the three terms in another order."""
+    rotations = np.ascontiguousarray(np.moveaxis(quat_to_matrix(q.T), -1, 0))
+    return np.matmul(rotations, np.ascontiguousarray(v)[:, :, None])[:, :, 0]
 
 
 def _euler_quat(roll: float, pitch: float, yaw: float) -> tuple[float, float, float, float]:
@@ -369,16 +398,16 @@ def _drotate_dquat(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def save_trajectory_kitti(trajectory: Trajectory, path) -> None:
     """Write one pose per line: the 12 row-major entries of the upper 3x4."""
+    rotations = np.moveaxis(quat_to_matrix(trajectory.quaternions.T), -1, 0)
+    blocks = np.concatenate([rotations, trajectory.positions[:, :, None]], axis=2)
     with open(path, "w") as f:
-        for pose in trajectory.poses:
-            m = pose.as_matrix()
-            f.write(" ".join(repr(float(v)) for v in m[:3, :].reshape(12)))
-            f.write("\n")
+        for row in blocks.reshape(-1, 12).tolist():
+            f.write(" ".join(map(repr, row)) + "\n")
 
 
 def load_trajectory_kitti(path) -> Trajectory:
     """Read a pose-per-line 3x4 file; raises KittiParseError with line number."""
-    poses = []
+    positions, quaternions = [], []
     with open(path) as f:
         for line_number, line in enumerate(f, start=1):
             if not line.strip():
@@ -387,15 +416,17 @@ def load_trajectory_kitti(path) -> Trajectory:
             if len(parts) != 12:
                 raise KittiParseError(f"expected 12 values, got {len(parts)}", line_number)
             try:
-                values = np.array([float(p) for p in parts])
+                values = [float(p) for p in parts]
+                if not all(map(math.isfinite, values)):
+                    raise ValueError("non-finite value")
             except ValueError as exc:
                 raise KittiParseError(str(exc), line_number) from None
-            m = np.eye(4)
-            m[:3, :] = values.reshape(3, 4)
+            m = np.array(values).reshape(3, 4)
             try:
-                poses.append(Pose.from_matrix(m))
+                quaternions.append(matrix_to_quat(m[:, :3]))
             except ValueError as exc:
                 raise KittiParseError(f"invalid rotation block: {exc}", line_number) from None
-    if not poses:
+            positions.append(m[:, 3])
+    if not positions:
         raise KittiParseError("file contains no poses", 1)
-    return Trajectory(tuple(poses))
+    return Trajectory(np.array(positions), np.array(quaternions))

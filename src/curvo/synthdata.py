@@ -203,11 +203,10 @@ def generate(
     dt = motion.dt
 
     speed = motion.speed.mean
-    roll_rate = pitch_rate = 0.0
-    yaw_rate = 0.0
+    roll_rate = pitch_rate = yaw_rate = 0.0
     roll = pitch = yaw = 0.0
-    position = np.zeros(3)
-    poses = [geo.Pose.identity()]
+    advances = np.zeros((length, 3))  # body-frame step of each k, taken at pose k's heading
+    angles = []  # (roll, pitch, yaw) of pose k+1
 
     for k in range(length):
         speed = motion.speed.step(speed, dt, rng)
@@ -219,20 +218,18 @@ def generate(
             swept_rate += motion.yaw_oscillation_amp * math.sin(
                 2.0 * math.pi * (k * dt) / motion.yaw_oscillation_period
             )
-        heading = poses[-1].rotation_matrix()
-        position = position + heading @ np.array([speed * dt, 0.0, 0.0])
+        advances[k, 0] = speed * dt
         roll = float(np.clip(roll + roll_rate * dt, -motion.roll_clamp, motion.roll_clamp))
         pitch = float(np.clip(pitch + pitch_rate * dt, -motion.pitch_clamp, motion.pitch_clamp))
         yaw = yaw + swept_rate * dt
-        poses.append(geo.euler_to_pose(position, [roll, pitch, yaw]))
+        angles.append((roll, pitch, yaw))
 
-    trajectory = geo.Trajectory(tuple(poses))
-    relatives = np.array(
-        [
-            geo.pose_to_vector(geo.relative_between(poses[k], poses[k + 1]))
-            for k in range(length)
-        ]
-    )
+    quaternions = np.vstack([[1.0, 0.0, 0.0, 0.0], geo._euler_quats(angles)])
+    headings = geo._normalize_quat(quaternions[:-1])
+    # cumsum adds step by step from the zero origin, as `position + step` would
+    positions = np.cumsum(np.vstack([np.zeros(3), geo._rotate(headings, advances)]), axis=0)
+    trajectory = geo.Trajectory(positions, quaternions)
+    relatives = geo._step_vectors(trajectory)
 
     features = relatives @ feature_model.encoding.T
     if feature_model.noise_sigma > 0 or feature_model.bias_sigma > 0:

@@ -18,7 +18,7 @@ from curvo import geometry as geo
 from curvo import loss as ls
 from curvo import model as md
 from curvo import trainer as tr
-from oracles import gradients_close
+from oracles import gradients_close, pose_matrix
 
 from test_model import scalar_lstm_reference
 
@@ -216,8 +216,7 @@ def test_04_lstm_cell_conformance():
 def test_06_evaluation_fixtures():
     n = 61
     gt = geo.accumulate([geo.Pose(translation=[1.0, 0, 0])] * (n - 1))
-    est = geo.Trajectory(tuple(geo.Pose(p.translation * 0.9, p.quaternion)
-                               for p in gt.poses))
+    est = geo.Trajectory(gt.positions * 0.9, gt.quaternions)
     lengths = (5.0, 10.0, 20.0, 40.0)
     segment = ev.segment_errors(gt, est, lengths)
     assert segment.lengths == lengths
@@ -242,8 +241,8 @@ def test_06_evaluation_fixtures():
     report_rpe = ev.rpe(gt_r, est_r)
     trans_terms, rot_terms = [], []
     for k in range(30):
-        g = np.linalg.inv(gt_r.poses[k].as_matrix()) @ gt_r.poses[k + 1].as_matrix()
-        e = np.linalg.inv(est_r.poses[k].as_matrix()) @ est_r.poses[k + 1].as_matrix()
+        g = np.linalg.inv(pose_matrix(gt_r.poses[k])) @ pose_matrix(gt_r.poses[k + 1])
+        e = np.linalg.inv(pose_matrix(est_r.poses[k])) @ pose_matrix(est_r.poses[k + 1])
         d = np.linalg.inv(g) @ e
         rot_terms.append(math.degrees(
             math.acos(max(-1.0, min(1.0, (np.trace(d[:3, :3]) - 1.0) / 2.0)))))

@@ -44,9 +44,7 @@ def config_file(tmp_path):
 
 def write_line_fixture(tmp_path, n=40, scale=1.0):
     gt = geo.accumulate([geo.Pose(translation=[1.0, 0, 0])] * (n - 1))
-    est = geo.Trajectory(
-        tuple(geo.Pose(p.translation * scale, p.quaternion) for p in gt.poses)
-    )
+    est = geo.Trajectory(gt.positions * scale, gt.quaternions)
     gt_path, est_path = tmp_path / "gt.txt", tmp_path / "est.txt"
     geo.save_trajectory_kitti(gt, gt_path)
     geo.save_trajectory_kitti(est, est_path)
@@ -179,11 +177,16 @@ class TestEvalCommand:
         for line in seg[1:]:
             assert abs(float(line.split(",")[1]) - 10.0) < 0.1
 
-    def test_malformed_line_reported_with_number(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "line",
+        ["1 2 3", "1 0 0 0 0 nan 0 0 0 0 1 0", "1 0 0 0 0 1 0 0 0 0 1 inf"],
+        ids=["short", "nan", "inf"],
+    )
+    def test_malformed_line_reported_with_number(self, tmp_path, capsys, line):
         gt_path, _ = write_line_fixture(tmp_path, n=5)
         bad = tmp_path / "bad.txt"
         lines = gt_path.read_text().splitlines()
-        lines[2] = "1 2 3"
+        lines[2] = line
         bad.write_text("\n".join(lines) + "\n")
         code = cli.main(["eval", "--gt", str(gt_path), "--est", str(bad),
                          "--out", str(tmp_path / "r")])

@@ -1,7 +1,7 @@
 """The fast demos run to completion against the current API.
 
-Demos 03 and 05-07 write files under demos/output, and 05-07 train models
-for up to a minute, so they are run by hand.
+Demo 03 writes its plot and dataset under demos/output (ignored by git).
+Demos 05-07 train models for up to a minute, so they are run by hand.
 """
 
 import os
@@ -16,7 +16,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "demo",
-    ["01_pose_composition.py", "02_reverse_mode_engine.py", "04_training_objective.py"],
+    [
+        "01_pose_composition.py",
+        "02_reverse_mode_engine.py",
+        "03_synthetic_trajectories.py",
+        "04_training_objective.py",
+    ],
 )
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

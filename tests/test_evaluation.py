@@ -13,9 +13,7 @@ def straight_line(n, step=1.0):
 
 
 def scaled(traj, factor):
-    return geo.Trajectory(
-        tuple(geo.Pose(p.translation * factor, p.quaternion) for p in traj.poses)
-    )
+    return geo.Trajectory(traj.positions * factor, traj.quaternions)
 
 
 def random_trajectory(rng, n, angle=0.2, step=0.5):
@@ -70,7 +68,9 @@ def brute_force_segments(gt, est, lengths):
 
 
 def transform_trajectory(traj, rigid):
-    return geo.Trajectory(tuple(geo.compose(rigid, p) for p in traj.poses))
+    """compose(rigid, pose) for every pose of traj, on its arrays."""
+    positions = rigid.translation + traj.positions @ rigid.rotation_matrix().T
+    return geo.Trajectory(positions, geo.quat_mul(rigid.quaternion, traj.quaternions.T).T)
 
 
 class TestSegmentErrors:
@@ -176,8 +176,8 @@ class TestRpe:
         # brute force via homogeneous matrices
         trans_terms, rot_terms = [], []
         for k in range(24):
-            g = np.linalg.inv(gt.poses[k].as_matrix()) @ gt.poses[k + 1].as_matrix()
-            e = np.linalg.inv(est.poses[k].as_matrix()) @ est.poses[k + 1].as_matrix()
+            g = np.linalg.inv(pose_matrix(gt.poses[k])) @ pose_matrix(gt.poses[k + 1])
+            e = np.linalg.inv(pose_matrix(est.poses[k])) @ pose_matrix(est.poses[k + 1])
             d = np.linalg.inv(g) @ e
             angle = math.degrees(
                 math.acos(max(-1.0, min(1.0, (np.trace(d[:3, :3]) - 1.0) / 2.0)))
@@ -207,8 +207,7 @@ class TestRpe:
         assert abs(report.rot_err_deg - np.mean(rot_terms)) < 1e-9
 
     def test_degenerate_frames_skipped_and_counted(self):
-        poses = [geo.Pose.identity(), geo.Pose.identity(), geo.Pose(translation=[1, 0, 0])]
-        gt = geo.Trajectory(tuple(poses))
+        gt = geo.Trajectory([[0, 0, 0], [0, 0, 0], [1, 0, 0]], [[1, 0, 0, 0]] * 3)
         report = ev.rpe(gt, gt)
         assert report.skipped_frames == 1
         assert report.frames == 2
@@ -236,10 +235,7 @@ class TestAte:
 
     def test_uniform_offset(self):
         gt = straight_line(10)
-        offset = geo.Pose(translation=[1.0, 0, 0])
-        est = geo.Trajectory(
-            tuple(geo.Pose(p.translation + [1.0, 0, 0], p.quaternion) for p in gt.poses)
-        )
+        est = geo.Trajectory(gt.positions + [1.0, 0, 0], gt.quaternions)
         report = ev.ate(gt, est)
         np.testing.assert_allclose(report.errors, 1.0, atol=1e-12)
         assert abs(report.rmse - 1.0) < 1e-12
@@ -250,12 +246,7 @@ class TestAte:
         n = 101
         gt = straight_line(n)
         drift = np.linspace(0.0, 1.0, n)
-        est = geo.Trajectory(
-            tuple(
-                geo.Pose(p.translation + [0.0, d, 0.0], p.quaternion)
-                for p, d in zip(gt.poses, drift)
-            )
-        )
+        est = geo.Trajectory(gt.positions + np.outer(drift, [0.0, 1.0, 0.0]), gt.quaternions)
         report = ev.ate(gt, est)
         # error at frame k is k/(n-1): the CDF at value v is v (uniform)
         np.testing.assert_allclose(report.cdf_values, np.sort(drift), atol=1e-12)

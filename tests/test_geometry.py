@@ -160,7 +160,7 @@ class TestAccumulate:
     def test_straight_line(self):
         step = geo.Pose(translation=[1, 0, 0])
         traj = geo.accumulate([step] * 5)
-        np.testing.assert_allclose(traj.positions()[:, 0], np.arange(6), atol=1e-12)
+        np.testing.assert_allclose(traj.positions[:, 0], np.arange(6), atol=1e-12)
 
     def test_unit_square_closes(self):
         corner = geo.euler_to_pose([1, 0, 0], [0, 0, math.pi / 2])
@@ -183,14 +183,42 @@ class TestAccumulate:
 class TestTrajectoryValidation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            geo.Trajectory(())
+            geo.Trajectory(np.zeros((0, 3)), np.zeros((0, 4)))
 
-    def test_timestamps_must_increase(self):
-        poses = (geo.Pose.identity(), geo.Pose(translation=[1, 0, 0]))
+    def test_rows_hold_the_bits_of_pose(self):
+        rng = np.random.default_rng(13)
+        positions = rng.normal(size=(1000, 3))
+        quaternions = rng.normal(size=(1000, 4)) * rng.uniform(0.1, 10.0, size=(1000, 1))
+        assert (quaternions[:, 0] < 0).sum() > 100
+        traj = geo.Trajectory(positions, quaternions)
+        for k in range(1000):
+            pose = geo.Pose(positions[k], quaternions[k])
+            assert (traj.positions[k] == pose.translation).all()
+            assert (traj.quaternions[k] == pose.quaternion).all()
+        poses = traj.poses
+        assert (np.array([p.translation for p in poses]) == traj.positions).all()
+        assert (np.array([p.quaternion for p in poses]) == traj.quaternions).all()
+
+    def test_arrays_are_read_only(self):
+        traj = geo.Trajectory([[1.0, 2.0, 3.0]], [[2.0, 0.0, 0.0, 0.0]])
+        for array in (traj.positions, traj.quaternions,
+                      traj.poses[0].translation, traj.poses[0].quaternion):
+            with pytest.raises(ValueError):
+                array[0] = 5.0
+
+    def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            geo.Trajectory(poses, timestamps=[0.0, 0.0])
-        traj = geo.Trajectory(poses, timestamps=[0.0, 0.1])
-        assert len(traj) == 2
+            geo.Trajectory(np.zeros((3, 3)), [[1.0, 0.0, 0.0, 0.0]] * 2)
+
+    def test_zero_norm_row_rejected(self):
+        with pytest.raises(ValueError):
+            geo.Trajectory(np.zeros((2, 3)), [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+
+    def test_non_finite_quaternion_rejected(self):
+        with pytest.raises(ValueError):
+            geo.Pose(quaternion=[math.nan, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            geo.Trajectory(np.zeros((2, 3)), [[1.0, 0.0, 0.0, 0.0], [math.inf, 0.0, 0.0, 0.0]])
 
 
 class TestKittiIo:
@@ -215,6 +243,14 @@ class TestKittiIo:
         path = tmp_path / "bad.txt"
         good = " ".join(["1", "0", "0", "0", "0", "1", "0", "0", "0", "0", "1", "0"])
         path.write_text(good + "\n" + "1 2 3\n")
+        with pytest.raises(geo.KittiParseError) as err:
+            geo.load_trajectory_kitti(path)
+        assert err.value.line_number == 2
+
+    def test_non_finite_value_reports_line(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        good = " ".join(["1", "0", "0", "0", "0", "1", "0", "0", "0", "0", "1", "0"])
+        path.write_text(good + "\n" + good.replace("1", "nan", 1) + "\n")
         with pytest.raises(geo.KittiParseError) as err:
             geo.load_trajectory_kitti(path)
         assert err.value.line_number == 2

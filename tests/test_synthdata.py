@@ -49,13 +49,22 @@ class TestGenerate:
         expected = np.zeros((10, 6))
         expected[:, 0] = 0.2
         np.testing.assert_allclose(seq.relatives, expected, atol=1e-12)
-        np.testing.assert_allclose(seq.trajectory.positions()[:, 0], 0.2 * np.arange(11), atol=1e-12)
+        np.testing.assert_allclose(seq.trajectory.positions[:, 0], 0.2 * np.arange(11), atol=1e-12)
 
     def test_trajectory_consistency_invariant(self):
         for preset in (sd.vehicle_motion(), sd.walker_motion()):
             fm = sd.FeatureModel.seeded(8, seed=1, noise_sigma=0.02, nuisance_dim=2)
             seq = sd.generate(preset, fm, length=120, seed=11)
             check_consistency(seq)
+
+    def test_relatives_are_the_pose_path_bits(self):
+        fm = sd.FeatureModel.seeded(8, seed=1, noise_sigma=0.02, nuisance_dim=2)
+        for preset in (sd.vehicle_motion(), sd.walker_motion()):
+            seq = sd.generate(preset, fm, length=120, seed=11)
+            poses = seq.trajectory.poses
+            for k, row in enumerate(seq.relatives):
+                rel = geo.relative_between(poses[k], poses[k + 1])
+                assert (row == geo.pose_to_vector(rel)).all()
 
     def test_pitch_stays_clamped(self):
         motion = sd.MotionModel(pitch_rate=sd.OuParams(mean=0.5, reversion=0.1, sigma=0.3))
