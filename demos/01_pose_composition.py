@@ -30,9 +30,10 @@ print("\nrelative transform between poses 1 and 2 recovers the step:")
 print("  translation:", np.round(recovered.translation, 9))
 
 # At alpha = 0 with a window of 2, sequence_loss over two steps is the error
-# of their composite against the composed truth. Its tape gradient, one tape
-# node for the whole objective, is checked here against central differences
-# of the same window error computed through compose().
+# of their composite against the composed truth: the squared translation
+# error plus the squared geodesic angle between the two rotations. Its tape
+# gradient, one tape node for the whole objective, is checked here against
+# central differences of the same window error computed through compose().
 rng = np.random.default_rng(0)
 rows = np.concatenate([rng.uniform(-1, 1, (2, 3)), rng.uniform(-0.5, 0.5, (2, 3))], axis=1)
 gt = np.concatenate([rng.uniform(-1, 1, (2, 3)), rng.uniform(-0.5, 0.5, (2, 3))], axis=1)
@@ -49,8 +50,11 @@ print(f"\nsequence_loss records {len(tape) - 1} tape node")
 def window_error(flat):
     left, right = (geo.vector_to_pose(v) for v in flat.reshape(2, 6))
     truth = geo.compose(geo.vector_to_pose(gt[0]), geo.vector_to_pose(gt[1]))
-    d = geo.pose_to_vector(geo.compose(left, right)) - geo.pose_to_vector(truth)
-    return float(d @ d)
+    composite = geo.compose(left, right)
+    d = composite.translation - truth.translation
+    q = geo.relative_between(truth, composite).quaternion  # w >= 0: the short way round
+    angle = 2.0 * math.atan2(float(np.linalg.norm(q[1:])), q[0])
+    return float(d @ d) + angle**2
 
 
 step_size = 1e-6

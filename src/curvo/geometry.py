@@ -1,4 +1,4 @@
-"""Rigid-body poses on SE(3): composition, inversion, conversions, Jacobians.
+"""Rigid-body poses on SE(3): composition, inversion, conversions, file I/O.
 
 Conventions, fixed once for the whole package:
 
@@ -12,6 +12,11 @@ Conventions, fixed once for the whole package:
 
 ``Pose`` is the type at the API boundary; a ``Trajectory`` is two arrays of
 canonical rows, which its producers fill without building a Pose per row.
+The scalar kernels ``_qmul`` (Hamilton product) and ``_qrot`` (rotation of a
+3-vector) run the trajectory scan here and, in ``loss``, the window chain and
+its reverse scan. No derivatives live here: the objective differentiates its
+chain in quaternions, so Euler extraction, and with it ``GimbalLockError``,
+happens only at this module's Pose/Euler boundary.
 
 All functions are pure and operate on float64 throughout.
 """
@@ -54,15 +59,29 @@ def _normalize_quat(q: np.ndarray) -> np.ndarray:
 
 def quat_mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Hamilton product of two (w, x, y, z) quaternions, not normalized."""
+    return np.array(_qmul(q1, q2))
+
+
+def _qmul(q1, q2) -> tuple:
+    """Hamilton product of two 4-sequences; on floats, or on arrays one quaternion per column."""
     w1, x1, y1, z1 = q1
     w2, x2, y2, z2 = q2
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def _qrot(q, v) -> tuple:
+    """quat_to_matrix(q) @ v on floats, row by row; with q's conjugate it is R(q)^T @ v."""
+    w, x, y, z = q
+    vx, vy, vz = v
+    return (
+        (1 - 2 * (y * y + z * z)) * vx + 2 * (x * y - w * z) * vy + 2 * (x * z + w * y) * vz,
+        2 * (x * y + w * z) * vx + (1 - 2 * (x * x + z * z)) * vy + 2 * (y * z - w * x) * vz,
+        2 * (x * z - w * y) * vx + 2 * (y * z + w * x) * vy + (1 - 2 * (x * x + y * y)) * vz,
     )
 
 
@@ -199,16 +218,10 @@ def _accumulate(steps, initial: Pose) -> Trajectory:
     each row, as that Pose's constructor does."""
     rows = [(*initial.translation.tolist(), *initial.quaternion.tolist())]
     tx, ty, tz, w, x, y, z = rows[0]
-    for vx, vy, vz, bw, bx, by, bz in steps:
-        tx += (1 - 2 * (y * y + z * z)) * vx + 2 * (x * y - w * z) * vy + 2 * (x * z + w * y) * vz
-        ty += 2 * (x * y + w * z) * vx + (1 - 2 * (x * x + z * z)) * vy + 2 * (y * z - w * x) * vz
-        tz += 2 * (x * z - w * y) * vx + 2 * (y * z + w * x) * vy + (1 - 2 * (x * x + y * y)) * vz
-        w, x, y, z = (
-            w * bw - x * bx - y * by - z * bz,
-            w * bx + x * bw + y * bz - z * by,
-            w * by - x * bz + y * bw + z * bx,
-            w * bz + x * by - y * bx + z * bw,
-        )
+    for step in steps:
+        rx, ry, rz = _qrot((w, x, y, z), step[:3])
+        tx, ty, tz = tx + rx, ty + ry, tz + rz
+        w, x, y, z = _qmul((w, x, y, z), step[3:])
         norm = math.sqrt(w * w + x * x + y * y + z * z)
         w, x, y, z = w / norm, x / norm, y / norm, z / norm
         rows.append((tx, ty, tz, w, x, y, z))
@@ -300,97 +313,6 @@ def _vector_arrays(rows) -> tuple[np.ndarray, np.ndarray]:
     rows = np.asarray(rows, dtype=np.float64).reshape(-1, 6)
     quaternions = np.array([_euler_quat(*r) for r in rows[:, 3:].tolist()]).reshape(-1, 4)
     return rows[:, :3], quaternions
-
-
-# --- derivatives of the composition in (t, r) coordinates -------------------
-#
-# Building blocks of the window composition's VJP (loss._compose_chain_vjp).
-# The chain runs through the quaternion representation:
-#   r -> q (per operand), q_out = q_parent x q_child, q_out -> r_out,
-#   t_out = t_parent + R(q_parent) t_child.
-# Quaternion multiplication is bilinear, so its derivatives are the left/right
-# multiplication matrices below. The Euler extraction derivative is evaluated
-# on the (exactly unit-norm) raw product; perturbations of the Euler inputs
-# stay on the unit sphere, so no normalization term is needed.
-
-
-def _left_mult_matrix(q: np.ndarray) -> np.ndarray:
-    """L(q) with quat_mul(q, p) == L(q) @ p."""
-    w, x, y, z = q
-    return np.array(
-        [
-            [w, -x, -y, -z],
-            [x, w, -z, y],
-            [y, z, w, -x],
-            [z, -y, x, w],
-        ]
-    )
-
-
-def _right_mult_matrix(p: np.ndarray) -> np.ndarray:
-    """R(p) with quat_mul(q, p) == R(p) @ q."""
-    w, x, y, z = p
-    return np.array(
-        [
-            [w, -x, -y, -z],
-            [x, w, z, -y],
-            [y, -z, w, x],
-            [z, y, -x, w],
-        ]
-    )
-
-
-def _dquat_deuler(r: np.ndarray) -> np.ndarray:
-    """4x3 derivative of the (roll, pitch, yaw) -> quaternion map."""
-    roll, pitch, yaw = r
-    qx = np.array([math.cos(roll / 2), math.sin(roll / 2), 0.0, 0.0])
-    qy = np.array([math.cos(pitch / 2), 0.0, math.sin(pitch / 2), 0.0])
-    qz = np.array([math.cos(yaw / 2), 0.0, 0.0, math.sin(yaw / 2)])
-    dqx = 0.5 * np.array([-qx[1], qx[0], 0.0, 0.0])
-    dqy = 0.5 * np.array([-qy[2], 0.0, qy[0], 0.0])
-    dqz = 0.5 * np.array([-qz[3], 0.0, 0.0, qz[0]])
-    jac = np.empty((4, 3))
-    jac[:, 0] = _left_mult_matrix(quat_mul(qz, qy)) @ dqx
-    jac[:, 1] = _left_mult_matrix(qz) @ (_right_mult_matrix(qx) @ dqy)
-    jac[:, 2] = _right_mult_matrix(quat_mul(qy, qx)) @ dqz
-    return jac
-
-
-def _deuler_dquat(q: np.ndarray) -> np.ndarray:
-    """3x4 derivative of the quaternion -> (roll, pitch, yaw) map at unit q."""
-    w, x, y, z = q
-    m20 = 2.0 * (x * z - w * y)
-    m21 = 2.0 * (y * z + w * x)
-    m22 = 1.0 - 2.0 * (x * x + y * y)
-    m10 = 2.0 * (x * y + w * z)
-    m00 = 1.0 - 2.0 * (y * y + z * z)
-    d_m20 = 2.0 * np.array([-y, z, -w, x])
-    d_m21 = 2.0 * np.array([x, w, z, y])
-    d_m22 = np.array([0.0, -4.0 * x, -4.0 * y, 0.0])
-    d_m10 = 2.0 * np.array([z, y, x, w])
-    d_m00 = np.array([0.0, 0.0, -4.0 * y, -4.0 * z])
-    pitch_denom = 1.0 - m20 * m20
-    if pitch_denom <= _GIMBAL_GUARD**2:
-        raise GimbalLockError("composition Jacobian undefined at pitch +-pi/2")
-    jac = np.empty((3, 4))
-    jac[0] = (m22 * d_m21 - m21 * d_m22) / (m21 * m21 + m22 * m22)
-    jac[1] = -d_m20 / math.sqrt(pitch_denom)
-    jac[2] = (m00 * d_m10 - m10 * d_m00) / (m10 * m10 + m00 * m00)
-    return jac
-
-
-def _drotate_dquat(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """3x4 derivative of R(q) @ v with respect to q, at unit q."""
-    w, x, y, z = q
-    vx, vy, vz = v
-    # columns: d/dw, d/dx, d/dy, d/dz of the quadratic-form rotation
-    return 2.0 * np.array(
-        [
-            [-z * vy + y * vz, y * vy + z * vz, -2 * y * vx + x * vy + w * vz, -2 * z * vx - w * vy + x * vz],
-            [z * vx - x * vz, y * vx - 2 * x * vy - w * vz, x * vx + z * vz, w * vx - 2 * z * vy + y * vz],
-            [-y * vx + x * vy, z * vx + w * vy - 2 * x * vz, -w * vx + z * vy - 2 * y * vz, x * vx + y * vy],
-        ]
-    )
 
 
 # --- trajectory file I/O (KITTI odometry ground-truth layout) ----------------

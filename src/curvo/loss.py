@@ -1,33 +1,57 @@
 """The training objective: per-step relative errors and rise-gated window
 composites, blended by alpha.
 
-A prediction is a (t, r) row. The window composite chains the last w step
-predictions through SE(3) composition in chronological order (the step w
-frames back is applied first), so with perfect predictions it reproduces the
-ground-truth pose of frame t relative to frame t-w. Predictions and the ground
-truth go through the same closed-form chain: quaternions straight from the
-Euler inputs, one product per operand, Euler angles extracted once at the
-end, no Pose objects.
+A prediction is a (t, r) row with Euler angles r = (roll, pitch, yaw). The
+per-step term compares rows as they are, which is the paper's form: the
+weighted squared error delta*||t_hat - t||^2 + zeta*||r_hat - r||^2.
 
-Every term is the weighted squared error delta*||t_hat - t||^2 +
-zeta*||r_hat - r||^2. The composite term at step t contributes only when its
-value exceeds the previous step's value (strictly); otherwise it contributes
-nothing and passes no gradient. The comparison itself never carries gradient.
+The window composite chains the last w step predictions through SE(3)
+composition in chronological order (the step w frames back is applied first),
+so with perfect predictions it reproduces the ground-truth pose of frame t
+relative to frame t-w. Predictions and the ground truth go through the same
+closed-form chain on plain floats, ``_compose_chain``: one quaternion per
+operand straight from its Euler angles, then t += R(P) t_k and P = P x q_k,
+with the scalar kernels ``geometry._qmul`` and ``_qrot``. The composite stays
+a (t, q) pair. Its rotation residual is the log map of q_d = q_gt* x q, with
+q_d's sign chosen so that w >= 0 (the short way round):
+phi = 2 atan2(|v|, w) v / |v|, with a series near |v| = 0, so |phi| is the
+geodesic angle between the two rotations (Sola et al., arXiv 1812.01537;
+Hartley et al., "Rotation averaging"). The composite term is
+delta*||t_hat - t||^2 + zeta*||phi||^2. No Euler angles are extracted from a
+composite: Euler differences jump by 2 pi where an angle wraps past +-pi, and
+their extraction is undefined at pitch +-pi/2, so the composite term is
+smooth there and training never meets ``GimbalLockError``.
+
+The composite term at step t contributes only when its value exceeds the
+previous step's value (strictly); otherwise it contributes nothing and passes
+no gradient. The comparison itself never carries gradient.
 
 The whole objective is one kernel, ``_objective``, with a hand-written VJP:
 ``sequence_loss`` records it as a single tape node, and
-``sequence_loss_value`` runs it with no tape.
+``sequence_loss_value`` runs it with no tape. A window's VJP is its chain
+run backwards on floats: the log map's adjoint gives the composite
+quaternion's, each product P x q_k hands back g x q_k* and P* x g, each
+translation R(P)^T g, and dq/dr is taken at the input angles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from . import geometry as geo
-from .geometry import _euler_quat
+from .geometry import _euler_quat, _qmul, _qrot
+
+_IDENTITY = (1.0, 0.0, 0.0, 0.0)
+_I, _K = (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)
+_SERIES_BELOW = 1e-4  # |v| under which the log map and its adjoint use their series
+
+
+def _conj(q) -> tuple:
+    w, x, y, z = q
+    return w, -x, -y, -z
 
 
 @dataclass(frozen=True)
@@ -51,72 +75,92 @@ class LossWeights:
 def _compose_chain(rows: list[list[float]]):
     """Compose (t, r) rows left to right (oldest first) in closed form.
 
-    Returns the composite (t, r) as a list and each operand's quaternion.
-    The translation accumulates t += R(q) t_k and the rotation q = q x q_k;
-    Euler angles are extracted once, from the final product (GimbalLockError
-    if its pitch is at +-pi/2).
+    Returns the composite translation and quaternion, each operand's
+    quaternion and each operand's prefix product P_k = q_0 x ... x q_(k-1)
+    (P_0 is the identity). The translation accumulates t += R(P_k) t_k.
     """
     quats = [_euler_quat(*row[3:]) for row in rows]
+    prefixes = [_IDENTITY]
     tx, ty, tz = rows[0][:3]
-    w, x, y, z = quats[0]
-    for row, (bw, bx, by, bz) in zip(rows[1:], quats[1:]):
-        vx, vy, vz = row[:3]
-        tx += (1 - 2 * (y * y + z * z)) * vx + 2 * (x * y - w * z) * vy + 2 * (x * z + w * y) * vz
-        ty += 2 * (x * y + w * z) * vx + (1 - 2 * (x * x + z * z)) * vy + 2 * (y * z - w * x) * vz
-        tz += 2 * (x * z - w * y) * vx + 2 * (y * z + w * x) * vy + (1 - 2 * (x * x + y * y)) * vz
-        w, x, y, z = (
-            w * bw - x * bx - y * by - z * bz,
-            w * bx + x * bw + y * bz - z * by,
-            w * by - x * bz + y * bw + z * bx,
-            w * bz + x * by - y * bx + z * bw,
-        )
-    return [tx, ty, tz, *geo._quat_to_euler(w, x, y, z)], quats
+    q = quats[0]
+    for row, q_k in zip(rows[1:], quats[1:]):
+        prefixes.append(q)
+        rx, ry, rz = _qrot(q, row[:3])
+        tx, ty, tz = tx + rx, ty + ry, tz + rz
+        q = _qmul(q, q_k)
+    return (tx, ty, tz), q, quats, prefixes
 
 
-def _compose_chain_vjp(rows, quats, g: np.ndarray) -> list[np.ndarray]:
-    """Adjoint of ``_compose_chain`` at ``rows``: one (6, 1) column per operand.
+def _log_map(q_gt, q):
+    """The rotation residual phi = log(q_gt* x q), taken the short way round,
+    and its adjoint: g -> the (w, x, y, z) adjoint of q."""
+    a, ux, uy, uz = q_gt
+    w, vx, vy, vz = q
+    # q_gt* x q grouped as (a w + u.v, (a v - w u) - u x v), so that equal rotations
+    # give exactly v = 0; the product's own term order leaves a rounding residue
+    w, x, y, z = (a * w + (ux * vx + uy * vy + uz * vz), (a * vx - w * ux) - (uy * vz - uz * vy),
+                  (a * vy - w * uy) - (uz * vx - ux * vz), (a * vz - w * uz) - (ux * vy - uy * vx))
+    sign = 1.0
+    if w < 0.0:
+        sign, w, x, y, z = -1.0, -w, -x, -y, -z
+    n2 = x * x + y * y + z * z
+    if n2 > _SERIES_BELOW**2:
+        n = math.sqrt(n2)
+        scale = 2.0 * math.atan2(n, w) / n  # |phi| / |v|
+        curve = (2.0 * w / (n2 + w * w) - scale) / n2  # d(scale)/d|v| / |v|
+    else:  # both, to second order in s = |v|^2 / w^2
+        s = n2 / (w * w)
+        scale = 2.0 / w * (1.0 - s / 3.0)
+        curve = 2.0 / w**3 * (-2.0 / 3.0 + 0.8 * s)
 
-    With prefix products P_k = q_0 x ... x q_(k-1), suffix products
-    S_k = q_k x ... x q_(w-1) and suffix translations U_k (the translation of
-    the chain from operand k on), operand k enters the composite as
-    t = ... + R(P_k) t_k + R(P_k q_k) U_(k+1) and q = P_k q_k S_(k+1), the
-    closed-form composition Jacobians of Sola et al. (arXiv 1812.01537).
-    dq_k/dr_k is taken at the input angles, so it holds over the whole
-    Euler range, not only for pitch inside (-pi/2, pi/2).
+    def vjp(g):
+        gx, gy, gz = g
+        dot = x * gx + y * gy + z * gz
+        g_d = (-2.0 * dot / (n2 + w * w), scale * gx + curve * dot * x,
+               scale * gy + curve * dot * y, scale * gz + curve * dot * z)
+        return _qmul(q_gt, [sign * c for c in g_d])  # adjoint of q_gt* x q in q
+
+    return (scale * x, scale * y, scale * z), vjp
+
+
+def _euler_adjoint(r, q, g) -> list[float]:
+    """(roll, pitch, yaw) adjoint of q = _euler_quat(r) at the input angles, where
+    dq/dr = 1/2 (q x i, (-sin yaw, cos yaw, 0) x q, k x q), so it holds over the
+    whole Euler range, not only for pitch inside (-pi/2, pi/2)."""
+    yaw = r[2]
+    tangents = (_qmul(q, _I), _qmul((0.0, -math.sin(yaw), math.cos(yaw), 0.0), q), _qmul(_K, q))
+    return [0.5 * (a[0] * g[0] + a[1] * g[1] + a[2] * g[2] + a[3] * g[3]) for a in tangents]
+
+
+def _compose_chain_vjp(rows, quats, prefixes, g_t, g_q) -> list[list[float]]:
+    """Adjoint of ``_compose_chain`` at ``rows``: one (t, r) 6-list per operand.
+
+    The scan runs backwards from the adjoints of the composite translation
+    (``g_t``, the same for every operand's term) and quaternion (``g_q``).
+    Operand k entered as t += R(P_k) t_k and P_(k+1) = P_k x q_k, so t_k gets
+    R(P_k)^T g_t, q_k gets P_k* x g_q, and P_k gets g_q x q_k* plus the adjoint
+    of R(P_k) t_k, which is -2 P_k x (h x t_k) with h = R(P_k)^T g_t as pure
+    quaternions (exact along the unit sphere, where every perturbation stays).
     """
-    count = len(rows)
-    q = [np.array(qk) for qk in quats]
-    prefix = [np.array([1.0, 0.0, 0.0, 0.0])]
-    for qk in q:
-        prefix.append(geo.quat_mul(prefix[-1], qk))
-    suffix = [prefix[0]] * (count + 1)
-    shift = [np.zeros(3)] * (count + 1)
-    for k in range(count - 1, -1, -1):
-        suffix[k] = geo.quat_mul(q[k], suffix[k + 1])
-        shift[k] = np.array(rows[k][:3]) + geo.quat_to_matrix(q[k]) @ shift[k + 1]
-    g_t, g_r = g[:3, 0], g[3:, 0]
-    g_q = geo._deuler_dquat(prefix[count]).T @ g_r  # adjoint of the composite quaternion
-    out = []
-    for k in range(count):
-        d_q = (geo._right_mult_matrix(suffix[k + 1]).T @ g_q
-               + geo._drotate_dquat(prefix[k + 1], shift[k + 1]).T @ g_t)
-        d_r = (geo._left_mult_matrix(prefix[k]) @ geo._dquat_deuler(rows[k][3:])).T @ d_q
-        d_t = geo.quat_to_matrix(prefix[k]).T @ g_t
-        out.append(np.concatenate([d_t, d_r]).reshape(6, 1))
+    out = [None] * len(rows)
+    for k in range(len(rows) - 1, -1, -1):
+        p, t_k = _conj(prefixes[k]), rows[k][:3]
+        h = _qrot(p, g_t)
+        out[k] = [*h, *_euler_adjoint(rows[k][3:], quats[k], _qmul(p, g_q))]
+        if k:
+            turn = _qmul(prefixes[k], _qmul((0.0, *h), (0.0, *t_k)))
+            g_q = [a - 2.0 * b for a, b in zip(_qmul(g_q, _conj(quats[k])), turn)]
     return out
 
 
-def ground_truth_window_relatives(gt_relatives: np.ndarray, window: int) -> np.ndarray:
-    """(T, 6) of the truth pose of frame t relative to frame t-window.
-
-    Rows before index window-1 are zero placeholders (no full window yet).
-    """
-    gt_relatives = np.asarray(gt_relatives, dtype=np.float64)
-    out = np.zeros_like(gt_relatives)
-    rows = gt_relatives.tolist()
-    for t in range(window - 1, len(rows)):
-        out[t] = _compose_chain(rows[t - window + 1 : t + 1])[0]
-    return out
+def ground_truth_window_relatives(gt_relatives, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 3) translations and (N, 4) quaternions of the N = T - window + 1 full
+    windows of (T, 6) rows: row i composes steps i .. i + window - 1, the pose of
+    frame i + window relative to frame i."""
+    rows = np.asarray(gt_relatives, dtype=np.float64).reshape(-1, 6).tolist()
+    chains = [_compose_chain(rows[i : i + window]) for i in range(len(rows) - window + 1)]
+    return (np.array([c[0] for c in chains]).reshape(-1, 3),
+            np.array([c[1] for c in chains]).reshape(-1, 4))
 
 
 def _objective(rows: np.ndarray, gt_relatives, weights: LossWeights):
@@ -148,8 +192,10 @@ def _objective(rows: np.ndarray, gt_relatives, weights: LossWeights):
     if alpha < 1.0:
         chains = rows.tolist()
         windows = [_compose_chain(chains[i : i + window]) for i in range(steps - window + 1)]
-        truth = ground_truth_window_relatives(gt_relatives, window)[window - 1 :]
-        com_diff = (np.array([c for c, _ in windows]).reshape(-1, 6) - truth).T
+        truth_t, truth_q = ground_truth_window_relatives(gt_relatives, window)
+        logs = [_log_map(q_gt, chain[1]) for q_gt, chain in zip(truth_q.tolist(), windows)]
+        com_diff = np.hstack([np.array([chain[0] for chain in windows]).reshape(-1, 3) - truth_t,
+                              np.array([phi for phi, _ in logs]).reshape(-1, 3)]).T
         com, previous = 0.0, None
         for i, raw in enumerate(np.sum(w6 * (com_diff * com_diff), axis=0).tolist()):
             if previous is None or raw > previous:
@@ -159,22 +205,17 @@ def _objective(rows: np.ndarray, gt_relatives, weights: LossWeights):
         total += com * (1.0 - alpha)
 
     def vjp(g):
-        # a row's adjoint adds the newest open window's part first, then
-        # older windows', then its own relative term: the order in which
-        # ``backward`` adds them over one node per term, so gradients equal
-        # that graph's bit for bit
         adjoint = g[0, 0] * alpha * w6 * 2.0 * diff  # (6, T): the relative terms
         if opened:
-            window_parts = [None] * steps
-            com_g = g[0, 0] * (1.0 - alpha) * w6 * 2.0 * com_diff
-            for i in reversed(opened):
-                operands = chains[i : i + window]
-                parts = _compose_chain_vjp(operands, windows[i][1], com_g[:, i : i + 1])
-                for k, part in enumerate(parts, i):
-                    window_parts[k] = part if window_parts[k] is None else window_parts[k] + part
-            for k, part in enumerate(window_parts):
-                if part is not None:
-                    adjoint[:, k : k + 1] = part + adjoint[:, k : k + 1]
+            com_g = (g[0, 0] * (1.0 - alpha) * w6 * 2.0 * com_diff).T.tolist()
+            window_parts = [[0.0] * 6 for _ in range(steps)]
+            for i in opened:
+                _, _, quats, prefixes = windows[i]
+                g_q = logs[i][1](com_g[i][3:])
+                parts = _compose_chain_vjp(chains[i : i + window], quats, prefixes, com_g[i][:3], g_q)
+                for total_k, part in zip(window_parts[i : i + window], parts):
+                    total_k[:] = [a + b for a, b in zip(total_k, part)]
+            adjoint += np.array(window_parts).T
         return (adjoint.T,)
 
     return np.array([[total]]), vjp

@@ -247,20 +247,28 @@ def generate(
     return Sequence(trajectory=trajectory, relatives=relatives, features=features, seed=seed)
 
 
-def sample_subsequences(
-    sequence: Sequence, count: int, min_len: int, max_len: int, seed: int
-) -> list[Sequence]:
-    """Contiguous random slices, re-anchored so each starts at the identity."""
-    total = len(sequence)
+def subsequence_spans(
+    total: int, count: int, min_len: int, max_len: int, seed: int
+) -> list[tuple[int, int]]:
+    """(start, length) of ``count`` random contiguous slices of ``total`` steps."""
     if not (1 <= min_len <= max_len <= total):
         raise InvalidRangeError(
             f"need 1 <= min_len <= max_len <= {total}, got [{min_len}, {max_len}]"
         )
     rng = np.random.default_rng(seed)
-    samples = []
+    spans = []
     for _ in range(count):
         length = int(rng.integers(min_len, max_len + 1))
-        start = int(rng.integers(0, total - length + 1))
+        spans.append((int(rng.integers(0, total - length + 1)), length))
+    return spans
+
+
+def sample_subsequences(
+    sequence: Sequence, count: int, min_len: int, max_len: int, seed: int
+) -> list[Sequence]:
+    """Contiguous random slices, re-anchored so each starts at the identity."""
+    samples = []
+    for start, length in subsequence_spans(len(sequence), count, min_len, max_len, seed):
         relatives = sequence.relatives[start : start + length].copy()
         features = sequence.features[start : start + length].copy()
         trajectory = geo.accumulate_vectors(relatives)

@@ -303,18 +303,19 @@ def train(
         batch_losses = []
         for seq_index, seq in enumerate(data.train):
             sample_seed = int(epoch_rng.integers(2**31))
-            subsequences = sd.sample_subsequences(
-                seq, config.subseq_count, config.subseq_min, config.subseq_max, sample_seed
+            spans = sd.subsequence_spans(
+                len(seq), config.subseq_count, config.subseq_min, config.subseq_max, sample_seed
             )
-            for sub in subsequences:
+            for start, length in spans:
                 tape = ad.Tape()
                 dropout_rng = None
                 if model_cfg.dropout > 0.0:
                     dropout_rng = np.random.default_rng(int(epoch_rng.integers(2**31)))
                 preds, _ = md.forward_sequence(
-                    tape, sub.features, model_cfg, store, dropout_rng=dropout_rng
+                    tape, seq.features[start : start + length], model_cfg, store,
+                    dropout_rng=dropout_rng,
                 )
-                total = ls.sequence_loss(preds, sub.relatives, weights)
+                total = ls.sequence_loss(preds, seq.relatives[start : start + length], weights)
                 value = total.item()
                 if not math.isfinite(value):
                     raise NonFiniteLossError(epoch, progress.stage_index, "train", value, seq_index)
@@ -324,7 +325,7 @@ def train(
                     if norm > config.grad_clip:
                         store.scale_grads(config.grad_clip / norm)
                 ad.adam_step(store, lr=config.learning_rate)
-                batch_losses.append(value / len(sub))
+                batch_losses.append(value / length)
         train_loss = float(np.mean(batch_losses))
         val_loss = validation_loss(store, model_cfg, data.val, weights)
         if not math.isfinite(val_loss):

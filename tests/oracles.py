@@ -61,6 +61,12 @@ def euler_from_matrix(m):
     return Rotation.from_matrix(m[:3, :3]).as_euler("xyz")
 
 
+def geodesic_angle(m):
+    """Rotation angle of a rotation matrix: atan2 of its skew and trace parts."""
+    skew = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+    return np.arctan2(np.linalg.norm(skew) / 2.0, (np.trace(m[:3, :3]) - 1.0) / 2.0)
+
+
 def gradients_close(analytic, numeric, rtol=1e-5):
     """Norm-wise gradient check with an absolute floor for near-zero grads."""
     analytic = np.asarray(analytic, dtype=float)

@@ -5,7 +5,7 @@ from curvo import autodiff as ad
 from curvo import geometry as geo
 from curvo import loss
 from curvo import model
-from oracles import euler_from_matrix, euler_matrix, gradients_close, homogeneous
+from oracles import euler_from_matrix, euler_matrix, geodesic_angle, gradients_close, homogeneous
 
 
 def vec_to_matrix(v):
@@ -17,11 +17,16 @@ def matrix_to_vec(m):
 
 
 def reference_sequence_loss(pred, gt, alpha, delta, zeta, window):
-    """Straight-line evaluation of the blended objective via 4x4 matrices."""
+    """Straight-line evaluation of the blended objective via 4x4 matrices; a
+    composite's rotation error is the geodesic angle of R_gt^T R_est."""
 
     def err(a6, b6):
         d = np.asarray(a6) - np.asarray(b6)
         return delta * d[:3] @ d[:3] + zeta * d[3:] @ d[3:]
+
+    def composite_err(m_est, m_gt):
+        d = m_est[:3, 3] - m_gt[:3, 3]
+        return delta * d @ d + zeta * geodesic_angle(m_gt[:3, :3].T @ m_est[:3, :3]) ** 2
 
     steps = len(pred)
     rel = [err(pred[t], gt[t]) for t in range(steps)]
@@ -33,7 +38,7 @@ def reference_sequence_loss(pred, gt, alpha, delta, zeta, window):
         for k in range(t - window + 1, t + 1):
             m_est = m_est @ vec_to_matrix(pred[k])
             m_gt = m_gt @ vec_to_matrix(gt[k])
-        raw = err(matrix_to_vec(m_est), matrix_to_vec(m_gt))
+        raw = composite_err(m_est, m_gt)
         if previous is None or raw > previous:
             com[t] = raw
         previous = raw
@@ -94,24 +99,30 @@ class TestLossWeights:
             loss.LossWeights(delta=-1.0)
 
 
+def last_window(rows, window):
+    """The last (t, q) row of ground_truth_window_relatives as a (t, r) 6-vector."""
+    translations, quaternions = loss.ground_truth_window_relatives(rows, window)
+    return geo.pose_to_vector(geo.Pose(translations[-1], quaternions[-1]))
+
+
 class TestWindowedCompose:
     # the window composite: the last row of ground_truth_window_relatives,
     # which runs the same chain as the predicted windows
 
     def test_window_one_passthrough(self):
         row = np.array([0.1, 0.2, 0.3, 0.01, 0.02, 0.03])
-        out = loss.ground_truth_window_relatives([row], 1)[-1]
+        out = last_window([row], 1)
         np.testing.assert_allclose(out, row, atol=1e-12)
 
     def test_two_translations_add(self):
         rows = [[1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]]
-        out = loss.ground_truth_window_relatives(rows, 2)[-1]
+        out = last_window(rows, 2)
         np.testing.assert_allclose(out, [2, 0, 0, 0, 0, 0], atol=1e-12)
 
     def test_matches_accumulate_final_pose(self):
         rng = np.random.default_rng(31)
         rows = rng.uniform(-0.3, 0.3, size=(3, 6))
-        out = loss.ground_truth_window_relatives(rows, 3)[-1]
+        out = last_window(rows, 3)
         final = geo.accumulate([geo.vector_to_pose(r) for r in rows]).poses[-1]
         np.testing.assert_allclose(out, geo.pose_to_vector(final), atol=1e-12)
 
@@ -119,7 +130,7 @@ class TestWindowedCompose:
         rng = np.random.default_rng(32)
         for _ in range(20):
             rows = rng.uniform(-0.4, 0.4, size=(3, 6))
-            out = loss.ground_truth_window_relatives(rows, 3)[-1]
+            out = last_window(rows, 3)
             m = np.eye(4)
             for row in rows:
                 m = m @ vec_to_matrix(row)
@@ -154,9 +165,19 @@ class TestWindowedCompose:
     @pytest.mark.parametrize("window", [2, 3, 4])
     def test_gradient_matches_finite_differences(self, window):
         rng = np.random.default_rng(33)
-        for _ in range(10):
-            rows = rng.uniform(-0.3, 0.3, size=(window, 6))
-            gt = rng.uniform(-0.3, 0.3, size=(window, 6))
+        cases = [(rng.uniform(-0.3, 0.3, size=(window, 6)), rng.uniform(-0.3, 0.3, size=(window, 6)))
+                 for _ in range(10)]
+        # near gimbal lock: the composite pitch is within window * 0.01 of pi/2
+        rows = rng.uniform(-0.3, 0.3, size=(window, 6))
+        rows[:, 3] = rows[:, 5] = 0.0
+        rows[:, 4] = np.pi / (2 * window) + rng.uniform(-0.01, 0.01, size=window)
+        cases.append((rows, rng.uniform(-0.3, 0.3, size=(window, 6))))
+        # past the wrap: a composite yaw of 3.2 rad against a truth of 3.1 rad
+        rows = rng.uniform(-0.01, 0.01, size=(window, 6))
+        gt = rng.uniform(-0.01, 0.01, size=(window, 6))
+        rows[:, 5], gt[:, 5] = 3.2 / window, 3.1 / window
+        cases.append((rows, gt))
+        for rows, gt in cases:
             analytic, fd = self._gradient_error(rows, gt)
             assert gradients_close(analytic, fd, rtol=1e-5)
 
@@ -169,6 +190,13 @@ class TestWindowedCompose:
         rows = rng.uniform(-0.3, 0.3, size=(3, 6))
         rows[operand, 4] = 2.0
         gt = rng.uniform(-0.3, 0.3, size=(3, 6))
+        analytic, fd = self._gradient_error(rows, gt)
+        assert gradients_close(analytic, fd, rtol=1e-5)
+        # and near gimbal lock: the other two pitches bring the composite's
+        # pitch to within 0.02 of pi/2
+        rows[:, 3] = rows[:, 5] = 0.0
+        others = [k for k in range(3) if k != operand]
+        rows[others, 4] = (np.pi / 2 - 2.0) / 2 + rng.uniform(-0.01, 0.01, size=2)
         analytic, fd = self._gradient_error(rows, gt)
         assert gradients_close(analytic, fd, rtol=1e-5)
 
@@ -184,6 +212,37 @@ class TestWindowedCompose:
         assert blended.item() == relative.item() * 0.5
         np.testing.assert_array_equal(values.grad, rel_values.grad * 0.5)
         assert step_loss(pred, gt, alpha=0.0, window=3)[0].item() == 0.0
+
+
+class TestCompositeResidual:
+    # the composite rotation residual is the log map of q_gt* x q_est: it is
+    # smooth where an Euler angle wraps past +-pi and at pitch +-pi/2
+
+    @staticmethod
+    def _both(rows, gt, weights):
+        total, values = step_loss(rows, gt, alpha=weights.alpha, zeta=weights.zeta,
+                                  window=weights.window)
+        ad.backward(total)
+        return total.item(), loss.sequence_loss_value(rows, gt, weights), values.grad
+
+    def test_yaw_past_pi_is_the_short_angle(self):
+        rows, gt = np.zeros((2, 6)), np.zeros((2, 6))
+        rows[:, 5], gt[:, 5] = 1.6, 1.55  # composite yaw 3.2 against 3.1
+        weights = loss.LossWeights(alpha=0.0, zeta=3.0, window=2)
+        taped, value, grad = self._both(rows, gt, weights)
+        assert abs(taped - 3.0 * 0.01) < 1e-12
+        assert value == taped
+        np.testing.assert_allclose(grad[:, 5], 2 * 3.0 * 0.1, rtol=1e-9)
+
+    def test_composite_pitch_at_half_pi_is_finite(self):
+        rows = np.zeros((2, 6))
+        rows[:, 4] = np.pi / 4
+        weights = loss.LossWeights(alpha=0.0, window=2)
+        taped, value, grad = self._both(rows, np.zeros((2, 6)), weights)
+        assert abs(taped - (np.pi / 2) ** 2) < 1e-12
+        assert value == taped
+        assert np.all(np.isfinite(grad))
+        np.testing.assert_allclose(grad[:, 4], np.pi, rtol=1e-12)
 
 
 class TestCompositeLoss:
@@ -296,16 +355,16 @@ class TestSequenceLoss:
 
     def test_gating_monotonicity_property(self):
         # at alpha = 0 the total is exactly the sum of the window errors that
-        # rose above the previous window's error
+        # rose above the previous window's error; a window's error is the
+        # objective of a sequence that holds only that window
         rng = np.random.default_rng(55)
-        w6 = np.ones((6, 1))
+        single = loss.LossWeights(alpha=0.0, window=2)
         for _ in range(20):
             steps = 6
             gt = rng.uniform(-0.2, 0.2, size=(steps, 6))
             pred = gt + rng.uniform(-0.15, 0.15, size=(steps, 6))
-            diffs = (loss.ground_truth_window_relatives(pred, 2)
-                     - loss.ground_truth_window_relatives(gt, 2))[1:]
-            raws = [np.sum(w6 * (d.reshape(6, 1) ** 2)) for d in diffs]
+            raws = [loss.sequence_loss_value(pred[i : i + 2], gt[i : i + 2], single)
+                    for i in range(steps - 1)]
             expected = raws[0]
             for previous, raw in zip(raws, raws[1:]):
                 if raw > previous:

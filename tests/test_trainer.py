@@ -133,23 +133,43 @@ class TestTrain:
             (r.train_loss, r.val_loss) for r in first_b
         ]
 
-    def test_validation_sequences_never_trained_on(self):
+    def test_validation_sequences_never_trained_on(self, monkeypatch):
         config = tiny_config()
         data = tr.prepare_data(config)
-        train_ids = {id(s) for s in data.train}
-        sampled = []
-        original = sd.sample_subsequences
+        trained = []
+        original = md.forward_sequence
 
-        def spy(seq, *args, **kwargs):
-            sampled.append(id(seq))
-            return original(seq, *args, **kwargs)
+        def spy(tape, features, *args, **kwargs):
+            trained.append(np.array(features))
+            return original(tape, features, *args, **kwargs)
 
-        sd.sample_subsequences = spy
-        try:
-            tr.train(config, data=data)
-        finally:
-            sd.sample_subsequences = original
-        assert set(sampled) <= train_ids
+        monkeypatch.setattr(md, "forward_sequence", spy)
+        tr.train(config, data=data)
+
+        def slice_of(features, seq):
+            n = len(features)
+            return any(np.array_equal(features, seq.features[start : start + n])
+                       for start in range(len(seq) - n + 1))
+
+        assert trained
+        for features in trained:
+            assert any(slice_of(features, seq) for seq in data.train)
+            assert not any(slice_of(features, seq) for seq in data.val)
+
+    def test_training_builds_no_trajectory(self, monkeypatch):
+        # samples are sliced from the prepared sequences; nothing re-accumulates them
+        config = tiny_config()
+        data = tr.prepare_data(config)
+        built = []
+        original = geo.Trajectory.__post_init__
+
+        def counting(self):
+            built.append(len(self.positions))
+            original(self)
+
+        monkeypatch.setattr(geo.Trajectory, "__post_init__", counting)
+        tr.train(config, data=data)
+        assert built == []
 
     def test_checkpoints_written(self, tmp_path):
         config = tiny_config(out_dir=str(tmp_path / "run"))
