@@ -32,13 +32,13 @@ svgplot.save_plot(
 )
 print(f"\nwrote {out_dir / 'presets.svg'}")
 
-# Training consumes random sub-trajectories, re-anchored to the identity.
+# Each training step takes a random contiguous span of a sequence's steps.
 seq = sd.generate(sd.MOTION_PRESETS["walker"](), features, length=200, seed=1)
-samples = sd.sample_subsequences(seq, count=3, min_len=20, max_len=50, seed=2)
-print("\nthree random sub-trajectories of a 200-step walker sequence:")
-for k, sample in enumerate(samples):
-    print(f"  sample {k}: {len(sample)} steps, starts at",
-          np.round(sample.trajectory.positions[0], 6))
+spans = sd.subsequence_spans(len(seq), count=3, min_len=20, max_len=50, seed=2)
+print("\nthree random spans of a 200-step walker sequence:")
+for k, (start, length) in enumerate(spans):
+    path = np.linalg.norm(seq.relatives[start : start + length, :3], axis=1).sum()
+    print(f"  span {k}: steps {start}..{start + length - 1} ({length} steps, {path:.2f} m)")
 
 # Datasets persist as KITTI-style pose files plus feature CSVs.
 dataset_dir = out_dir / "walker_dataset"

@@ -9,6 +9,7 @@ Artifacts land in demos/output/metrics/.
 
 from pathlib import Path
 
+from curvo import cli
 from curvo import evaluation as ev
 from curvo import geometry as geo
 from curvo import svgplot
@@ -57,14 +58,8 @@ svgplot.save_plot(
     ),
     out_dir / "trajectory.svg",
 )
-svgplot.save_plot(
-    svgplot.line_plot(
-        [("absolute position error", ate.cdf_values, ate.cdf_fractions)],
-        title="CDF of absolute position errors",
-        xlabel="error [m]", ylabel="fraction of frames",
-    ),
-    out_dir / "ate_cdf.svg",
-)
+for report in ("segment_errors", "ate_cdf"):  # plotted from the CSVs, as `curvo eval` does
+    svgplot.save_plot(cli.plot_csv(out_dir / f"{report}.csv"), out_dir / f"{report}.svg")
 print(f"\npose files, CSV reports, and SVG plots in {out_dir}")
 print("the same reports are available from the CLI:  "
       f"curvo eval --gt {out_dir/'gt.txt'} --est {out_dir/'est.txt'} --out <dir>")

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from curvo import cli
 from curvo import svgplot
 from curvo import trainer as tr
 
@@ -32,18 +33,7 @@ for row in sweep.rows:
           f"(normalized {row.trans_norm:.3f})  rotation {row.rot_err_deg:.4f} deg "
           f"(normalized {row.rot_norm:.3f})")
 tr.write_sweep_csv(sweep, out_dir / "sweep.csv")
-svgplot.save_plot(
-    svgplot.line_plot(
-        [
-            ("translation (normalized)", [r.alpha for r in sweep.rows],
-             [r.trans_norm for r in sweep.rows]),
-            ("rotation (normalized)", [r.alpha for r in sweep.rows],
-             [r.rot_norm for r in sweep.rows]),
-        ],
-        title="first-stage error vs alpha", xlabel="alpha", ylabel="normalized error",
-    ),
-    out_dir / "sweep.svg",
-)
+svgplot.save_plot(cli.plot_csv(out_dir / "sweep.csv"), out_dir / "sweep.svg")
 
 print("\nfour-way ablation over 2 seeds (staged vs reversed vs fixed):")
 report = tr.ablate(config, seeds=(0, 1), holdout_count=3)
@@ -58,6 +48,5 @@ for mode in report.modes():
     print(f"  {mode:17s} held-out segment translation by stage: {trace}")
 
 for metric, name in (("trans", "ablation_translation.svg"), ("rot", "ablation_rotation.svg")):
-    from curvo.cli import _ablation_svg
-    svgplot.save_plot(_ablation_svg(report, metric), out_dir / name)
+    svgplot.save_plot(cli.plot_csv(out_dir / "ablation.csv", metric), out_dir / name)
 print(f"\nreports and plots in {out_dir}")

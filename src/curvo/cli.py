@@ -188,7 +188,7 @@ def cmd_ablate(args) -> int:
     report = tr.ablate(config, seeds=seeds)
     tr.write_ablation_csv(report, out / "ablation.csv")
     for metric, path in (("trans", "ablation_translation.svg"), ("rot", "ablation_rotation.svg")):
-        svgplot.save_plot(_ablation_svg(report, metric), out / path)
+        svgplot.save_plot(plot_csv(out / "ablation.csv", metric), out / path)
     for mode in report.modes():
         rows = report.rows_for(mode)
         finals = [row.final().segment_trans_pct for row in rows]
@@ -206,7 +206,7 @@ def cmd_alpha_sweep(args) -> int:
                    extra={"alphas": args.alphas, "epochs": args.epochs})
     report = tr.alpha_sweep(config, alphas=alphas, epochs=args.epochs)
     tr.write_sweep_csv(report, out / "sweep.csv")
-    svgplot.save_plot(_sweep_svg(report), out / "sweep.svg")
+    svgplot.save_plot(plot_csv(out / "sweep.csv"), out / "sweep.svg")
     for row in report.rows:
         print(f"alpha {row.alpha:4.2f}: normalized trans {row.trans_norm:.3f} "
               f"rot {row.rot_norm:.3f}")
@@ -234,7 +234,7 @@ def cmd_eval(args) -> int:
     ev.write_ate_csv(ate_report, out / "ate.csv", out / "ate_cdf.csv")
 
     for report in ("segment_errors", "ate_cdf"):  # the plots `curvo plot` makes of the CSVs
-        svgplot.save_plot(_plot_csv(out / f"{report}.csv"), out / f"{report}.svg")
+        svgplot.save_plot(plot_csv(out / f"{report}.csv"), out / f"{report}.svg")
     paths = [("ground truth", gt.positions[:, :2]), ("estimate", est.positions[:, :2])]
     svgplot.save_plot(svgplot.trajectory_plot(paths), out / "trajectory.svg")
     write_manifest(out, "eval", None,
@@ -251,121 +251,93 @@ def cmd_plot(args) -> int:
     source = Path(args.runlog if args.runlog else args.report)
     if not source.exists():
         raise UsageError(f"input file not found: {source}")
-    svgplot.save_plot(_plot_csv(source, metric=args.metric), args.out)
+    svgplot.save_plot(plot_csv(source, metric=args.metric), args.out)
     print(f"wrote {args.out}")
     return 0
 
 
-def _plot_csv(source: Path, metric="trans") -> str:
-    with open(source) as f:
-        header = f.readline().strip()
-        rows = [line.strip().split(",") for line in f if line.strip()]
+def plot_csv(source, metric="trans") -> str:
+    """The SVG of a report CSV, chosen by its header; ``metric`` picks the
+    series of an ablation report."""
+    header, rows = geo.read_csv(source)
     if not rows:
         raise ValueError(f"{source}: no data rows to plot")
-    return _dispatch_plot(header, rows, metric=metric)
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
 
+    def floats(name):
+        return [float(v) for v in columns[name]]
 
-def _dispatch_plot(header: str, rows, metric="trans") -> str:
-    columns = header.split(",")
-    data = {name: [row[i] for row in rows] for i, name in enumerate(columns)}
-    if header.startswith("epoch,stage,alpha,train_loss,val_loss"):
-        epochs = [int(v) for v in data["epoch"]]
+    kind = ",".join(header)
+    if kind.startswith("epoch,stage,alpha,train_loss,val_loss"):
+        epochs = [int(v) for v in columns["epoch"]]
         return svgplot.line_plot(
             [
-                ("train loss", epochs, [float(v) for v in data["train_loss"]]),
-                ("validation loss", epochs, [float(v) for v in data["val_loss"]]),
+                ("train loss", epochs, floats("train_loss")),
+                ("validation loss", epochs, floats("val_loss")),
             ],
             title="training curve",
             xlabel="epoch",
             ylabel="loss (per step)",
         )
-    if header.startswith("length_m,"):
-        lengths = [float(v) for v in data["length_m"]]
+    if kind.startswith("length_m,"):
+        lengths = floats("length_m")
         return svgplot.line_plot(
             [
-                ("translation [% of length]", lengths,
-                 [float(v) for v in data["translation_error_pct"]]),
-                ("rotation [deg/m]", lengths,
-                 [float(v) for v in data["rotation_error_deg_per_m"]]),
+                ("translation [% of length]", lengths, floats("translation_error_pct")),
+                ("rotation [deg/m]", lengths, floats("rotation_error_deg_per_m")),
             ],
             title="segment errors vs path length",
             xlabel="segment length [m]",
             ylabel="error",
         )
-    if header.startswith("error_m,fraction"):
+    if kind.startswith("error_m,fraction"):
         return svgplot.line_plot(
-            [("absolute position error", [float(v) for v in data["error_m"]],
-              [float(v) for v in data["fraction"]])],
+            [("absolute position error", floats("error_m"), floats("fraction"))],
             title="CDF of absolute position errors",
             xlabel="error [m]",
             ylabel="fraction of frames",
         )
-    if header.startswith("frame,position_error_m"):
+    if kind.startswith("frame,position_error_m"):
         return svgplot.line_plot(
-            [("absolute position error", [int(v) for v in data["frame"]],
-              [float(v) for v in data["position_error_m"]])],
+            [("absolute position error", [int(v) for v in columns["frame"]],
+              floats("position_error_m"))],
             title="absolute position error per frame",
             xlabel="frame",
             ylabel="error [m]",
         )
-    if header.startswith("mode,seed,stage,"):
-        report = _ablation_from_rows(rows)
-        return _ablation_svg(report, metric)
-    if header.startswith("alpha,"):
-        report = tr.SweepReport(
-            rows=[
-                tr.SweepRow(*(float(v) for v in row))
-                for row in rows
-            ]
+    if kind.startswith("mode,seed,stage,"):
+        return _ablation_svg(columns, metric)
+    if kind.startswith("alpha,"):
+        alphas = floats("alpha")
+        return svgplot.line_plot(
+            [
+                ("translation (normalized)", alphas, floats("trans_norm")),
+                ("rotation (normalized)", alphas, floats("rot_norm")),
+            ],
+            title="first-stage error vs alpha",
+            xlabel="alpha",
+            ylabel="normalized error",
         )
-        return _sweep_svg(report)
-    raise ValueError(f"unrecognized report header: {header}")
+    raise ValueError(f"unrecognized report header: {kind}")
 
 
-def _ablation_from_rows(rows) -> tr.AblationReport:
-    grouped: dict[tuple[str, int], list[tr.StageMetrics]] = {}
-    for mode, seed, stage, rel, seg_t, seg_r in rows:
-        grouped.setdefault((mode, int(seed)), []).append(
-            tr.StageMetrics(int(stage), float(rel), float(seg_t), float(seg_r))
-        )
-    report = tr.AblationReport()
-    for (mode, seed), stages in grouped.items():
-        report.rows.append(tr.AblationRow(mode=mode, seed=seed,
-                                          stages=tuple(sorted(stages, key=lambda s: s.stage))))
-    return report
-
-
-def _ablation_svg(report: tr.AblationReport, metric: str) -> str:
-    label, attr = {
+def _ablation_svg(columns, metric: str) -> str:
+    """Per mode, the mean over seeds of each stage's ``metric``."""
+    label, name = {
         "trans": ("segment translation error [%]", "segment_trans_pct"),
         "rot": ("segment rotation error [deg/m]", "segment_rot_deg_per_m"),
     }[metric]
     series = []
-    for mode in report.modes():
-        rows = report.rows_for(mode)
-        stages = sorted({sm.stage for row in rows for sm in row.stages})
-        means = []
-        for stage in stages:
-            values = [
-                getattr(sm, attr) for row in rows for sm in row.stages if sm.stage == stage
-            ]
-            means.append(float(np.mean(values)))
-        series.append((mode, [s + 1 for s in stages], means))
+    for mode in dict.fromkeys(columns["mode"]):
+        by_stage: dict[int, list[float]] = {}
+        for row_mode, stage, value in zip(columns["mode"], columns["stage"], columns[name]):
+            if row_mode == mode:
+                by_stage.setdefault(int(stage), []).append(float(value))
+        stages = sorted(by_stage)
+        series.append((mode, [s + 1 for s in stages],
+                       [float(np.mean(by_stage[s])) for s in stages]))
     return svgplot.line_plot(
         series, title="objective schedules compared", xlabel="training stage", ylabel=label
-    )
-
-
-def _sweep_svg(report: tr.SweepReport) -> str:
-    alphas = [row.alpha for row in report.rows]
-    return svgplot.line_plot(
-        [
-            ("translation (normalized)", alphas, [row.trans_norm for row in report.rows]),
-            ("rotation (normalized)", alphas, [row.rot_norm for row in report.rows]),
-        ],
-        title="first-stage error vs alpha",
-        xlabel="alpha",
-        ylabel="normalized error",
     )
 
 

@@ -2,10 +2,12 @@
 
 A schedule is an ordered list of stages, each pinning the loss weights plus a
 stop rule (patience on relative validation-loss improvement, capped by a
-maximum epoch count). The standard three-stage ramp moves alpha from 1
-(relative terms only) through 0.5 to a small final value that emphasizes the
-window composite; the anti-curriculum runs the same stages in reverse, and
-fixed mode holds a single stage for ablation baselines.
+maximum epoch count). ``build_schedule`` makes one stage per alpha, in the
+order given, so the alpha tuple alone tells schedules apart: the standard
+ramp (1, 0.5, 0.1) moves from relative terms only to a small final value that
+emphasizes the window composite, its reversal is the anti-curriculum, and a
+repeated single value is a fixed baseline. ``trainer.RunConfig`` names those
+modes and chooses the order.
 
 The scheduler sees nothing but the validation-loss sequence, so replaying a
 recorded sequence reproduces the exact same transitions.
@@ -18,7 +20,6 @@ from dataclasses import dataclass, replace
 from .loss import LossWeights
 
 DEFAULT_ALPHAS = (1.0, 0.5, 0.1)
-MODES = ("curriculum", "anti-curriculum", "fixed")
 
 
 class TrainingCompleteError(RuntimeError):
@@ -44,21 +45,11 @@ class Stage:
 @dataclass(frozen=True)
 class CurriculumSchedule:
     stages: tuple[Stage, ...]
-    mode: str = "curriculum"
 
     def __post_init__(self):
         if not self.stages:
             raise ValueError("a schedule needs at least one stage")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "fixed" and any(
-            s.weights != self.stages[0].weights for s in self.stages
-        ):
-            raise ValueError("fixed mode holds one weight setting across all stages")
         object.__setattr__(self, "stages", tuple(self.stages))
-
-    def alphas(self) -> tuple[float, ...]:
-        return tuple(stage.weights.alpha for stage in self.stages)
 
 
 @dataclass(frozen=True)
@@ -104,59 +95,18 @@ def current_weights(progress: StageProgress, schedule: CurriculumSchedule) -> Lo
     return schedule.stages[progress.stage_index].weights
 
 
-def _stages(alphas, delta, zeta, window, max_epochs, patience, min_delta):
-    return tuple(
-        Stage(
-            weights=LossWeights(alpha=a, delta=delta, zeta=zeta, window=window),
-            max_epochs=max_epochs,
-            patience=patience,
-            min_delta=min_delta,
+def build_schedule(
+    alphas, *, delta, zeta, window, max_epochs, patience, min_delta
+) -> CurriculumSchedule:
+    """One stage per alpha, in the order given; every other setting is shared."""
+    return CurriculumSchedule(
+        stages=tuple(
+            Stage(
+                weights=LossWeights(alpha=a, delta=delta, zeta=zeta, window=window),
+                max_epochs=max_epochs,
+                patience=patience,
+                min_delta=min_delta,
+            )
+            for a in alphas
         )
-        for a in alphas
-    )
-
-
-def curriculum_schedule(
-    alphas=DEFAULT_ALPHAS,
-    *,
-    delta=1.0,
-    zeta=1.0,
-    window=2,
-    max_epochs=200,
-    patience=5,
-    min_delta=1e-4,
-) -> CurriculumSchedule:
-    """The staged ramp: alpha decreasing across stages (default 1, 0.5, 0.1)."""
-    return CurriculumSchedule(
-        stages=_stages(alphas, delta, zeta, window, max_epochs, patience, min_delta),
-        mode="curriculum",
-    )
-
-
-def anti_curriculum_schedule(alphas=DEFAULT_ALPHAS, **kwargs) -> CurriculumSchedule:
-    """The exact stage reversal of the corresponding curriculum."""
-    forward = curriculum_schedule(alphas, **kwargs)
-    return CurriculumSchedule(stages=tuple(reversed(forward.stages)), mode="anti-curriculum")
-
-
-def fixed_schedule(
-    alpha,
-    *,
-    delta=1.0,
-    zeta=1.0,
-    window=2,
-    max_epochs=200,
-    patience=5,
-    min_delta=1e-4,
-    repeats=1,
-) -> CurriculumSchedule:
-    """The no-curriculum baseline: one weight setting throughout.
-
-    ``repeats`` splits the run into that many identical stages so a fixed
-    baseline can share the stage structure (and epoch budget) of a staged
-    schedule in controlled comparisons.
-    """
-    return CurriculumSchedule(
-        stages=_stages((alpha,) * repeats, delta, zeta, window, max_epochs, patience, min_delta),
-        mode="fixed",
     )

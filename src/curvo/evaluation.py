@@ -157,29 +157,26 @@ def ate(gt: geo.Trajectory, est: geo.Trajectory) -> AteReport:
 
 
 def write_segment_csv(report: SegmentErrorReport, path) -> None:
-    with open(path, "w") as f:
-        f.write("length_m,translation_error_pct,rotation_error_deg_per_m,segments\n")
-        for row in zip(report.lengths, report.trans_err_pct, report.rot_err_deg_per_m,
-                       report.segment_counts):
-            f.write(f"{row[0]!r},{row[1]!r},{row[2]!r},{row[3]}\n")
+    geo.write_csv(
+        path,
+        ("length_m", "translation_error_pct", "rotation_error_deg_per_m", "segments"),
+        zip(report.lengths, report.trans_err_pct, report.rot_err_deg_per_m, report.segment_counts),
+    )
 
 
 def write_rpe_csv(report: RpeReport, path) -> None:
-    with open(path, "w") as f:
-        f.write("translation_error_pct,rotation_error_deg_per_frame,skipped_frames,frames\n")
-        f.write(
-            f"{report.trans_err_pct!r},{report.rot_err_deg!r},"
-            f"{report.skipped_frames},{report.frames}\n"
-        )
+    geo.write_csv(
+        path,
+        ("translation_error_pct", "rotation_error_deg_per_frame", "skipped_frames", "frames"),
+        [(report.trans_err_pct, report.rot_err_deg, report.skipped_frames, report.frames)],
+    )
 
 
 def write_ate_csv(report: AteReport, path, cdf_path=None) -> None:
-    with open(path, "w") as f:
-        f.write("frame,position_error_m\n")
-        for frame, err in enumerate(report.errors):
-            f.write(f"{frame},{float(err)!r}\n")
+    geo.write_csv(path, ("frame", "position_error_m"), enumerate(report.errors.tolist()))
     if cdf_path is not None:
-        with open(cdf_path, "w") as f:
-            f.write("error_m,fraction\n")
-            for value, fraction in zip(report.cdf_values, report.cdf_fractions):
-                f.write(f"{float(value)!r},{float(fraction)!r}\n")
+        geo.write_csv(
+            cdf_path,
+            ("error_m", "fraction"),
+            zip(report.cdf_values.tolist(), report.cdf_fractions.tolist()),
+        )

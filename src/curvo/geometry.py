@@ -352,3 +352,23 @@ def load_trajectory_kitti(path) -> Trajectory:
     if not positions:
         raise KittiParseError("file contains no poses", 1)
     return Trajectory(np.array(positions), np.array(quaternions))
+
+
+# --- CSV tables: dataset arrays and reports -----------------------------------
+#
+# A header line of column names, then one line per row of ``str()`` of each
+# Python scalar. A float's ``str()`` is its ``repr``, so it reads back bit for bit.
+
+
+def write_csv(path, header, rows) -> None:
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(map(str, row)) + "\n")
+
+
+def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """The column names and the text fields of each non-blank row."""
+    with open(path) as f:
+        header = f.readline().strip().split(",")
+        return header, [line.strip().split(",") for line in f if line.strip()]

@@ -159,19 +159,19 @@ class FeatureModel:
         width = self.encoding.shape[0]
         noise = np.zeros((length, width))
         if self.noise_sigma > 0:
-            innovations = self.noise_sigma * rng.normal(size=(length, width))
-            if self.noise_rho == 0.0:
-                noise = innovations
-            else:
-                innovation_scale = math.sqrt(1.0 - self.noise_rho**2)
-                row = innovations[0]
-                noise[0] = row
-                for t in range(1, length):
-                    row = self.noise_rho * row + innovation_scale * innovations[t]
-                    noise[t] = row
+            noise = _ar1(self.noise_sigma * rng.normal(size=(length, width)), self.noise_rho)
         if self.bias_sigma > 0:
             noise = noise + self.bias_sigma * rng.normal(size=width)
         return noise
+
+
+def _ar1(innovations: np.ndarray, rho: float) -> np.ndarray:
+    """x_t = rho x_(t-1) + sqrt(1 - rho^2) e_t from x_0 = e_0, computed in place over rows."""
+    if rho != 0.0:
+        scale = math.sqrt(1.0 - rho**2)
+        for t in range(1, len(innovations)):
+            innovations[t] = rho * innovations[t - 1] + scale * innovations[t]
+    return innovations
 
 
 @dataclass(frozen=True)
@@ -239,11 +239,7 @@ def generate(
         noise = feature_model.nuisance_sigma * rng.normal(
             size=(length, feature_model.nuisance_dim)
         )
-        if feature_model.noise_rho > 0.0:
-            scale = math.sqrt(1.0 - feature_model.noise_rho**2)
-            for t in range(1, length):
-                noise[t] = feature_model.noise_rho * noise[t - 1] + scale * noise[t]
-        features = np.hstack([features, noise])
+        features = np.hstack([features, _ar1(noise, feature_model.noise_rho)])
     return Sequence(trajectory=trajectory, relatives=relatives, features=features, seed=seed)
 
 
@@ -263,34 +259,18 @@ def subsequence_spans(
     return spans
 
 
-def sample_subsequences(
-    sequence: Sequence, count: int, min_len: int, max_len: int, seed: int
-) -> list[Sequence]:
-    """Contiguous random slices, re-anchored so each starts at the identity."""
-    samples = []
-    for start, length in subsequence_spans(len(sequence), count, min_len, max_len, seed):
-        relatives = sequence.relatives[start : start + length].copy()
-        features = sequence.features[start : start + length].copy()
-        trajectory = geo.accumulate_vectors(relatives)
-        samples.append(
-            Sequence(trajectory=trajectory, relatives=relatives, features=features, seed=seed)
-        )
-    return samples
-
-
 @dataclass(frozen=True)
 class FeatureStats:
     """Training-set feature statistics, reapplied verbatim at test time."""
 
     mean: np.ndarray
-    std: np.ndarray
 
 
 def feature_stats(dataset: list[Sequence]) -> FeatureStats:
     if not dataset:
         raise ValueError("dataset is empty")
     stacked = np.vstack([seq.features for seq in dataset])
-    return FeatureStats(mean=stacked.mean(axis=0), std=stacked.std(axis=0))
+    return FeatureStats(mean=stacked.mean(axis=0))
 
 
 def apply_feature_stats(sequence: Sequence, stats: FeatureStats) -> Sequence:
@@ -310,22 +290,13 @@ def normalize_features(dataset: list[Sequence]) -> tuple[list[Sequence], Feature
 #   features/NN.csv   header row, then one feature row per relative step
 #   meta.txt          flat key=value lines (seeds, model parameters)
 #
-# Floats are written with repr, so every array reads back bit for bit.
+# The tables go through ``geometry.write_csv``, so every array reads back bit for bit.
 
 _RELATIVE_COLUMNS = ("tx", "ty", "tz", "roll", "pitch", "yaw")
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def _read_csv(path) -> np.ndarray:
-    with open(path) as f:
-        next(f)  # header
-        return np.array([[float(v) for v in line.split(",")] for line in f if line.strip()])
+def _read_array(path) -> np.ndarray:
+    return np.array(geo.read_csv(path)[1], dtype=np.float64)
 
 
 def save_dataset(directory, sequences: list[Sequence], meta: dict) -> None:
@@ -334,9 +305,13 @@ def save_dataset(directory, sequences: list[Sequence], meta: dict) -> None:
         (directory / sub).mkdir(parents=True, exist_ok=True)
     for index, seq in enumerate(sequences):
         geo.save_trajectory_kitti(seq.trajectory, directory / "poses" / f"{index:02d}.txt")
-        _write_csv(directory / "relatives" / f"{index:02d}.csv", _RELATIVE_COLUMNS, seq.relatives)
+        geo.write_csv(
+            directory / "relatives" / f"{index:02d}.csv", _RELATIVE_COLUMNS, seq.relatives.tolist()
+        )
         feature_header = [f"feat_{i}" for i in range(seq.features.shape[1])]
-        _write_csv(directory / "features" / f"{index:02d}.csv", feature_header, seq.features)
+        geo.write_csv(
+            directory / "features" / f"{index:02d}.csv", feature_header, seq.features.tolist()
+        )
     lines = dict(meta)
     lines["sequences"] = len(sequences)
     for index, seq in enumerate(sequences):
@@ -358,8 +333,8 @@ def load_dataset(directory) -> tuple[list[Sequence], dict]:
     sequences = []
     for index in range(count):
         trajectory = geo.load_trajectory_kitti(directory / "poses" / f"{index:02d}.txt")
-        relatives = _read_csv(directory / "relatives" / f"{index:02d}.csv")
-        features = _read_csv(directory / "features" / f"{index:02d}.csv")
+        relatives = _read_array(directory / "relatives" / f"{index:02d}.csv")
+        features = _read_array(directory / "features" / f"{index:02d}.csv")
         seed = int(meta.get(f"seed_{index:02d}", 0))
         sequences.append(
             Sequence(trajectory=trajectory, relatives=relatives, features=features, seed=seed)

@@ -3,11 +3,16 @@
 A run is fully determined by its RunConfig: the master seed derives, in fixed
 order, the data seeds, the parameter-init seed, and the per-epoch sampling
 seeds, so two runs with the same config produce bit-identical logs and
-checkpoints. Each epoch resamples random sub-trajectories from every training
-sequence, takes one Adam step per sub-trajectory (gradients clipped by global
-norm), evaluates the validation loss under the stage's own weights, and feeds
-it to the stage scheduler. Checkpoints are written at every stage boundary
-and at the end.
+checkpoints. Each epoch draws random contiguous spans of every training
+sequence, takes one Adam step per span (gradients clipped by global norm),
+evaluates the validation loss under the stage's own weights, and feeds it to
+the stage scheduler. Checkpoints are written at every stage boundary and at
+the end.
+
+The schedule is the tuple ``alphas``, one stage per value: ``RunConfig``
+reverses it for the anti-curriculum, requires one repeated value for a fixed
+run, and checks the mode, the loss weights and the stage rules when it is
+built, so a bad config fails before any file is written.
 
 The ablation grid and alpha sweep hold data and initialization fixed per seed
 so that only the objective schedule differs between the compared runs.
@@ -30,6 +35,7 @@ from . import loss as ls
 from . import model as md
 from . import synthdata as sd
 
+SCHEDULE_MODES = ("curriculum", "anti-curriculum", "fixed")
 ABLATION_MODES = ("curriculum", "anti-curriculum", "fixed-relative", "fixed-bounded")
 SWEEP_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -91,8 +97,13 @@ class RunConfig:
             raise ValueError("val_split must be in (0, 1)")
         if self.preset not in sd.MOTION_PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
+        if self.mode not in SCHEDULE_MODES:
+            raise ValueError(f"mode must be one of {SCHEDULE_MODES}, got {self.mode!r}")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "lstm_sizes", tuple(int(n) for n in self.lstm_sizes))
+        if self.mode == "fixed" and len(set(self.alphas)) != 1:
+            raise ValueError("fixed mode needs a single alpha value")
+        self.schedule()  # the loss-weight and stage checks
 
     def regressor_config(self, input_dim: int) -> md.RegressorConfig:
         return md.RegressorConfig(
@@ -103,7 +114,9 @@ class RunConfig:
         )
 
     def schedule(self) -> cur.CurriculumSchedule:
-        common = dict(
+        """One stage per alpha: reversed for the anti-curriculum, as given otherwise."""
+        return cur.build_schedule(
+            self.alphas[::-1] if self.mode == "anti-curriculum" else self.alphas,
             delta=self.delta,
             zeta=self.zeta,
             window=self.window,
@@ -111,16 +124,6 @@ class RunConfig:
             patience=self.patience,
             min_delta=self.min_delta,
         )
-        if self.mode == "curriculum":
-            return cur.curriculum_schedule(self.alphas, **common)
-        if self.mode == "anti-curriculum":
-            return cur.anti_curriculum_schedule(self.alphas, **common)
-        if self.mode == "fixed":
-            alphas = set(self.alphas)
-            if len(alphas) != 1:
-                raise ValueError("fixed mode needs a single alpha value")
-            return cur.fixed_schedule(self.alphas[0], repeats=len(self.alphas), **common)
-        raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -152,17 +155,19 @@ class RunLog:
 
 
 def save_runlog(runlog: RunLog, path) -> None:
-    with open(path, "w") as f:
-        f.write("epoch,stage,alpha,train_loss,val_loss\n")
-        for r in runlog.records:
-            f.write(f"{r.epoch},{r.stage},{r.alpha!r},{r.train_loss!r},{r.val_loss!r}\n")
+    geo.write_csv(
+        path,
+        ("epoch", "stage", "alpha", "train_loss", "val_loss"),
+        ((r.epoch, r.stage, r.alpha, r.train_loss, r.val_loss) for r in runlog.records),
+    )
 
 
 def save_transitions(runlog: RunLog, path) -> None:
-    with open(path, "w") as f:
-        f.write("epoch,stage,alpha,val_loss\n")
-        for t in runlog.transitions:
-            f.write(f"{t.epoch},{t.stage},{t.alpha!r},{t.val_loss!r}\n")
+    geo.write_csv(
+        path,
+        ("epoch", "stage", "alpha", "val_loss"),
+        ((t.epoch, t.stage, t.alpha, t.val_loss) for t in runlog.transitions),
+    )
 
 
 @dataclass
@@ -474,14 +479,17 @@ def ablate(
 
 
 def write_ablation_csv(report: AblationReport, path) -> None:
-    with open(path, "w") as f:
-        f.write("mode,seed,stage,val_relative_loss,segment_trans_pct,segment_rot_deg_per_m\n")
-        for row in report.rows:
-            for sm in row.stages:
-                f.write(
-                    f"{row.mode},{row.seed},{sm.stage},{sm.val_relative_loss!r},"
-                    f"{sm.segment_trans_pct!r},{sm.segment_rot_deg_per_m!r}\n"
-                )
+    geo.write_csv(
+        path,
+        ("mode", "seed", "stage", "val_relative_loss", "segment_trans_pct",
+         "segment_rot_deg_per_m"),
+        (
+            (row.mode, row.seed, sm.stage, sm.val_relative_loss, sm.segment_trans_pct,
+             sm.segment_rot_deg_per_m)
+            for row in report.rows
+            for sm in row.stages
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -538,10 +546,8 @@ def alpha_sweep(config: RunConfig, alphas=SWEEP_ALPHAS, epochs: int = 10) -> Swe
 
 
 def write_sweep_csv(report: SweepReport, path) -> None:
-    with open(path, "w") as f:
-        f.write("alpha,trans_err_m,rot_err_deg,trans_norm,rot_norm\n")
-        for row in report.rows:
-            f.write(
-                f"{row.alpha!r},{row.trans_err_m!r},{row.rot_err_deg!r},"
-                f"{row.trans_norm!r},{row.rot_norm!r}\n"
-            )
+    geo.write_csv(
+        path,
+        ("alpha", "trans_err_m", "rot_err_deg", "trans_norm", "rot_norm"),
+        ((r.alpha, r.trans_err_m, r.rot_err_deg, r.trans_norm, r.rot_norm) for r in report.rows),
+    )

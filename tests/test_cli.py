@@ -151,6 +151,53 @@ class TestTrainCommand:
     def test_bad_flag_exits_one(self):
         assert cli.main(["train", "--nonsense"]) == 1
 
+    @pytest.mark.parametrize(
+        "objective",
+        ["mode = bogus", "mode = fixed\nalphas = 0.5,1.0", "alphas = 1.0,1.5", "window = 0"],
+        ids=["unknown-mode", "fixed-needs-one-alpha", "alpha-out-of-range", "window-zero"],
+    )
+    def test_objective_error_is_config_error(self, tmp_path, capsys, objective):
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[objective]\n{objective}\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 1
+        assert "config errors" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def assert_plots_match(csv_path, svg_path, tmp_path, *metric):
+    """The command's SVG is byte-equal to ``curvo plot`` of the CSV it wrote."""
+    replot = tmp_path / f"replot_{svg_path.name}"
+    assert cli.main(["plot", "--report", str(csv_path), *metric, "--out", str(replot)]) == 0
+    assert svg_path.read_bytes() == replot.read_bytes()
+
+
+class TestComparisonCommands:
+    def test_ablate(self, config_file, tmp_path):
+        config_file.write_text(CONFIG_TEXT.replace("max_epochs_per_stage = 3",
+                                                   "max_epochs_per_stage = 2"))
+        out = tmp_path / "ablation"
+        assert cli.main(["ablate", "--config", str(config_file), "--seeds", "0,1",
+                         "--out", str(out)]) == 0
+        lines = (out / "ablation.csv").read_text().splitlines()
+        assert lines[0] == ("mode,seed,stage,val_relative_loss,segment_trans_pct,"
+                            "segment_rot_deg_per_m")
+        assert len(lines) == 1 + 4 * 2 * 3  # modes x seeds x stages
+        for metric, name in (("trans", "ablation_translation.svg"),
+                             ("rot", "ablation_rotation.svg")):
+            assert_plots_match(out / "ablation.csv", out / name, tmp_path, "--metric", metric)
+        assert (out / "manifest.txt").exists()
+
+    def test_alpha_sweep(self, config_file, tmp_path):
+        out = tmp_path / "sweep"
+        assert cli.main(["alpha-sweep", "--config", str(config_file), "--alphas", "0,0.5,1",
+                         "--epochs", "2", "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "alpha,trans_err_m,rot_err_deg,trans_norm,rot_norm"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "0.5", "1.0"]
+        assert_plots_match(out / "sweep.csv", out / "sweep.svg", tmp_path)
+        assert (out / "manifest.txt").exists()
+
 
 class TestEvalCommand:
     def test_identical_files_zero_reports(self, tmp_path):

@@ -43,12 +43,24 @@ class TestRunConfig:
             tiny_config(preset="flying")
 
     def test_schedule_modes(self):
-        assert tiny_config(mode="curriculum").schedule().alphas() == (1.0, 0.5, 0.1)
-        assert tiny_config(mode="anti-curriculum").schedule().alphas() == (0.1, 0.5, 1.0)
-        fixed = tiny_config(mode="fixed", alphas=(0.5, 0.5, 0.5)).schedule()
-        assert fixed.alphas() == (0.5, 0.5, 0.5)
+        def alphas(config):
+            return tuple(stage.weights.alpha for stage in config.schedule().stages)
+
+        assert alphas(tiny_config(mode="curriculum")) == (1.0, 0.5, 0.1)
+        assert alphas(tiny_config(mode="anti-curriculum")) == (0.1, 0.5, 1.0)
+        assert alphas(tiny_config(mode="fixed", alphas=(0.5, 0.5, 0.5))) == (0.5, 0.5, 0.5)
         with pytest.raises(ValueError):
-            tiny_config(mode="fixed", alphas=(0.5, 1.0)).schedule()
+            tiny_config(mode="fixed", alphas=(0.5, 1.0))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(mode="bogus"), dict(alphas=(1.0, 1.5)), dict(window=0), dict(alphas=()),
+         dict(max_epochs_per_stage=0)],
+        ids=["mode", "alpha-range", "window", "no-stages", "stage-epochs"],
+    )
+    def test_schedule_checked_at_construction(self, overrides):
+        with pytest.raises(ValueError):
+            tiny_config(**overrides)
 
     def test_stage_params_applied(self):
         schedule = tiny_config(max_epochs_per_stage=7, patience=4, min_delta=0.01).schedule()
