@@ -201,6 +201,10 @@ def cmd_ablate(args) -> int:
 def cmd_alpha_sweep(args) -> int:
     config = load_run_config(args.config, overrides={"seed": args.seed})
     alphas = _parse_float_tuple(args.alphas)
+    try:
+        tr.sweep_configs(config, alphas, args.epochs)
+    except ValueError as exc:
+        raise UsageError(f"config errors:\n  {exc}") from None
     out = Path(args.out)
     write_manifest(out, "alpha-sweep", config,
                    extra={"alphas": args.alphas, "epochs": args.epochs})

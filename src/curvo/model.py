@@ -7,11 +7,13 @@ tanh, then ``c' = f*c + i*g`` and ``h' = o*tanh(c')``. A bias column is added
 on top of the stacked product (zero bias reproduces the bias-free cell
 exactly); the forget-gate slice is initialized to +1 for trainability.
 
-Vectors are (n, 1) columns throughout; the outputs of a sequence are (T, 6)
-rows, one pose per step, ordered (tx, ty, tz, roll, pitch, yaw). One time
-loop runs the sequence: ``predict`` calls it with no tape, and
-``forward_sequence`` records its rows as a single tape node whose VJP is the
-hand-written BPTT.
+Vectors are (n, 1) columns, stacked along a leading T axis over a sequence;
+the outputs of a sequence are (T, 6) rows, one pose per step, ordered (tx,
+ty, tz, roll, pitch, yaw). The network runs one layer at a time, each
+layer's time loop over all T steps before the next starts, then the head
+over all T at once: ``predict`` runs it with no tape, ``forward_sequence``
+records its rows as one tape node whose VJP is the hand-written BPTT, and
+``lstm_cell`` is the layer loop at T=1.
 """
 
 from __future__ import annotations
@@ -89,45 +91,62 @@ def init_params(config: RegressorConfig, seed: int) -> ad.ParamStore:
     return store
 
 
-def _cell_kernel(x, h_prev, c_prev, w, b):
-    """The cell on plain (n, 1) arrays: (h', c', what the adjoint helpers read)."""
-    n = h_prev.shape[0]
-    stacked = np.vstack([x, h_prev])
-    gates = w @ stacked + b
-    sig = 1.0 / (1.0 + np.exp(-gates[: 3 * n]))
-    g = np.tanh(gates[3 * n :])
-    c_new = sig[n : 2 * n] * c_prev + sig[:n] * g
-    tanh_c = np.tanh(c_new)
-    o = sig[2 * n :]
-    return o * tanh_c, c_new, (stacked, c_prev, sig[:n], sig[n : 2 * n], o, g, tanh_c)
+def _layer(x, h, c, w, b):
+    """One LSTM layer over the (T, m, 1) inputs ``x``. Row t of the (T + 1, m + n, 1)
+    ``stacked`` is step t's (x, h) column, the same product operand as
+    ``np.vstack([x, h])``, and the step writes its h' into row t + 1. Returns
+    what the adjoint helpers read: stacked (whose ``[1:, m:]`` are the hs), the
+    (T + 1, n, 1) cs from c on, the (T, n, 1) activations (i, f, o, g) and tanh(c')."""
+    (steps, m, _), n = x.shape, h.shape[0]
+    stacked = np.empty((steps + 1, m + n, 1))
+    stacked[:-1, :m] = x
+    stacked[0, m:] = h
+    cs = np.empty((steps + 1, n, 1))
+    cs[0] = c
+    act, tanh_c = np.empty((steps, 4 * n, 1)), np.empty((steps, n, 1))
+    i, f, o, g = (act[:, k * n : (k + 1) * n] for k in range(4))
+    # each step's views come from iterating the arrays, which costs less than indexing
+    for col, a, s, i_t, f_t, o_t, g_t, c_prev, c_t, tc, h_t in zip(
+            stacked, act, act[:, : 3 * n], i, f, o, g, cs, cs[1:], tanh_c, stacked[1:, m:]):
+        np.add(w @ col, b, out=a)
+        np.divide(1.0, 1.0 + np.exp(-s), out=s)
+        np.tanh(g_t, out=g_t)
+        np.multiply(f_t, c_prev, out=c_t)
+        c_t += i_t * g_t
+        np.multiply(o_t, np.tanh(c_t, out=tc), out=h_t)
+    return stacked, cs, (i, f, o, g), tanh_c
 
 
-def _output_adjoint(gh, cache):
-    """From h''s adjoint: the output gate's pre-activation adjoint and c''s share."""
-    o, tanh_c = cache[4], cache[6]
+def _output_adjoint(gh, cache, t):
+    """From step t's h' adjoint: the output gate's pre-activation adjoint and c''s share."""
+    o, tanh_c = cache[2][2][t], cache[3][t]  # cache[2] holds (i, f, o, g)
     return gh * tanh_c * o * (1.0 - o), gh * o * (1.0 - tanh_c * tanh_c)
 
 
-def _gate_adjoint(gc, d_o, w, cache):
-    """The cell's adjoint from c''s whole adjoint ``gc`` and the output gate's
-    ``d_o``: one contribution each to x, h, c, the weights and the bias."""
-    stacked, c_prev, i, f, _, g, _ = cache
-    n = i.shape[0]
-    d_gates = np.empty((4 * n, 1))
-    d_gates[:n] = gc * g * i * (1.0 - i)
-    d_gates[n : 2 * n] = gc * c_prev * f * (1.0 - f)
-    d_gates[2 * n : 3 * n] = d_o
-    d_gates[3 * n :] = gc * i * (1.0 - g * g)
-    d_stacked = w.T @ d_gates
-    m = stacked.shape[0] - n
-    return d_stacked[:m], d_stacked[m:], gc * f, d_gates @ stacked.T, d_gates
+def _gate_adjoint(gc, d_o, w_t, cache, t, d_gates):
+    """Step t's adjoint from c''s whole adjoint ``gc`` and the output gate's ``d_o``:
+    writes the four gates' adjoint into ``d_gates[t]``; returns the (x, h)
+    column's adjoint, through the transposed weights ``w_t``, and c's share."""
+    _, cs, (i, f, _, g), _ = cache
+    i, f, g, d = i[t], f[t], g[t], d_gates[t]
+    n = len(i)
+    d[:n] = gc * g * i * (1.0 - i)
+    d[n : 2 * n] = gc * cs[t] * f * (1.0 - f)
+    d[2 * n : 3 * n] = d_o
+    d[3 * n :] = gc * i * (1.0 - g * g)
+    return w_t @ d, gc * f
+
+
+def _descending_sum(parts):
+    """``parts[T-1] + parts[T-2] + ... + parts[0]``, added in that order."""
+    return sum(parts[-2::-1], parts[-1])
 
 
 def lstm_cell(x: ad.Value, state: tuple[ad.Value, ad.Value], weights: ad.Value, bias: ad.Value):
     """One cell update; returns (h', c') as tape Values.
 
-    The cell is one fused kernel recorded as two tape nodes, c' and then h'.
-    The reverse sweep reaches h' first: its VJP passes the output-gate
+    The cell is the layer loop at T=1, recorded as two tape nodes, c' and then
+    h'. The reverse sweep reaches h' first: its VJP passes the output-gate
     adjoint on to the VJP of c', which assembles the adjoint of all four
     gates once and pushes it through the stacked weights in one product.
     """
@@ -139,20 +158,23 @@ def lstm_cell(x: ad.Value, state: tuple[ad.Value, ad.Value], weights: ad.Value, 
     if bias.shape != (4 * n, 1):
         raise ad.ShapeMismatchError("lstm_cell", bias.shape, (4 * n, 1))
     w = weights.data
-    h_new, c_new, cache = _cell_kernel(x.data, h_prev.data, c_prev.data, w, bias.data)
+    cache = _layer(x.data.reshape(1, m, 1), h_prev.data, c_prev.data, w, bias.data)
+    stacked, cs = cache[:2]
     output_gate_adjoint = []  # handed from the VJP of h' to the VJP of c'
 
     def c_vjp(gc):
         d_o = output_gate_adjoint.pop() if output_gate_adjoint else 0.0
-        return _gate_adjoint(gc, d_o, w, cache)
+        d_gates = np.empty((1, 4 * n, 1))
+        d_stacked, d_c = _gate_adjoint(gc, d_o, w.T, cache, 0, d_gates)
+        return d_stacked[:m], d_stacked[m:], d_c, d_gates[0] @ stacked[0].T, d_gates[0]
 
     def h_vjp(gh):
-        d_o, d_c = _output_adjoint(gh, cache)
+        d_o, d_c = _output_adjoint(gh, cache, 0)
         output_gate_adjoint.append(d_o)
         return (d_c,)
 
-    c_value = ad.fused((x, h_prev, c_prev, weights, bias), c_new, c_vjp)
-    return ad.fused((c_value,), h_new, h_vjp), c_value
+    c_value = ad.fused((x, h_prev, c_prev, weights, bias), cs[1], c_vjp)
+    return ad.fused((c_value,), stacked[1, m:], h_vjp), c_value
 
 
 def _checked_inputs(op: str, features, config: RegressorConfig, initial: HiddenState | None):
@@ -168,72 +190,70 @@ def _checked_inputs(op: str, features, config: RegressorConfig, initial: HiddenS
 
 
 def _run(features, config: RegressorConfig, params, layers, dropout_rng=None, saved=None):
-    """The time loop: cells, inter-layer dropout (only with a generator; masks
-    drawn time-major, then by layer) and head. Returns the (T, 6) rows and the
-    final per-layer (h, c); each step appends what ``_bptt`` reads to ``saved``.
-    """
-    cells = [(params[f"lstm{layer}.W"], params[f"lstm{layer}.b"])
-             for layer in range(len(config.lstm_sizes))]
-    dropout = config.dropout if dropout_rng is not None else 0.0
-    layers = list(layers)
-    rows = np.empty((features.shape[0], OUTPUT_DIM))
-    for t in range(features.shape[0]):
-        x = features[t].reshape(-1, 1)
-        step = []
-        for layer, (w, b) in enumerate(cells):
-            x, c, cache = _cell_kernel(x, *layers[layer], w, b)
-            layers[layer] = (x, c)
-            keep = None
-            if dropout > 0.0 and layer < len(cells) - 1:
-                keep = (dropout_rng.random(x.shape) >= dropout) / (1.0 - dropout)
-                x = x * keep
-            step.append((cache, keep))
-        head_in = x
-        if config.head_hidden is not None:
-            x = np.tanh(params["head0.W"] @ x + params["head0.b"])
-        rows[t] = (params["head.W"] @ x + params["head.b"])[:, 0]
+    """The regressor one layer at a time over all T steps, then the head over the
+    top layer's (T, k, 1) outputs; dropout only with a generator, its masks drawn
+    at once but filled time-major, then by layer, as per-step draws were. Returns
+    the (T, 6) rows and final per-layer (h, c); appends each layer's (cache, mask),
+    then the head's input and output, to ``saved``, which ``_bptt`` reads."""
+    steps, sizes = features.shape[0], config.lstm_sizes
+    masks = [None] * len(sizes)
+    if dropout_rng is not None and config.dropout > 0.0:
+        draw = dropout_rng.random((steps, sum(sizes[:-1]), 1))
+        keep = (draw >= config.dropout) / (1.0 - config.dropout)
+        masks[:-1] = [keep[:, end - n : end] for n, end in zip(sizes, np.cumsum(sizes[:-1]))]
+    x = features.reshape(steps, -1, 1)
+    final = []
+    for layer, ((h, c), mask) in enumerate(zip(layers, masks)):
+        m = x.shape[1]
+        cache = _layer(x, h, c, params[f"lstm{layer}.W"], params[f"lstm{layer}.b"])
+        final.append((cache[0][-1, m:].copy(), cache[1][-1].copy()))
+        x = cache[0][1:, m:] if mask is None else cache[0][1:, m:] * mask
         if saved is not None:
-            saved.append((step, head_in, x))
-    return rows, layers
+            saved.append((cache, mask))
+        del cache  # unless saved, the layer's arrays go once the next layer has copied x
+    head_in = x
+    if config.head_hidden is not None:
+        x = np.tanh(np.matmul(params["head0.W"], x) + params["head0.b"])
+    if saved is not None:
+        saved.append((head_in, x))
+    return (np.matmul(params["head.W"], x) + params["head.b"]).reshape(steps, OUTPUT_DIM), final
 
 
 def _bptt(g, config: RegressorConfig, params, saved) -> dict[str, np.ndarray]:
-    """Each parameter's gradient from the rows' (T, 6) adjoint ``g``. Steps run
-    from T-1 down to 0 and each parameter's parts add to a running sum in that
-    order, the order ``ad.backward`` uses over a graph of one node per cell,
-    dropout mask and head op, so the sums equal that graph's bit for bit."""
-    sums: dict[str, np.ndarray] = {}
-
-    def accumulate(name, part):
-        sums[name] = part if name not in sums else sums[name] + part
-
-    top = len(config.lstm_sizes) - 1
-    d_h = [None] * (top + 1)  # adjoint reaching each layer's h from the next step
-    d_c = [None] * (top + 1)
-    g = np.ascontiguousarray(g)
-    for t in range(len(saved) - 1, -1, -1):
-        step, head_in, head_out = saved[t]
-        d_row = g[t].reshape(-1, 1)
-        accumulate("head.b", d_row)
-        accumulate("head.W", d_row @ head_out.T)
-        d_x = params["head.W"].T @ d_row
-        if config.head_hidden is not None:
-            d_z = d_x * (1.0 - head_out * head_out)
-            accumulate("head0.b", d_z)
-            accumulate("head0.W", d_z @ head_in.T)
-            d_x = params["head0.W"].T @ d_z
-        for layer in range(top, -1, -1):
-            cache, keep = step[layer]
-            if keep is not None:
-                d_x = d_x * keep
-            gh = d_x if d_h[layer] is None else d_h[layer] + d_x
-            d_o, gc = _output_adjoint(gh, cache)
-            if d_c[layer] is not None:
-                gc = d_c[layer] + gc
-            d_x, d_h[layer], d_c[layer], d_w, d_b = _gate_adjoint(
-                gc, d_o, params[f"lstm{layer}.W"], cache)
-            accumulate(f"lstm{layer}.W", d_w)
-            accumulate(f"lstm{layer}.b", d_b)
+    """Each parameter's gradient from the rows' (T, 6) adjoint ``g``: the head over
+    all T rows at once, then each layer from the top, its steps from T-1 down
+    to 0. Each parameter's per-step parts are added in descending t, the order
+    ``ad.backward`` uses over a graph of one node per cell, dropout mask and
+    head op, so the sums equal that graph's bit for bit."""
+    *caches, (head_in, head_out) = saved
+    d_rows = np.ascontiguousarray(g).reshape(-1, OUTPUT_DIM, 1)
+    sums = {"head.b": _descending_sum(d_rows),
+            "head.W": _descending_sum(d_rows * head_out.transpose(0, 2, 1))}
+    d_x = np.matmul(params["head.W"].T, d_rows)
+    if config.head_hidden is not None:
+        d_z = d_x * (1.0 - head_out * head_out)
+        sums["head0.b"] = _descending_sum(d_z)
+        sums["head0.W"] = _descending_sum(d_z * head_in.transpose(0, 2, 1))
+        d_x = np.matmul(params["head0.W"].T, d_z)
+    for layer in range(len(caches) - 1, -1, -1):
+        cache, mask = caches[layer]
+        if mask is not None:
+            d_x = d_x * mask
+        w_t, stacked = params[f"lstm{layer}.W"].T, cache[0][:-1]
+        m = stacked.shape[1] - d_x.shape[1]
+        d_gates = np.empty((len(stacked), w_t.shape[1], 1))
+        d_in = np.empty((len(stacked), m, 1))
+        d_h = d_c = None  # the adjoints reaching h and c from the next step
+        for t in range(len(stacked) - 1, -1, -1):
+            gh = d_x[t] if d_h is None else d_h + d_x[t]
+            d_o, gc = _output_adjoint(gh, cache, t)
+            if d_c is not None:
+                gc = d_c + gc
+            d_stacked, d_c = _gate_adjoint(gc, d_o, w_t, cache, t, d_gates)
+            d_in[t], d_h = d_stacked[:m], d_stacked[m:]
+        sums[f"lstm{layer}.W"] = _descending_sum(d_gates * stacked.transpose(0, 2, 1))
+        sums[f"lstm{layer}.b"] = _descending_sum(d_gates)
+        d_x = d_in
     return sums
 
 

@@ -506,6 +506,16 @@ class SweepReport:
     rows: list[SweepRow] = field(default_factory=list)
 
 
+def sweep_configs(config: RunConfig, alphas, epochs: int) -> list[RunConfig]:
+    """One first-stage-only config per alpha: a single fixed stage of ``epochs``
+    epochs. Building them checks each alpha and the epoch count (ValueError)."""
+    return [
+        replace(config, mode="fixed", alphas=(alpha,), max_epochs_per_stage=epochs,
+                patience=epochs, out_dir=None)
+        for alpha in alphas
+    ]
+
+
 def alpha_sweep(config: RunConfig, alphas=SWEEP_ALPHAS, epochs: int = 10) -> SweepReport:
     """First-stage-only training at each fixed alpha, on shared data and init.
 
@@ -513,19 +523,10 @@ def alpha_sweep(config: RunConfig, alphas=SWEEP_ALPHAS, epochs: int = 10) -> Swe
     worst alpha in the sweep maps to 1.0.
     """
     alphas = [float(a) for a in alphas]
-    if any(not 0.0 <= a <= 1.0 for a in alphas):
-        raise ValueError("sweep alphas must lie in [0, 1]")
+    configs = sweep_configs(config, alphas, epochs)
     data = prepare_data(replace(config, out_dir=None))
     raw = []
-    for alpha in alphas:
-        sweep_cfg = replace(
-            config,
-            mode="fixed",
-            alphas=(alpha,),
-            max_epochs_per_stage=epochs,
-            patience=epochs,
-            out_dir=None,
-        )
+    for sweep_cfg in configs:
         store, _ = train(sweep_cfg, data=data)
         model_cfg = sweep_cfg.regressor_config(data.input_dim)
         raw.append(relative_pose_errors(store, model_cfg, data.val))

@@ -198,6 +198,15 @@ class TestComparisonCommands:
         assert_plots_match(out / "sweep.csv", out / "sweep.svg", tmp_path)
         assert (out / "manifest.txt").exists()
 
+    @pytest.mark.parametrize("flag", [["--alphas", "2"], ["--epochs", "0"]],
+                             ids=["alpha-out-of-range", "no-epochs"])
+    def test_alpha_sweep_flag_error_is_config_error(self, config_file, tmp_path, capsys, flag):
+        out = tmp_path / "sweep"
+        assert cli.main(["alpha-sweep", "--config", str(config_file), *flag,
+                         "--out", str(out)]) == 1
+        assert "config errors" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvalCommand:
     def test_identical_files_zero_reports(self, tmp_path):

@@ -105,6 +105,24 @@ class TestSegmentErrors:
         report = ev.segment_errors(gt, gt, [5, 500])
         assert report.lengths == (5.0,)
 
+    @pytest.mark.parametrize("make, longest_spans", [(random_trajectory, 1),
+                                                     (trajectory_with_stops, 2)])
+    def test_equals_single_length_calls_bit_for_bit(self, make, longest_spans):
+        for seed in range(10):  # a lone span's error can round apart from a batched one
+            rng = np.random.default_rng(seed)
+            gt = make(rng, 80, angle=0.3)
+            est = make(rng, 80, angle=0.3)
+            path = np.cumsum(np.linalg.norm(np.diff(gt.positions, axis=0), axis=1))
+            # reached only from the frames before the first move
+            longest = float(path[-1] - path[path > 0][0] / 2)
+            lengths = [0.5, 2.0, 1000.0, 5.0, 10.0, longest]  # 1000 m is past the path
+            report = ev.segment_errors(gt, est, lengths)
+            singles = [ev.segment_errors(gt, est, [length]) for length in lengths[:2] + lengths[3:]]
+            assert report.lengths == (0.5, 2.0, 5.0, 10.0, longest)
+            assert report.segment_counts[-1] == longest_spans
+            for field in ("lengths", "trans_err_pct", "rot_err_deg_per_m", "segment_counts"):
+                assert getattr(report, field) == tuple(getattr(s, field)[0] for s in singles), field
+
     def test_all_unreachable_raises(self):
         gt = straight_line(5)
         with pytest.raises(ev.SegmentTooLongError):

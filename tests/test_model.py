@@ -87,6 +87,51 @@ def per_step_graph(tape, features, cfg, store, initial=None, dropout_rng=None):
     return stacked, model.HiddenState([(h.data, c.data) for h, c in layers])
 
 
+def assert_gradients_equal_per_step_graph(sizes, head_hidden, dropout, seeded, steps):
+    """forward_sequence's loss and gradients equal per_step_graph's under ==."""
+    cfg = model.RegressorConfig(input_dim=3, lstm_sizes=sizes, head_hidden=head_hidden,
+                                dropout=dropout)
+    store = model.init_params(cfg, seed=14)
+    rng = np.random.default_rng(15)
+    features = rng.normal(size=(steps, 3))
+    gt = rng.uniform(-0.3, 0.3, size=(steps, 6))
+    initial = model.HiddenState(
+        [(rng.normal(size=(n, 1)), rng.normal(size=(n, 1))) for n in sizes]
+    )
+    weights = loss.LossWeights(alpha=0.5, delta=1.0, zeta=3.0, window=2)
+    grads = []
+    for run in (model.forward_sequence, per_step_graph):
+        drop = np.random.default_rng(19) if seeded else None
+        tape = ad.Tape()
+        preds, _ = run(tape, features, cfg, store, initial, drop)
+        total = loss.sequence_loss(preds, gt, weights)
+        ad.backward(total)
+        grads.append((total.item(), {n: g.copy() for n, g in store.grads.items()}))
+        store.zero_grads()
+    (fused_loss, fused), (graph_loss, graph) = grads
+    assert fused_loss == graph_loss
+    for name in store.names():
+        assert np.array_equal(fused[name], graph[name]), name
+
+
+def assert_predict_equals_forward_sequence(sizes, head_hidden, dropout, steps):
+    """predict's rows and final state equal forward_sequence's under ==."""
+    cfg = model.RegressorConfig(input_dim=3, lstm_sizes=sizes, head_hidden=head_hidden,
+                                dropout=dropout)
+    store = model.init_params(cfg, seed=14)
+    rng = np.random.default_rng(15)
+    features = rng.normal(size=(steps, 3))
+    initial = model.HiddenState(
+        [(rng.normal(size=(n, 1)), rng.normal(size=(n, 1))) for n in sizes]
+    )
+    preds, taped = model.forward_sequence(ad.Tape(), features, cfg, store, initial=initial)
+    rows, final = model.predict(features, cfg, store, initial=initial)
+    assert np.array_equal(rows, preds.data)
+    assert len(final.layers) == len(sizes)
+    for (h, c), (h_ref, c_ref) in zip(final.layers, taped.layers):
+        assert np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
+
+
 class TestLstmCell:
     def test_zero_weights_zero_cell(self):
         # all-zero weights and bias: i = f = o = 0.5, g = 0, so c' = h' = 0
@@ -276,33 +321,18 @@ class TestForwardSequence:
         ((3, 4, 2), None, 0.0, False),
         ((4, 4), None, 0.5, False),
         ((4, 4), None, 0.5, True),
+        ((5, 3, 4), 1, 0.3, True),  # unequal layers pin the order of the mask draws
     ])
     def test_gradients_equal_per_step_graph(self, sizes, head_hidden, dropout, seeded):
         # the BPTT adds each parameter's per-step parts in the order backward
         # adds them over a graph of one node per step op: equal under ==
-        cfg = model.RegressorConfig(input_dim=3, lstm_sizes=sizes, head_hidden=head_hidden,
-                                    dropout=dropout)
-        store = model.init_params(cfg, seed=14)
-        rng = np.random.default_rng(15)
-        features = rng.normal(size=(9, 3))
-        gt = rng.uniform(-0.3, 0.3, size=(9, 6))
-        initial = model.HiddenState(
-            [(rng.normal(size=(n, 1)), rng.normal(size=(n, 1))) for n in sizes]
-        )
-        weights = loss.LossWeights(alpha=0.5, delta=1.0, zeta=3.0, window=2)
-        grads = []
-        for run in (model.forward_sequence, per_step_graph):
-            drop = np.random.default_rng(19) if seeded else None
-            tape = ad.Tape()
-            preds, _ = run(tape, features, cfg, store, initial, drop)
-            total = loss.sequence_loss(preds, gt, weights)
-            ad.backward(total)
-            grads.append((total.item(), {n: g.copy() for n, g in store.grads.items()}))
-            store.zero_grads()
-        (fused_loss, fused), (graph_loss, graph) = grads
-        assert fused_loss == graph_loss
-        for name in store.names():
-            assert np.array_equal(fused[name], graph[name]), name
+        assert_gradients_equal_per_step_graph(sizes, head_hidden, dropout, seeded, steps=9)
+
+    @pytest.mark.parametrize("steps", [1, 24])
+    def test_sequence_length_gradients_equal_per_step_graph(self, steps):
+        # 24 steps of (T, 1, 1) head0.b parts: a numpy reduce, which sums them
+        # pairwise, gives other bits here
+        assert_gradients_equal_per_step_graph((5, 3, 4), 1, 0.3, True, steps)
 
     def test_feature_width_checked(self):
         cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4,))
@@ -317,21 +347,24 @@ class TestPredict:
         ((4, 3), 7, 0.0),
         ((3, 4, 2), None, 0.0),
         ((4, 4), None, 0.5),  # dropout configured, but no generator: off in both
+        ((5, 3, 4), 1, 0.3),
     ])
     def test_equals_forward_sequence_bit_for_bit(self, sizes, head_hidden, dropout):
-        cfg = model.RegressorConfig(input_dim=3, lstm_sizes=sizes, head_hidden=head_hidden,
-                                    dropout=dropout)
-        store = model.init_params(cfg, seed=14)
-        rng = np.random.default_rng(15)
-        features = rng.normal(size=(9, 3))
-        initial = model.HiddenState(
-            [(rng.normal(size=(n, 1)), rng.normal(size=(n, 1))) for n in sizes]
-        )
-        preds, taped = model.forward_sequence(ad.Tape(), features, cfg, store, initial=initial)
-        rows, final = model.predict(features, cfg, store, initial=initial)
-        assert np.array_equal(rows, preds.data)
-        assert len(final.layers) == len(sizes)
-        for (h, c), (h_ref, c_ref) in zip(final.layers, taped.layers):
+        assert_predict_equals_forward_sequence(sizes, head_hidden, dropout, steps=9)
+
+    def test_single_step_equals_forward_sequence(self):
+        assert_predict_equals_forward_sequence((5, 3, 4), 1, 0.3, steps=1)
+
+    @pytest.mark.parametrize("sizes,head_hidden", [((4, 3), None), ((5, 3, 4), 1)])
+    def test_state_threading_bit_identical(self, sizes, head_hidden):
+        cfg = model.RegressorConfig(input_dim=3, lstm_sizes=sizes, head_hidden=head_hidden)
+        store = model.init_params(cfg, seed=5)
+        features = np.random.default_rng(6).normal(size=(8, 3))
+        whole, end = model.predict(features, cfg, store)
+        head, mid = model.predict(features[:3], cfg, store)
+        tail, split_end = model.predict(features[3:], cfg, store, initial=mid)
+        assert np.array_equal(np.vstack([head, tail]), whole)
+        for (h, c), (h_ref, c_ref) in zip(split_end.layers, end.layers):
             assert np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
 
     def test_feature_width_checked(self):
