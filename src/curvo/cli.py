@@ -151,6 +151,7 @@ def cmd_gen_data(args) -> int:
         nuisance_dim=args.nuisance_dim,
         noise_sigma=args.noise_sigma,
         seed=args.seed,
+        subseq_min=1, subseq_max=1,  # no spans are drawn; one step fits any length
     )
     sequences = tr.generate_sequences(config)
     meta = {

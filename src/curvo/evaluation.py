@@ -83,9 +83,9 @@ def _relatives(traj: geo.Trajectory, start: np.ndarray, end: np.ndarray):
 
 def _mismatch(gt_rel, est_rel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of relative_between(gt_rel, est_rel): its translation norm and
-    geodesic angle (radians), plus the norm of the gt_rel translation."""
+    geodesic angle 2 atan2(|v|, |w|) (radians), plus the norm of the gt_rel translation."""
     t, q = _between(gt_rel, est_rel)
-    angle = 2.0 * np.arccos(np.minimum(1.0, np.abs(q[:, 0]) / np.linalg.norm(q, axis=1)))
+    angle = 2.0 * np.arctan2(np.linalg.norm(q[:, 1:], axis=1), np.abs(q[:, 0]))
     return np.linalg.norm(t, axis=1), angle, np.linalg.norm(gt_rel[0], axis=1)
 
 

@@ -9,8 +9,8 @@ The window composite chains the last w step predictions through SE(3)
 composition in chronological order (the step w frames back is applied first),
 so with perfect predictions it reproduces the ground-truth pose of frame t
 relative to frame t-w. Predictions and the ground truth go through the same
-closed-form chain on plain floats, ``_compose_chain``: one quaternion per
-operand straight from its Euler angles, then t += R(P) t_k and P = P x q_k,
+closed-form chain on plain floats, ``_compose_chains``: one quaternion per
+row straight from its Euler angles, then t += R(P) t_k and P = P x q_k,
 with the scalar kernels ``geometry._qmul`` and ``_qrot``. The composite stays
 a (t, q) pair. Its rotation residual is the log map of q_d = q_gt* x q, with
 q_d's sign chosen so that w >= 0 (the short way round):
@@ -72,23 +72,24 @@ class LossWeights:
             raise ValueError(f"window must be >= 1, got {self.window}")
 
 
-def _compose_chain(rows: list[list[float]]):
-    """Compose (t, r) rows left to right (oldest first) in closed form.
-
-    Returns the composite translation and quaternion, each operand's
-    quaternion and each operand's prefix product P_k = q_0 x ... x q_(k-1)
-    (P_0 is the identity). The translation accumulates t += R(P_k) t_k.
-    """
-    quats = [_euler_quat(*row[3:]) for row in rows]
-    prefixes = [_IDENTITY]
-    tx, ty, tz = rows[0][:3]
-    q = quats[0]
-    for row, q_k in zip(rows[1:], quats[1:]):
-        prefixes.append(q)
-        rx, ry, rz = _qrot(q, row[:3])
-        tx, ty, tz = tx + rx, ty + ry, tz + rz
-        q = _qmul(q, q_k)
-    return (tx, ty, tz), q, quats, prefixes
+def _compose_chains(rows: list[list[float]], window: int) -> list[tuple]:
+    """Compose each full window of (t, r) rows left to right (oldest first) in
+    closed form, from one quaternion per row. Returns, per window, the composite
+    translation and quaternion, each operand's quaternion and prefix product
+    P_k = q_0 x ... x q_(k-1) (P_0 is the identity); t accumulates R(P_k) t_k."""
+    quats, chains = [_euler_quat(*row[3:]) for row in rows], []
+    for start in range(len(rows) - window + 1):
+        operands, operand_quats = rows[start : start + window], quats[start : start + window]
+        prefixes = [_IDENTITY]
+        tx, ty, tz = operands[0][:3]
+        q = operand_quats[0]
+        for row, q_k in zip(operands[1:], operand_quats[1:]):
+            prefixes.append(q)
+            rx, ry, rz = _qrot(q, row[:3])
+            tx, ty, tz = tx + rx, ty + ry, tz + rz
+            q = _qmul(q, q_k)
+        chains.append(((tx, ty, tz), q, operand_quats, prefixes))
+    return chains
 
 
 def _log_map(q_gt, q):
@@ -133,7 +134,7 @@ def _euler_adjoint(r, q, g) -> list[float]:
 
 
 def _compose_chain_vjp(rows, quats, prefixes, g_t, g_q) -> list[list[float]]:
-    """Adjoint of ``_compose_chain`` at ``rows``: one (t, r) 6-list per operand.
+    """Adjoint of one ``_compose_chains`` window at ``rows``: one (t, r) 6-list per operand.
 
     The scan runs backwards from the adjoints of the composite translation
     (``g_t``, the same for every operand's term) and quaternion (``g_q``).
@@ -157,20 +158,20 @@ def ground_truth_window_relatives(gt_relatives, window: int) -> tuple[np.ndarray
     """(N, 3) translations and (N, 4) quaternions of the N = T - window + 1 full
     windows of (T, 6) rows: row i composes steps i .. i + window - 1, the pose of
     frame i + window relative to frame i."""
-    rows = np.asarray(gt_relatives, dtype=np.float64).reshape(-1, 6).tolist()
-    chains = [_compose_chain(rows[i : i + window]) for i in range(len(rows) - window + 1)]
+    chains = _compose_chains(np.asarray(gt_relatives, float).reshape(-1, 6).tolist(), window)
     return (np.array([c[0] for c in chains]).reshape(-1, 3),
             np.array([c[1] for c in chains]).reshape(-1, 4))
 
 
-def _objective(rows: np.ndarray, gt_relatives, weights: LossWeights):
+def _objective(rows: np.ndarray, gt_relatives, weights: LossWeights, truth_windows=None):
     """The blended objective of (T, 6) predicted rows; returns ((1, 1) total, vjp).
 
     Relative terms run over every step; composite terms start at the first
     step with a full window and pass through the rising-value gate. Each sum
     adds left to right. At alpha = 1 the windows are skipped entirely, which
     keeps the total bit-identical to a composite-free sum of the relative
-    terms. ``vjp(g)`` maps the total's adjoint to ``(rows' (T, 6) adjoint,)``.
+    terms. ``truth_windows`` defaults to ``ground_truth_window_relatives`` of the
+    truth rows. ``vjp(g)`` maps the total's adjoint to ``(rows' (T, 6) adjoint,)``.
     """
     gt_relatives = np.asarray(gt_relatives, dtype=np.float64)
     steps = len(rows)
@@ -191,8 +192,10 @@ def _objective(rows: np.ndarray, gt_relatives, weights: LossWeights):
     opened: list[int] = []  # window i covers rows i .. i + window - 1
     if alpha < 1.0:
         chains = rows.tolist()
-        windows = [_compose_chain(chains[i : i + window]) for i in range(steps - window + 1)]
-        truth_t, truth_q = ground_truth_window_relatives(gt_relatives, window)
+        windows = _compose_chains(chains, window)
+        truth_t, truth_q = truth_windows or ground_truth_window_relatives(gt_relatives, window)
+        if truth_t.shape != (len(windows), 3):
+            raise ad.ShapeMismatchError("sequence_loss", truth_t.shape, (len(windows), 3))
         logs = [_log_map(q_gt, chain[1]) for q_gt, chain in zip(truth_q.tolist(), windows)]
         com_diff = np.hstack([np.array([chain[0] for chain in windows]).reshape(-1, 3) - truth_t,
                               np.array([phi for phi, _ in logs]).reshape(-1, 3)]).T
@@ -225,12 +228,14 @@ def sequence_loss(
     predictions: ad.Value,
     gt_relatives: np.ndarray,
     weights: LossWeights,
+    truth_windows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ad.Value:
     """The objective over ``forward_sequence``'s (T, 6) predictions, as one tape node."""
-    total, vjp = _objective(predictions.data, gt_relatives, weights)
+    total, vjp = _objective(predictions.data, gt_relatives, weights, truth_windows)
     return ad.fused((predictions,), total, vjp)
 
 
-def sequence_loss_value(rows: np.ndarray, gt_relatives: np.ndarray, weights: LossWeights) -> float:
+def sequence_loss_value(rows: np.ndarray, gt_relatives: np.ndarray, weights: LossWeights,
+                        truth_windows: tuple[np.ndarray, np.ndarray] | None = None) -> float:
     """``sequence_loss`` of plain (T, 6) rows, with no tape: the no-grad twin."""
-    return _objective(np.asarray(rows, dtype=np.float64), gt_relatives, weights)[0].item()
+    return _objective(np.asarray(rows, float), gt_relatives, weights, truth_windows)[0].item()

@@ -117,24 +117,32 @@ def _layer(x, h, c, w, b):
     return stacked, cs, (i, f, o, g), tanh_c
 
 
-def _output_adjoint(gh, cache, t):
-    """From step t's h' adjoint: the output gate's pre-activation adjoint and c''s share."""
-    o, tanh_c = cache[2][2][t], cache[3][t]  # cache[2] holds (i, f, o, g)
-    return gh * tanh_c * o * (1.0 - o), gh * o * (1.0 - tanh_c * tanh_c)
+def _adjoint_factors(cache):
+    """Every step's recurrence-free factors at once: the A, B, C blocks of the chains
+    ((x * A) * B) * C of ``_output_adjoint`` and ``_gate_adjoint``, then f. A chain of
+    two products has C = 1.0 (x * 1.0 == x); the gate blocks' o slot is a placeholder."""
+    _, cs, (i, f, o, g), tanh_c = cache
+    one = np.ones_like(i)
+    blocks = np.concatenate([tanh_c, o, o, 1.0 - tanh_c * tanh_c, 1.0 - o, one, g, cs[:-1], one, i,
+                             i, f, one, 1.0 - g * g, 1.0 - i, 1.0 - f, one, one], axis=1)
+    blocks, ends = blocks.reshape(len(i), 18, -1, 1), (0, 2, 4, 6, 10, 14, 18)
+    return [blocks[:, a:b] for a, b in zip(ends, ends[1:])] + [f]
 
 
-def _gate_adjoint(gc, d_o, w_t, cache, t, d_gates):
-    """Step t's adjoint from c''s whole adjoint ``gc`` and the output gate's ``d_o``:
-    writes the four gates' adjoint into ``d_gates[t]``; returns the (x, h)
-    column's adjoint, through the transposed weights ``w_t``, and c's share."""
-    _, cs, (i, f, _, g), _ = cache
-    i, f, g, d = i[t], f[t], g[t], d_gates[t]
-    n = len(i)
-    d[:n] = gc * g * i * (1.0 - i)
-    d[n : 2 * n] = gc * cs[t] * f * (1.0 - f)
-    d[2 * n : 3 * n] = d_o
-    d[3 * n :] = gc * i * (1.0 - g * g)
-    return w_t @ d, gc * f
+def _output_adjoint(gh, a, b, c):
+    """gh * tanh(c') * o * (1 - o), the output gate's adjoint, and c''s share
+    gh * o * (1 - tanh(c')^2), from a step's h' adjoint ``gh``."""
+    return gh * a * b * c
+
+
+def _gate_adjoint(gc, d_o, a, b, c, f, w_t, d, out):
+    """Writes the gates' adjoint gc * g * i * (1 - i), gc * c_prev * f * (1 - f), d_o
+    and gc * i * (1 - g^2) into the (4n, 1) column ``d``; returns the (x, h) column's
+    adjoint ``w_t @ d``, written into ``out``, and c's share gc * f."""
+    d4 = d.reshape(4, -1, 1)
+    np.multiply(gc * a * b, c, out=d4)
+    d4[2] = d_o
+    return np.matmul(w_t, d, out=out), gc * f
 
 
 def _descending_sum(parts):
@@ -159,21 +167,21 @@ def lstm_cell(x: ad.Value, state: tuple[ad.Value, ad.Value], weights: ad.Value, 
         raise ad.ShapeMismatchError("lstm_cell", bias.shape, (4 * n, 1))
     w = weights.data
     cache = _layer(x.data.reshape(1, m, 1), h_prev.data, c_prev.data, w, bias.data)
-    stacked, cs = cache[:2]
+    stacked, factors = cache[0], [a[0] for a in _adjoint_factors(cache)]
     output_gate_adjoint = []  # handed from the VJP of h' to the VJP of c'
 
     def c_vjp(gc):
         d_o = output_gate_adjoint.pop() if output_gate_adjoint else 0.0
-        d_gates = np.empty((1, 4 * n, 1))
-        d_stacked, d_c = _gate_adjoint(gc, d_o, w.T, cache, 0, d_gates)
-        return d_stacked[:m], d_stacked[m:], d_c, d_gates[0] @ stacked[0].T, d_gates[0]
+        d_gates = np.empty((4 * n, 1))
+        d_stacked, d_c = _gate_adjoint(gc, d_o, *factors[3:], w.T, d_gates, np.empty((m + n, 1)))
+        return d_stacked[:m], d_stacked[m:], d_c, d_gates @ stacked[0].T, d_gates
 
     def h_vjp(gh):
-        d_o, d_c = _output_adjoint(gh, cache, 0)
+        d_o, d_c = _output_adjoint(gh, *factors[:3])
         output_gate_adjoint.append(d_o)
         return (d_c,)
 
-    c_value = ad.fused((x, h_prev, c_prev, weights, bias), cs[1], c_vjp)
+    c_value = ad.fused((x, h_prev, c_prev, weights, bias), cache[1][1], c_vjp)
     return ad.fused((c_value,), stacked[1, m:], h_vjp), c_value
 
 
@@ -241,19 +249,19 @@ def _bptt(g, config: RegressorConfig, params, saved) -> dict[str, np.ndarray]:
             d_x = d_x * mask
         w_t, stacked = params[f"lstm{layer}.W"].T, cache[0][:-1]
         m = stacked.shape[1] - d_x.shape[1]
-        d_gates = np.empty((len(stacked), w_t.shape[1], 1))
-        d_in = np.empty((len(stacked), m, 1))
+        d_gates, d_stacked = np.empty((len(stacked), w_t.shape[1], 1)), np.empty(stacked.shape)
         d_h = d_c = None  # the adjoints reaching h and c from the next step
-        for t in range(len(stacked) - 1, -1, -1):
-            gh = d_x[t] if d_h is None else d_h + d_x[t]
-            d_o, gc = _output_adjoint(gh, cache, t)
-            if d_c is not None:
-                gc = d_c + gc
-            d_stacked, d_c = _gate_adjoint(gc, d_o, w_t, cache, t, d_gates)
-            d_in[t], d_h = d_stacked[:m], d_stacked[m:]
+        for dx, o_a, o_b, o_c, g_a, g_b, g_c, f, d, ds in zip(*(a[::-1] for a in (
+                d_x, *_adjoint_factors(cache), d_gates, d_stacked))):
+            gh = dx if d_h is None else d_h + dx
+            d_o, c_share = _output_adjoint(gh, o_a, o_b, o_c)
+            gc = c_share if d_c is None else d_c + c_share
+            d_c = _gate_adjoint(gc, d_o, g_a, g_b, g_c, f, w_t, d, ds)[1]
+            d_h = ds[m:]
+        del o_a, o_b, o_c, g_a, g_b, g_c  # views that would keep the factors alive below
         sums[f"lstm{layer}.W"] = _descending_sum(d_gates * stacked.transpose(0, 2, 1))
         sums[f"lstm{layer}.b"] = _descending_sum(d_gates)
-        d_x = d_in
+        d_x = d_stacked[:, :m]
     return sums
 
 

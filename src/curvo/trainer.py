@@ -103,6 +103,10 @@ class RunConfig:
         object.__setattr__(self, "lstm_sizes", tuple(int(n) for n in self.lstm_sizes))
         if self.mode == "fixed" and len(set(self.alphas)) != 1:
             raise ValueError("fixed mode needs a single alpha value")
+        if self.subseq_count < 1 or not 1 <= self.subseq_min <= self.subseq_max:
+            raise ValueError("need subseq_count >= 1 and 1 <= subseq_min <= subseq_max")
+        if self.dataset_dir is None and self.subseq_max > self.seq_length:
+            raise ValueError(f"subseq_max {self.subseq_max} exceeds seq_length {self.seq_length}")
         self.schedule()  # the loss-weight and stage checks
 
     def regressor_config(self, input_dim: int) -> md.RegressorConfig:
@@ -298,6 +302,10 @@ def train(
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    # every stage shares the window, so each sequence's truth windows are built once;
+    # a span's are a slice of them, with the same bits
+    truths = [ls.ground_truth_window_relatives(seq.relatives, config.window)
+              for seq in data.train] if min(config.alphas) < 1.0 else None
     runlog = RunLog()
     progress = cur.StageProgress()
     epoch = 0
@@ -320,7 +328,10 @@ def train(
                     tape, seq.features[start : start + length], model_cfg, store,
                     dropout_rng=dropout_rng,
                 )
-                total = ls.sequence_loss(preds, seq.relatives[start : start + length], weights)
+                end = start + max(0, length - config.window + 1)  # the span's windows
+                windows = truths and tuple(a[start:end] for a in truths[seq_index])
+                gt = seq.relatives[start : start + length]
+                total = ls.sequence_loss(preds, gt, weights, windows)
                 value = total.item()
                 if not math.isfinite(value):
                     raise NonFiniteLossError(epoch, progress.stage_index, "train", value, seq_index)

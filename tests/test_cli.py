@@ -165,6 +165,20 @@ class TestTrainCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", ["subseq_count = 0", "subseq_min = 0", "subseq_max = 300"],
+                         ids=["no-spans", "min-zero", "max-past-length"])
+def test_span_setting_error_is_config_error(config_file, tmp_path, capsys, setting):
+    key = setting.split(" = ")[0]
+    lines = [setting if line.startswith(f"{key} = ") else line
+             for line in CONFIG_TEXT.splitlines()]
+    config_file.write_text("\n".join(lines) + "\n")
+    for command in (["train"], ["ablate", "--seeds", "0,1"], ["alpha-sweep"]):
+        out = tmp_path / command[0]
+        assert cli.main([*command, "--config", str(config_file), "--out", str(out)]) == 1
+        assert "config errors" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def assert_plots_match(csv_path, svg_path, tmp_path, *metric):
     """The command's SVG is byte-equal to ``curvo plot`` of the CSV it wrote."""
     replot = tmp_path / f"replot_{svg_path.name}"

@@ -224,6 +224,15 @@ class TestRpe:
         assert abs(report.trans_err_pct - np.mean(trans_terms)) < 1e-9
         assert abs(report.rot_err_deg - np.mean(rot_terms)) < 1e-9
 
+    @pytest.mark.parametrize("angle", [1e-7, 1e-8])
+    def test_small_rotation_error_is_exact(self, angle):
+        # est turns by `angle` about z at every frame; gt does not turn
+        gt = straight_line(11)
+        half = np.arange(11) * angle / 2
+        turning = np.stack([np.cos(half), 0 * half, 0 * half, np.sin(half)], axis=1)
+        report = ev.rpe(gt, geo.Trajectory(gt.positions, turning))
+        assert report.rot_err_deg == pytest.approx(math.degrees(angle), rel=1e-9)
+
     def test_degenerate_frames_skipped_and_counted(self):
         gt = geo.Trajectory([[0, 0, 0], [0, 0, 0], [1, 0, 0]], [[1, 0, 0, 0]] * 3)
         report = ev.rpe(gt, gt)

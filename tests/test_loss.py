@@ -415,6 +415,31 @@ class TestSequenceLoss:
         taped = loss.sequence_loss(make_predictions(ad.Tape(), pred), gt, weights).item()
         assert loss.sequence_loss_value(pred, gt, weights) == taped
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("window, start, length", [
+        *((w, start, length) for w in (1, 2, 3, 4) for start, length in ((0, 8), (6, 7), (14, 6))),
+        *((w, 9, w - 1) for w in (2, 3, 4)),  # shorter than the window: an empty slice
+    ])
+    def test_sliced_truth_windows_equal_the_span_own(self, alpha, window, start, length):
+        # a span takes its windows from the sequence's, as the trainer slices them
+        pred, gt = self._seeded_case(70 + window, steps=20)
+        weights = loss.LossWeights(alpha=alpha, delta=1.3, zeta=4.0, window=window)
+        end = start + max(0, length - window + 1)
+        sliced = tuple(a[start:end] for a in loss.ground_truth_window_relatives(gt, window))
+        rows, truth = pred[start : start + length], gt[start : start + length]
+        results = []
+        for truth_windows in (None, sliced):
+            tape = ad.Tape()
+            values = make_predictions(tape, rows)
+            total = loss.sequence_loss(values, truth, weights, truth_windows)
+            ad.backward(total)
+            results.append((total.item(), values.grad))
+        (own, own_grad), (cut, cut_grad) = results
+        assert cut == own
+        assert np.array_equal(cut_grad, own_grad)
+        assert loss.sequence_loss_value(rows, truth, weights, sliced) == own
+        assert len(sliced[0]) == max(0, length - window + 1)
+
     def test_records_one_tape_node(self):
         pred, gt = self._seeded_case(61, steps=6)
         tape = ad.Tape()

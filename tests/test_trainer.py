@@ -183,6 +183,28 @@ class TestTrain:
         tr.train(config, data=data)
         assert built == []
 
+    def test_truth_windows_built_once_per_training_sequence(self, monkeypatch):
+        config = tiny_config()
+        data = tr.prepare_data(config)
+        calls = []
+        original = ls.ground_truth_window_relatives
+
+        def spy(gt_relatives, window):
+            calls.append(gt_relatives)
+            return original(gt_relatives, window)
+
+        monkeypatch.setattr(ls, "ground_truth_window_relatives", spy)
+        _, runlog = tr.train(config, data=data)
+        trained = [k for gt in calls for k, seq in enumerate(data.train) if gt is seq.relatives]
+        validated = [gt for gt in calls if any(gt is seq.relatives for seq in data.val)]
+        assert trained == list(range(len(data.train)))
+        assert len(validated) == len(data.val) * sum(r.alpha < 1.0 for r in runlog.records) > 0
+        assert len(calls) == len(trained) + len(validated)
+
+        calls.clear()
+        tr.train(tiny_config(mode="fixed", alphas=(1.0, 1.0)), data=data)
+        assert calls == []
+
     def test_checkpoints_written(self, tmp_path):
         config = tiny_config(out_dir=str(tmp_path / "run"))
         tr.train(config)
