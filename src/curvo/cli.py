@@ -143,16 +143,19 @@ def write_manifest(out_dir: Path, command: str, config: tr.RunConfig | None, ext
 
 def cmd_gen_data(args) -> int:
     out = Path(args.out)
-    config = tr.RunConfig(
-        preset=args.preset,
-        n_sequences=args.sequences,
-        seq_length=args.length,
-        feature_dim=args.feature_dim,
-        nuisance_dim=args.nuisance_dim,
-        noise_sigma=args.noise_sigma,
-        seed=args.seed,
-        subseq_min=1, subseq_max=1,  # no spans are drawn; one step fits any length
-    )
+    try:
+        config = tr.RunConfig(
+            preset=args.preset,
+            n_sequences=args.sequences,
+            seq_length=args.length,
+            feature_dim=args.feature_dim,
+            nuisance_dim=args.nuisance_dim,
+            noise_sigma=args.noise_sigma,
+            seed=args.seed,
+            subseq_min=1, subseq_max=1,  # no spans are drawn; one step fits any length
+        )
+    except ValueError as exc:
+        raise UsageError(f"config errors:\n  {exc}") from None
     sequences = tr.generate_sequences(config)
     meta = {
         "preset": args.preset,

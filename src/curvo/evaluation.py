@@ -67,24 +67,16 @@ def _check_aligned(gt: geo.Trajectory, est: geo.Trajectory) -> None:
         raise ValueError(f"trajectories differ in length: {len(gt)} vs {len(est)}")
 
 
-def _between(a, b):
-    """relative_between(a[k], b[k]) for row-aligned (positions, quaternions) arrays."""
-    (ta, qa), (tb, qb) = a, b
-    q_inv = (qa * geo._CONJUGATE).T  # geometry's kernels take one quaternion per column
-    rotated = np.einsum("ijn,nj->ni", geo.quat_to_matrix(q_inv), tb - ta)
-    return rotated, geo.quat_mul(q_inv, qb.T).T
-
-
 def _relatives(traj: geo.Trajectory, start: np.ndarray, end: np.ndarray):
     """relative_between(pose[start], pose[end]) per index pair."""
     positions, quaternions = traj.positions, traj.quaternions
-    return _between((positions[start], quaternions[start]), (positions[end], quaternions[end]))
+    return geo._between(positions[start], quaternions[start], positions[end], quaternions[end])
 
 
 def _mismatch(gt_rel, est_rel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of relative_between(gt_rel, est_rel): its translation norm and
     geodesic angle 2 atan2(|v|, |w|) (radians), plus the norm of the gt_rel translation."""
-    t, q = _between(gt_rel, est_rel)
+    t, q = geo._between(*gt_rel, *est_rel)
     angle = 2.0 * np.arctan2(np.linalg.norm(q[:, 1:], axis=1), np.abs(q[:, 0]))
     return np.linalg.norm(t, axis=1), angle, np.linalg.norm(gt_rel[0], axis=1)
 
@@ -100,25 +92,30 @@ def segment_errors(gt: geo.Trajectory, est: geo.Trajectory, lengths) -> SegmentE
     steps = np.linalg.norm(np.diff(gt.positions, axis=0), axis=1)
     distances = np.concatenate([[0.0], np.cumsum(steps)])
     starts = np.arange(len(gt))
-    out_lengths, out_trans, out_rot, out_counts = [], [], [], []
+    spans = []  # (length, start frames, end frames) of each length that has a span
     for length in lengths:
         if length <= 0:
             raise ValueError(f"segment length must be positive, got {length}")
         # the first frame at or past the target path length, and never the start itself
         ends = np.maximum(np.searchsorted(distances, distances + length), starts + 1)
-        start, end = starts[ends < len(gt)], ends[ends < len(gt)]
-        if len(start):
-            trans, angle, _ = _mismatch(_relatives(gt, start, end), _relatives(est, start, end))
-            out_lengths.append(float(length))
-            out_trans.append(float(np.mean(trans / length * 100.0)))
-            out_rot.append(float(np.mean(np.degrees(angle) / length)))
-            out_counts.append(len(start))
-    if not out_lengths:
+        fits = ends < len(gt)
+        if fits.any():
+            spans.append((float(length), starts[fits], ends[fits]))
+    if not spans:
         raise SegmentTooLongError(
             f"no segment of any requested length fits a path of {distances[-1]:.3f} m"
         )
+    # one call for the spans of every length: a row's bits do not depend on its company
+    out_lengths, start, end = zip(*spans)
+    start, end = np.concatenate(start), np.concatenate(end)
+    trans, angle, _ = _mismatch(_relatives(gt, start, end), _relatives(est, start, end))
+    counts = tuple(len(s) for _, s, _ in spans)
+    trans, angle = (np.split(x, np.cumsum(counts)[:-1]) for x in (trans, angle))
     return SegmentErrorReport(
-        tuple(out_lengths), tuple(out_trans), tuple(out_rot), tuple(out_counts)
+        out_lengths,
+        tuple(float(np.mean(t / length * 100.0)) for t, length in zip(trans, out_lengths)),
+        tuple(float(np.mean(np.degrees(a) / length)) for a, length in zip(angle, out_lengths)),
+        counts,
     )
 
 

@@ -14,9 +14,10 @@ Conventions, fixed once for the whole package:
 canonical rows, which its producers fill without building a Pose per row.
 The scalar kernels ``_qmul`` (Hamilton product) and ``_qrot`` (rotation of a
 3-vector) run the trajectory scan here and, in ``loss``, the window chain and
-its reverse scan. No derivatives live here: the objective differentiates its
-chain in quaternions, so Euler extraction, and with it ``GimbalLockError``,
-happens only at this module's Pose/Euler boundary.
+its reverse scan. ``_between`` is the one relative-pose kernel, and its rotation
+half ``_qrel`` is also the loss's log-map argument. No derivatives live here:
+the objective differentiates its chain in quaternions, so Euler extraction, and
+with it ``GimbalLockError``, happens only at this module's Pose/Euler boundary.
 
 All functions are pure and operate on float64 throughout.
 """
@@ -72,6 +73,15 @@ def _qmul(q1, q2) -> tuple:
         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
         w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
     )
+
+
+def _qrel(qa, qb) -> tuple:
+    """qa* x qb as (a w + u.v, (a v - w u) - u x v), which is exactly v = 0 for equal
+    rotations; on floats, or on arrays one quaternion per column."""
+    a, ux, uy, uz = qa
+    w, vx, vy, vz = qb
+    return (a * w + (ux * vx + uy * vy + uz * vz), (a * vx - w * ux) - (uy * vz - uz * vy),
+            (a * vy - w * uy) - (uz * vx - ux * vz), (a * vz - w * uz) - (ux * vy - uy * vx))
 
 
 def _qrot(q, v) -> tuple:
@@ -184,14 +194,21 @@ def compose(parent: Pose, child: Pose) -> Pose:
 
 def inverse(p: Pose) -> Pose:
     """The transform undoing ``p``: compose(p, inverse(p)) == identity."""
-    q = p.quaternion * _CONJUGATE
-    t = -(quat_to_matrix(q) @ p.translation)
-    return Pose(t, q)
+    return relative_between(p, _IDENTITY)
 
 
 def relative_between(a: Pose, b: Pose) -> Pose:
     """The transform taking frame ``a`` to frame ``b``: inverse(a) o b."""
-    return compose(inverse(a), b)
+    t, q = _between(a.translation[None], a.quaternion[None],
+                    b.translation[None], b.quaternion[None])
+    return Pose(t[0], q[0])
+
+
+def _between(ta, qa, tb, qb) -> tuple[np.ndarray, np.ndarray]:
+    """The one relative-pose kernel, rows relative_between(a[k], b[k]) of (N, 3) positions
+    and (N, 4) quaternions: R(qa)^T (tb - ta) and qa* x qb, not normalized. Row-wise, so
+    a row's bits do not depend on its company, and exactly zero for equal poses."""
+    return _rotate(qa * _CONJUGATE, tb - ta), np.array(_qrel(qa.T, qb.T)).T
 
 
 _IDENTITY = Pose()
@@ -231,17 +248,7 @@ def _accumulate(steps, initial: Pose) -> Trajectory:
 
 def euler_to_pose(t, r) -> Pose:
     """Pose from translation and (roll, pitch, yaw); R = Rz(yaw) Ry(pitch) Rx(roll)."""
-    return Pose(np.asarray(t, dtype=np.float64), _euler_quats(r)[0])
-
-
-def _euler_quats(r) -> np.ndarray:
-    """(N, 4) un-normalized products qz qy qx of (N, 3) Euler rows, on columns."""
-    half = [[f(a / 2) for f in (math.cos, math.sin) for a in row]
-            for row in np.asarray(r, dtype=np.float64).reshape(-1, 3).tolist()]
-    cr, cp, cy, sr, sp, sy = np.array(half).reshape(-1, 6).T
-    zero = np.zeros(len(cr))
-    qy_qx = quat_mul(np.array([cp, zero, sp, zero]), np.array([cr, sr, zero, zero]))
-    return quat_mul(np.array([cy, zero, zero, sy]), qy_qx).T
+    return Pose(np.asarray(t, dtype=np.float64), _euler_quat(*np.reshape(r, 3).tolist()))
 
 
 def pose_to_euler(p: Pose) -> tuple[np.ndarray, np.ndarray]:
@@ -277,20 +284,16 @@ def vector_to_pose(v) -> Pose:
 
 
 def _step_vectors(trajectory: Trajectory) -> np.ndarray:
-    """Rows pose_to_vector(relative_between(poses[k], poses[k+1])), bit for bit:
-    ``inverse`` rotates by the un-normalized conjugate, ``compose`` by the normalized one."""
+    """Rows pose_to_vector(relative_between(poses[k], poses[k+1])), bit for bit."""
     t, q = trajectory.positions, trajectory.quaternions
-    conjugate = q[:-1] * _CONJUGATE
-    inverse_q = _normalize_quat(conjugate)
-    rel_t = -_rotate(conjugate, t[:-1]) + _rotate(inverse_q, t[1:])
-    rel_q = _normalize_quat(quat_mul(inverse_q.T, q[1:].T).T)
-    return np.hstack([rel_t, [_quat_to_euler(*row) for row in rel_q.tolist()]])
+    rel_t, rel_q = _between(t[:-1], q[:-1], t[1:], q[1:])
+    return np.hstack([rel_t, [_quat_to_euler(*row) for row in _normalize_quat(rel_q).tolist()]])
 
 
 def _rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rows quat_to_matrix(q[k]) @ v[k]. A stacked matmul over C-contiguous operands
-    runs the BLAS product of ``@`` on one matrix, so each row keeps its bits; einsum,
-    plain-float sums or a strided operand add the three terms in another order."""
+    runs the BLAS product of ``@`` on one matrix, so each row keeps its bits; a general
+    contraction, plain-float sums or a strided operand add the three terms in another order."""
     rotations = np.ascontiguousarray(np.moveaxis(quat_to_matrix(q.T), -1, 0))
     return np.matmul(rotations, np.ascontiguousarray(v)[:, :, None])[:, :, 0]
 

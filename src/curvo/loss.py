@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .geometry import _euler_quat, _qmul, _qrot
+from .geometry import _euler_quat, _qmul, _qrel, _qrot
 
 _IDENTITY = (1.0, 0.0, 0.0, 0.0)
 _I, _K = (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)
@@ -95,12 +95,7 @@ def _compose_chains(rows: list[list[float]], window: int) -> list[tuple]:
 def _log_map(q_gt, q):
     """The rotation residual phi = log(q_gt* x q), taken the short way round,
     and its adjoint: g -> the (w, x, y, z) adjoint of q."""
-    a, ux, uy, uz = q_gt
-    w, vx, vy, vz = q
-    # q_gt* x q grouped as (a w + u.v, (a v - w u) - u x v), so that equal rotations
-    # give exactly v = 0; the product's own term order leaves a rounding residue
-    w, x, y, z = (a * w + (ux * vx + uy * vy + uz * vz), (a * vx - w * ux) - (uy * vz - uz * vy),
-                  (a * vy - w * uy) - (uz * vx - ux * vz), (a * vz - w * uz) - (ux * vy - uy * vx))
+    w, x, y, z = _qrel(q_gt, q)  # exactly v = 0 for equal rotations
     sign = 1.0
     if w < 0.0:
         sign, w, x, y, z = -1.0, -w, -x, -y, -z

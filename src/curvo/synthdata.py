@@ -193,12 +193,17 @@ class Sequence:
         return len(self.relatives)
 
 
+def check_length(length: int) -> None:
+    """The rule on ``generate``'s step count."""
+    if length < 2:
+        raise ValueError(f"length must be >= 2, got {length}")
+
+
 def generate(
     motion: MotionModel, feature_model: FeatureModel, length: int, seed: int
 ) -> Sequence:
     """Simulate ``length`` relative steps (length+1 absolute poses)."""
-    if length < 2:
-        raise ValueError("length must be >= 2")
+    check_length(length)
     rng = np.random.default_rng(seed)
     dt = motion.dt
 
@@ -224,7 +229,7 @@ def generate(
         yaw = yaw + swept_rate * dt
         angles.append((roll, pitch, yaw))
 
-    quaternions = np.vstack([[1.0, 0.0, 0.0, 0.0], geo._euler_quats(angles)])
+    quaternions = np.array([(1.0, 0.0, 0.0, 0.0)] + [geo._euler_quat(*a) for a in angles])
     headings = geo._normalize_quat(quaternions[:-1])
     # cumsum adds step by step from the zero origin, as `position + step` would
     positions = np.cumsum(np.vstack([np.zeros(3), geo._rotate(headings, advances)]), axis=0)

@@ -103,6 +103,11 @@ class RunConfig:
         object.__setattr__(self, "lstm_sizes", tuple(int(n) for n in self.lstm_sizes))
         if self.mode == "fixed" and len(set(self.alphas)) != 1:
             raise ValueError("fixed mode needs a single alpha value")
+        if self.dataset_dir is None:  # generated data: generate's and the feature model's rules
+            if self.n_sequences < 1:
+                raise ValueError(f"need n_sequences >= 1, got {self.n_sequences}")
+            sd.check_length(self.seq_length)
+            build_feature_model(self, np.random.default_rng(0))
         if self.subseq_count < 1 or not 1 <= self.subseq_min <= self.subseq_max:
             raise ValueError("need subseq_count >= 1 and 1 <= subseq_min <= subseq_max")
         if self.dataset_dir is None and self.subseq_max > self.seq_length:

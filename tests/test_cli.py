@@ -126,6 +126,18 @@ class TestGenData:
         assert rates["walker"] > rates["vehicle"]
 
 
+    @pytest.mark.parametrize("flag", [["--length", "1"], ["--feature-dim", "3"],
+                                      ["--noise-sigma", "-1"], ["--nuisance-dim", "-1"],
+                                      ["--sequences", "0"]],
+                             ids=["length-one", "feature-dim-three", "negative-noise",
+                                  "negative-nuisance", "no-sequences"])
+    def test_bad_flag_is_config_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "data"
+        assert cli.main(["gen-data", *flag, "--out", str(out)]) == 1
+        assert "config errors" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrainCommand:
     def test_train_writes_artifacts(self, config_file, tmp_path):
         out = tmp_path / "run"
@@ -177,6 +189,23 @@ def test_span_setting_error_is_config_error(config_file, tmp_path, capsys, setti
         assert cli.main([*command, "--config", str(config_file), "--out", str(out)]) == 1
         assert "config errors" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("settings", [
+    # spans of one step fit, so only the length is wrong
+    {"length": "1", "subseq_min": "1", "subseq_max": "1"},
+    {"feature_dim": "4"},
+    {"noise_sigma": "-1"},
+], ids=["length-one", "feature-dim-four", "negative-noise"])
+def test_data_setting_error_is_config_error(config_file, tmp_path, capsys, settings):
+    lines = [next((f"{key} = {settings[key]}" for key in settings
+                   if line.startswith(f"{key} = ")), line)
+             for line in CONFIG_TEXT.splitlines()]
+    config_file.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(config_file), "--out", str(out)]) == 1
+    assert "config errors" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def assert_plots_match(csv_path, svg_path, tmp_path, *metric):

@@ -100,6 +100,13 @@ class TestSegmentErrors:
         for err in report.rot_err_deg_per_m:
             assert abs(err - bias_deg_per_m) < 0.02
 
+    def test_self_comparison_is_exactly_zero(self):
+        traj = random_trajectory(np.random.default_rng(0), 300, angle=0.3)
+        report = ev.segment_errors(traj, traj, [5, 10, 20, 40])
+        assert report.trans_err_pct == report.rot_err_deg_per_m == (0.0,) * 4
+        rpe_report = ev.rpe(traj, traj)
+        assert rpe_report.trans_err_pct == rpe_report.rot_err_deg == 0.0
+
     def test_unreachable_lengths_dropped(self):
         gt = straight_line(12)  # 11 meters of path
         report = ev.segment_errors(gt, gt, [5, 500])

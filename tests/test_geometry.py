@@ -108,6 +108,20 @@ class TestRelativeBetween:
             a, b = random_pose(rng), random_pose(rng)
             assert_pose_close(geo.compose(a, geo.relative_between(a, b)), pose_matrix(b))
 
+    def test_kernel_rows_keep_their_bits(self):
+        rng = np.random.default_rng(7)
+        a = [random_pose(rng, trans_scale=50.0) for _ in range(50)]
+        b = [random_pose(rng, trans_scale=50.0) for _ in range(50)]
+        arrays = [np.array([getattr(p, name) for p in poses])
+                  for poses in (a, b) for name in ("translation", "quaternion")]
+        batch_t, batch_q = geo._between(*arrays)
+        for k in range(50):
+            t, q = geo._between(*(x[k : k + 1] for x in arrays))
+            assert (t[0] == batch_t[k]).all() and (q[0] == batch_q[k]).all(), k
+            rel, row = geo.relative_between(a[k], b[k]), geo.Pose(t[0], q[0])
+            assert (rel.translation == row.translation).all()
+            assert (rel.quaternion == row.quaternion).all()
+
 
 class TestEulerConversions:
     def test_zero_is_identity(self):
