@@ -183,6 +183,12 @@ class ParamStore:
         for g in self.grads.values():
             g *= factor
 
+    def params_copy(self) -> "ParamStore":
+        """Copies of the parameters alone, without gradients or Adam state."""
+        copy = ParamStore()
+        copy.params = {name: arr.copy() for name, arr in self.params.items()}
+        return copy
+
     def save(self, path) -> None:
         """Textual checkpoint: magic header, then name/shape/row-major values."""
         with open(path, "w") as f:

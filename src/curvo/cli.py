@@ -52,6 +52,15 @@ def _parse_float_tuple(v):
     return tuple(float(p) for p in str(v).split(",") if p.strip())
 
 
+def _list_flag(args, name, parse):
+    """``parse`` of a comma-separated flag's value; a bad value is a usage error."""
+    raw = getattr(args, name)
+    try:
+        return parse(raw)
+    except ValueError:
+        raise UsageError(f"bad value for --{name}: {raw!r}") from None
+
+
 # section -> key -> (RunConfig field, parser)
 CONFIG_SCHEMA = {
     "data": {
@@ -143,10 +152,11 @@ def write_manifest(out_dir: Path, command: str, config: tr.RunConfig | None, ext
 
 def cmd_gen_data(args) -> int:
     out = Path(args.out)
+    if args.sequences < 1:
+        raise UsageError(f"config errors:\n  need --sequences >= 1, got {args.sequences}")
     try:
         config = tr.RunConfig(
             preset=args.preset,
-            n_sequences=args.sequences,
             seq_length=args.length,
             feature_dim=args.feature_dim,
             nuisance_dim=args.nuisance_dim,
@@ -156,7 +166,7 @@ def cmd_gen_data(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(f"config errors:\n  {exc}") from None
-    sequences = tr.generate_sequences(config)
+    sequences = tr.generate_sequences(config, args.sequences)
     meta = {
         "preset": args.preset,
         "master_seed": args.seed,
@@ -184,9 +194,11 @@ def cmd_train(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = load_run_config(args.config, overrides={"seed": args.seed})
-    seeds = _parse_int_tuple(args.seeds)
-    if len(seeds) < 2:
-        raise UsageError("--seeds needs at least two comma-separated values")
+    seeds = _list_flag(args, "seeds", _parse_int_tuple)
+    try:
+        tr.check_ablation(config, seeds)
+    except ValueError as exc:
+        raise UsageError(f"config errors:\n  {exc}") from None
     out = Path(args.out)
     write_manifest(out, "ablate", config, extra={"seeds": args.seeds})
     report = tr.ablate(config, seeds=seeds)
@@ -204,7 +216,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_alpha_sweep(args) -> int:
     config = load_run_config(args.config, overrides={"seed": args.seed})
-    alphas = _parse_float_tuple(args.alphas)
+    alphas = _list_flag(args, "alphas", _parse_float_tuple)
     try:
         tr.sweep_configs(config, alphas, args.epochs)
     except ValueError as exc:
@@ -223,20 +235,21 @@ def cmd_alpha_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    lengths = _list_flag(args, "segments", _parse_float_tuple)
+    if not lengths or not all(length > 0 for length in lengths):
+        raise UsageError(f"--segments needs positive lengths, got {args.segments!r}")
     gt = geo.load_trajectory_kitti(args.gt)
     est = geo.load_trajectory_kitti(args.est)
     if len(gt) != len(est):
         raise LineCountMismatchError(
             f"pose files differ in length: {len(gt)} ({args.gt}) vs {len(est)} ({args.est})"
         )
-    lengths = _parse_float_tuple(args.segments)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     segment = ev.segment_errors(gt, est, lengths)
     rpe_report = ev.rpe(gt, est)
     ate_report = ev.ate(gt, est)
 
+    out = Path(args.out)  # made only once every report is computed
+    out.mkdir(parents=True, exist_ok=True)
     ev.write_segment_csv(segment, out / "segment_errors.csv")
     ev.write_rpe_csv(rpe_report, out / "rpe.csv")
     ev.write_ate_csv(ate_report, out / "ate.csv", out / "ate_cdf.csv")

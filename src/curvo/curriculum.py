@@ -1,13 +1,14 @@
 """Staged objective scheduling with plateau-triggered transitions.
 
-A schedule is an ordered list of stages, each pinning the loss weights plus a
-stop rule (patience on relative validation-loss improvement, capped by a
-maximum epoch count). ``build_schedule`` makes one stage per alpha, in the
-order given, so the alpha tuple alone tells schedules apart: the standard
-ramp (1, 0.5, 0.1) moves from relative terms only to a small final value that
-emphasizes the window composite, its reversal is the anti-curriculum, and a
-repeated single value is a fixed baseline. ``trainer.RunConfig`` names those
-modes and chooses the order.
+A schedule is plain data: the loss weights of each stage, in order, and one
+stop rule that every stage shares (patience on relative validation-loss
+improvement, capped by a maximum epoch count). ``build_schedule`` makes one
+stage per alpha, in the order given, so the alpha tuple alone tells schedules
+apart: the standard ramp (1, 0.5, 0.1) moves from relative terms only to a
+small final value that emphasizes the window composite, its reversal is the
+anti-curriculum, and a repeated single value is a fixed baseline.
+``trainer.RunConfig`` names those modes, chooses the order and supplies the
+stop rule.
 
 The scheduler sees nothing but the validation-loss sequence, so replaying a
 recorded sequence reproduces the exact same transitions.
@@ -27,29 +28,24 @@ class TrainingCompleteError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Stage:
-    weights: LossWeights
-    max_epochs: int = 200
-    patience: int = 5
-    min_delta: float = 1e-4  # relative improvement threshold
+class CurriculumSchedule:
+    """The loss weights of each stage, in order, and the stop rule they share."""
+
+    stages: tuple[LossWeights, ...]
+    max_epochs: int
+    patience: int
+    min_delta: float  # relative improvement threshold
 
     def __post_init__(self):
+        if not self.stages:
+            raise ValueError("a schedule needs at least one stage")
+        object.__setattr__(self, "stages", tuple(self.stages))
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.min_delta < 0:
             raise ValueError("min_delta must be >= 0")
-
-
-@dataclass(frozen=True)
-class CurriculumSchedule:
-    stages: tuple[Stage, ...]
-
-    def __post_init__(self):
-        if not self.stages:
-            raise ValueError("a schedule needs at least one stage")
-        object.__setattr__(self, "stages", tuple(self.stages))
 
 
 @dataclass(frozen=True)
@@ -72,15 +68,14 @@ def advance(
     """
     if progress.complete:
         return progress, False
-    stage = schedule.stages[progress.stage_index]
     epochs = progress.epochs_in_stage + 1
     best = progress.best_loss
-    if best is None or (best - validation_loss) / max(abs(best), 1e-12) > stage.min_delta:
+    if best is None or (best - validation_loss) / max(abs(best), 1e-12) > schedule.min_delta:
         best = validation_loss
         stalled = 0
     else:
         stalled = progress.epochs_since_improvement + 1
-    if stalled >= stage.patience or epochs >= stage.max_epochs:
+    if stalled >= schedule.patience or epochs >= schedule.max_epochs:
         next_index = progress.stage_index + 1
         done = next_index >= len(schedule.stages)
         return StageProgress(stage_index=next_index, complete=done), True
@@ -92,7 +87,7 @@ def advance(
 def current_weights(progress: StageProgress, schedule: CurriculumSchedule) -> LossWeights:
     if progress.complete:
         raise TrainingCompleteError("all stages have finished")
-    return schedule.stages[progress.stage_index].weights
+    return schedule.stages[progress.stage_index]
 
 
 def build_schedule(
@@ -100,13 +95,8 @@ def build_schedule(
 ) -> CurriculumSchedule:
     """One stage per alpha, in the order given; every other setting is shared."""
     return CurriculumSchedule(
-        stages=tuple(
-            Stage(
-                weights=LossWeights(alpha=a, delta=delta, zeta=zeta, window=window),
-                max_epochs=max_epochs,
-                patience=patience,
-                min_delta=min_delta,
-            )
-            for a in alphas
-        )
+        stages=tuple(LossWeights(alpha=a, delta=delta, zeta=zeta, window=window) for a in alphas),
+        max_epochs=max_epochs,
+        patience=patience,
+        min_delta=min_delta,
     )

@@ -6,8 +6,9 @@ seeds, so two runs with the same config produce bit-identical logs and
 checkpoints. Each epoch draws random contiguous spans of every training
 sequence, takes one Adam step per span (gradients clipped by global norm),
 evaluates the validation loss under the stage's own weights, and feeds it to
-the stage scheduler. Checkpoints are written at every stage boundary and at
-the end.
+the stage scheduler. At every stage boundary the run log keeps a copy of the
+parameters, saved as that stage's checkpoint; the final ones are saved at the
+end. The log's transitions are the last epoch record of each stage.
 
 The schedule is the tuple ``alphas``, one stage per value: ``RunConfig``
 reverses it for the anti-curriculum, requires one repeated value for a fixed
@@ -15,7 +16,9 @@ run, and checks the mode, the loss weights and the stage rules when it is
 built, so a bad config fails before any file is written.
 
 The ablation grid and alpha sweep hold data and initialization fixed per seed
-so that only the objective schedule differs between the compared runs.
+so that only the objective schedule differs between the compared runs. The
+ablation scores each stage from the run log's parameter copies; its held-out
+sequences come from the generator, so it needs generated data.
 """
 
 from __future__ import annotations
@@ -104,8 +107,8 @@ class RunConfig:
         if self.mode == "fixed" and len(set(self.alphas)) != 1:
             raise ValueError("fixed mode needs a single alpha value")
         if self.dataset_dir is None:  # generated data: generate's and the feature model's rules
-            if self.n_sequences < 1:
-                raise ValueError(f"need n_sequences >= 1, got {self.n_sequences}")
+            if self.n_sequences < 2:  # one to train on, one to validate on
+                raise ValueError(f"need n_sequences >= 2, got {self.n_sequences}")
             sd.check_length(self.seq_length)
             build_feature_model(self, np.random.default_rng(0))
         if self.subseq_count < 1 or not 1 <= self.subseq_min <= self.subseq_max:
@@ -145,22 +148,19 @@ class EpochRecord:
     wall_time: float  # informational; never persisted (runs must be replayable)
 
 
-@dataclass(frozen=True)
-class TransitionRecord:
-    epoch: int
-    stage: int
-    alpha: float
-    val_loss: float
-
-
 @dataclass
 class RunLog:
     records: list[EpochRecord] = field(default_factory=list)
-    transitions: list[TransitionRecord] = field(default_factory=list)
+    stage_params: list[ad.ParamStore] = field(default_factory=list)  # one per stage, at its end
     final_metrics: dict = field(default_factory=dict)
 
     def stage_count(self) -> int:
         return len({r.stage for r in self.records})
+
+    @property
+    def transitions(self) -> list[EpochRecord]:
+        """The last epoch of each stage, in stage order: the one that ended it."""
+        return list({r.stage: r for r in self.records}.values())
 
 
 def save_runlog(runlog: RunLog, path) -> None:
@@ -286,16 +286,8 @@ def predicted_trajectory(store, model_cfg, sequence: sd.Sequence) -> geo.Traject
     return geo.accumulate_vectors(predict_relatives(store, model_cfg, sequence))
 
 
-def train(
-    config: RunConfig,
-    data: PreparedData | None = None,
-    stage_end_hook=None,
-) -> tuple[ad.ParamStore, RunLog]:
-    """Run the full staged loop; returns the trained store and its log.
-
-    ``stage_end_hook(stage_index, store, epoch)`` fires at every stage
-    boundary, after the boundary checkpoint state is reached.
-    """
+def train(config: RunConfig, data: PreparedData | None = None) -> tuple[ad.ParamStore, RunLog]:
+    """Run the full staged loop; returns the trained store and its log."""
     schedule = config.schedule()
     if data is None:
         data = prepare_data(config)
@@ -361,17 +353,12 @@ def train(
                 wall_time=time.perf_counter() - started,
             )
         )
-        stage_before = progress.stage_index
         progress, moved = cur.advance(progress, val_loss, schedule)
-        if moved:
-            runlog.transitions.append(
-                TransitionRecord(epoch=epoch, stage=stage_before, alpha=weights.alpha,
-                                 val_loss=val_loss)
-            )
+        if moved:  # the epoch just logged ended its stage
+            runlog.stage_params.append(store.params_copy())
             if out_dir is not None:
-                store.save(out_dir / f"checkpoint_stage{stage_before}.txt")
-            if stage_end_hook is not None:
-                stage_end_hook(stage_before, store, epoch)
+                stage = runlog.records[-1].stage
+                runlog.stage_params[-1].save(out_dir / f"checkpoint_stage{stage}.txt")
 
     runlog.final_metrics["final_val_loss"] = runlog.records[-1].val_loss
     runlog.final_metrics["epochs"] = epoch
@@ -432,6 +419,15 @@ def _mode_config(config: RunConfig, mode: str) -> RunConfig:
     raise ValueError(f"unknown ablation mode {mode!r}")
 
 
+def check_ablation(config: RunConfig, seeds) -> None:
+    """ValueError unless ``ablate`` can run ``config`` over ``seeds``."""
+    if config.dataset_dir is not None:
+        raise ValueError("ablate needs generated data: its held-out sequences come from "
+                         "the generator, so dataset_dir must be unset")
+    if len(seeds) < 2:
+        raise ValueError("ablation needs at least 2 seeds")
+
+
 def holdout_sequences(config: RunConfig, stats: sd.FeatureStats, count: int) -> list[sd.Sequence]:
     """Extra sequences never seen in training, normalized like test data."""
     return [sd.apply_feature_stats(seq, stats) for seq in _synthesize(config, count, 3)]
@@ -462,8 +458,7 @@ def ablate(
     Held-out metrics average over ``holdout_count`` fresh sequences.
     """
     seeds = list(seeds)
-    if len(seeds) < 2:
-        raise ValueError("ablation needs at least 2 seeds")
+    check_ablation(config, seeds)
     if segment_lengths is None:
         segment_lengths = (
             ev.WALKER_SEGMENT_LENGTHS if config.preset == "walker" else ev.VEHICLE_SEGMENT_LENGTHS
@@ -476,21 +471,13 @@ def ablate(
         for mode in modes:
             mode_cfg = _mode_config(base, mode)
             model_cfg = mode_cfg.regressor_config(data.input_dim)
-            collected: list[StageMetrics] = []
-
-            def on_stage_end(stage, store, epoch, _cfg=model_cfg, _sink=collected):
-                trans, rot = _segment_metrics(store, _cfg, holdouts, segment_lengths)
-                _sink.append(
-                    StageMetrics(
-                        stage=stage,
-                        val_relative_loss=relative_validation_loss(store, _cfg, base, data.val),
-                        segment_trans_pct=trans,
-                        segment_rot_deg_per_m=rot,
-                    )
-                )
-
-            train(mode_cfg, data=data, stage_end_hook=on_stage_end)
-            report.rows.append(AblationRow(mode=mode, seed=int(seed), stages=tuple(collected)))
+            _, runlog = train(mode_cfg, data=data)
+            stages = tuple(
+                StageMetrics(stage, relative_validation_loss(store, model_cfg, base, data.val),
+                             *_segment_metrics(store, model_cfg, holdouts, segment_lengths))
+                for stage, store in enumerate(runlog.stage_params)
+            )
+            report.rows.append(AblationRow(mode=mode, seed=int(seed), stages=stages))
     return report
 
 
@@ -525,6 +512,8 @@ class SweepReport:
 def sweep_configs(config: RunConfig, alphas, epochs: int) -> list[RunConfig]:
     """One first-stage-only config per alpha: a single fixed stage of ``epochs``
     epochs. Building them checks each alpha and the epoch count (ValueError)."""
+    if not alphas:
+        raise ValueError("an alpha sweep needs at least one alpha")
     return [
         replace(config, mode="fixed", alphas=(alpha,), max_epochs_per_stage=epochs,
                 patience=epochs, out_dir=None)

@@ -177,6 +177,45 @@ class TestTrainCommand:
         assert not out.exists()
 
 
+def test_generated_run_needs_two_sequences(config_file, tmp_path, capsys):
+    config_file.write_text(CONFIG_TEXT.replace("sequences = 3", "sequences = 1"))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(config_file), "--out", str(out)]) == 1
+    assert "config errors" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ablate_on_a_dataset_is_config_error(config_file, tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--sequences", "3", "--length", "60", "--seed", "7",
+                     "--feature-dim", "6", "--nuisance-dim", "0", "--out", str(data)]) == 0
+    config_file.write_text(CONFIG_TEXT.replace("[data]\n", f"[data]\ndataset_dir = {data}\n"))
+    out = tmp_path / "ablation"
+    assert cli.main(["ablate", "--config", str(config_file), "--seeds", "0,1",
+                     "--out", str(out)]) == 1
+    assert "generator" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="generator"):
+        tr.ablate(cli.load_run_config(config_file), seeds=[0, 1])
+
+
+@pytest.mark.parametrize("command", [
+    ["ablate", "--seeds", "abc"],
+    ["alpha-sweep", "--alphas", "abc"],
+    ["alpha-sweep", "--alphas", ""],
+    ["eval", "--segments", "abc"],
+    ["eval", "--segments", "0"],
+], ids=["seeds-abc", "alphas-abc", "alphas-empty", "segments-abc", "segments-zero"])
+def test_bad_list_flag_is_usage_error(config_file, tmp_path, capsys, command):
+    gt_path, est_path = write_line_fixture(tmp_path)
+    inputs = (["--gt", str(gt_path), "--est", str(est_path)] if command[0] == "eval"
+              else ["--config", str(config_file)])
+    out = tmp_path / "out"
+    assert cli.main([*command, *inputs, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("curvo: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("setting", ["subseq_count = 0", "subseq_min = 0", "subseq_max = 300"],
                          ids=["no-spans", "min-zero", "max-past-length"])
 def test_span_setting_error_is_config_error(config_file, tmp_path, capsys, setting):
@@ -291,6 +330,14 @@ class TestEvalCommand:
                          "--out", str(tmp_path / "r")])
         assert code == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_segments_too_long_write_nothing(self, tmp_path, capsys):
+        gt_path, _ = write_line_fixture(tmp_path, n=10)
+        out = tmp_path / "r"
+        assert cli.main(["eval", "--gt", str(gt_path), "--est", str(gt_path),
+                         "--segments", "1000", "--out", str(out)]) == 2
+        assert "no segment" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_line_count_mismatch(self, tmp_path, capsys):
         gt_path, _ = write_line_fixture(tmp_path, n=10)

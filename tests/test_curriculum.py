@@ -12,7 +12,7 @@ def schedule_of(alphas=cur.DEFAULT_ALPHAS, **overrides):
 
 
 def alphas_of(schedule):
-    return tuple(stage.weights.alpha for stage in schedule.stages)
+    return tuple(weights.alpha for weights in schedule.stages)
 
 
 def run_schedule(losses, schedule):
@@ -112,12 +112,12 @@ class TestScheduleConstruction:
         backward = tr.RunConfig(mode="anti-curriculum", **common).schedule()
         assert alphas_of(backward) == tuple(reversed(alphas_of(forward)))
         for a, b in zip(forward.stages, reversed(backward.stages)):
-            assert a.weights == b.weights
+            assert a == b
 
     def test_fixed_has_one_stage(self):
         schedule = tr.RunConfig(mode="fixed", alphas=(0.5,), window=2).schedule()
         assert len(schedule.stages) == 1
-        assert schedule.stages[0].weights.alpha == 0.5
+        assert schedule.stages[0].alpha == 0.5
         with pytest.raises(ValueError):
             tr.RunConfig(mode="fixed", alphas=cur.DEFAULT_ALPHAS)
 
@@ -125,22 +125,23 @@ class TestScheduleConstruction:
         schedule = tr.RunConfig().schedule()
         assert cur.DEFAULT_ALPHAS == (1.0, 0.5, 0.1)
         assert alphas_of(schedule) == (1.0, 0.5, 0.1)
-        assert all(s.max_epochs == 30 for s in schedule.stages)
+        assert schedule.max_epochs == 30
 
     def test_one_stage_per_alpha_in_the_order_given(self):
         schedule = schedule_of((0.1, 1.0, 0.1, 0.5), delta=2.0, zeta=3.0, window=4)
         assert alphas_of(schedule) == (0.1, 1.0, 0.1, 0.5)
-        assert {(s.weights.delta, s.weights.zeta, s.weights.window) for s in schedule.stages} == {
+        assert {(s.delta, s.zeta, s.window) for s in schedule.stages} == {
             (2.0, 3.0, 4)
         }
 
     def test_stage_validation(self):
+        rule = dict(max_epochs=200, patience=5, min_delta=1e-4)
         with pytest.raises(ValueError):
-            cur.Stage(weights=LossWeights(), max_epochs=0)
+            cur.CurriculumSchedule(stages=(LossWeights(),), **(rule | dict(max_epochs=0)))
         with pytest.raises(ValueError):
-            cur.Stage(weights=LossWeights(), patience=0)
+            cur.CurriculumSchedule(stages=(LossWeights(),), **(rule | dict(patience=0)))
         with pytest.raises(ValueError):
-            cur.CurriculumSchedule(stages=())
+            cur.CurriculumSchedule(stages=(), **rule)
         with pytest.raises(ValueError):
             schedule_of(())
         with pytest.raises(ValueError):

@@ -44,7 +44,7 @@ class TestRunConfig:
 
     def test_schedule_modes(self):
         def alphas(config):
-            return tuple(stage.weights.alpha for stage in config.schedule().stages)
+            return tuple(weights.alpha for weights in config.schedule().stages)
 
         assert alphas(tiny_config(mode="curriculum")) == (1.0, 0.5, 0.1)
         assert alphas(tiny_config(mode="anti-curriculum")) == (0.1, 0.5, 1.0)
@@ -64,10 +64,10 @@ class TestRunConfig:
 
     def test_stage_params_applied(self):
         schedule = tiny_config(max_epochs_per_stage=7, patience=4, min_delta=0.01).schedule()
-        for stage in schedule.stages:
-            assert stage.max_epochs == 7
-            assert stage.patience == 4
-            assert stage.min_delta == 0.01
+        assert len(schedule.stages) == 3
+        assert schedule.max_epochs == 7
+        assert schedule.patience == 4
+        assert schedule.min_delta == 0.01
 
 
 class TestPrepareData:
@@ -232,10 +232,27 @@ class TestTrain:
         assert (err.value.stage, err.value.sequence) == (0, 0)
         assert "stage 0, training sequence 0" in str(err.value)
 
-    def test_stage_end_hook_fires_per_stage(self):
-        calls = []
-        tr.train(tiny_config(), stage_end_hook=lambda stage, store, epoch: calls.append(stage))
-        assert calls == [0, 1, 2]
+    def test_stage_params_are_the_stage_checkpoints(self, tmp_path):
+        out = tmp_path / "run"
+        _, runlog = tr.train(tiny_config(out_dir=str(out)))
+        assert len(runlog.stage_params) == 3
+        for k, params in enumerate(runlog.stage_params):
+            params.save(tmp_path / "copy.txt")
+            saved = (out / f"checkpoint_stage{k}.txt").read_bytes()
+            assert (tmp_path / "copy.txt").read_bytes() == saved, k
+        final = (out / "checkpoint_final.txt").read_bytes()
+        assert (tmp_path / "copy.txt").read_bytes() == final  # the last stage ends the run
+
+    def test_transitions_are_the_transitions_csv_rows(self, tmp_path):
+        out = tmp_path / "run"
+        _, runlog = tr.train(tiny_config(out_dir=str(out)))
+        header, rows = geo.read_csv(out / "transitions.csv")
+        assert header == ["epoch", "stage", "alpha", "val_loss"]
+        assert [r.stage for r in runlog.transitions] == [0, 1, 2]
+        assert rows == [[str(v) for v in (r.epoch, r.stage, r.alpha, r.val_loss)]
+                        for r in runlog.transitions]
+        for record in runlog.transitions:  # each ends its stage
+            assert max(r.epoch for r in runlog.records if r.stage == record.stage) == record.epoch
 
 
 class TestAblate:
@@ -258,6 +275,30 @@ class TestAblate:
     def test_needs_two_seeds(self):
         with pytest.raises(ValueError):
             tr.ablate(tiny_config(), seeds=[0])
+
+    def test_stages_scored_from_the_stage_checkpoints(self, tmp_path):
+        config = tiny_config(max_epochs_per_stage=2, patience=2, subseq_count=2)
+        lengths = (2.0, 4.0)
+        report = tr.ablate(config, seeds=[0, 1], modes=("curriculum",),
+                           segment_lengths=lengths, holdout_count=1)
+        tr.train(replace(config, out_dir=str(tmp_path)))
+        data = tr.prepare_data(config)
+        holdouts = tr.holdout_sequences(config, data.stats, 1)
+        model_cfg = config.regressor_config(data.input_dim)
+        recomputed = []
+        for k in range(3):
+            store = ad.ParamStore.load(tmp_path / f"checkpoint_stage{k}.txt")
+            segments = [ev.segment_errors(h.trajectory,
+                                          tr.predicted_trajectory(store, model_cfg, h), lengths)
+                        for h in holdouts]
+            recomputed.append(tr.StageMetrics(
+                stage=k,
+                val_relative_loss=tr.relative_validation_loss(store, model_cfg, config, data.val),
+                segment_trans_pct=float(np.mean([s.mean_trans_pct() for s in segments])),
+                segment_rot_deg_per_m=float(np.mean([s.mean_rot_deg_per_m() for s in segments])),
+            ))
+        assert report.rows[0].seed == 0
+        assert report.rows[0].stages == tuple(recomputed)
 
     def test_csv_round_trip_shape(self, tmp_path):
         config = tiny_config(max_epochs_per_stage=2, patience=2, subseq_count=2)
