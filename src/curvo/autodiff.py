@@ -135,17 +135,19 @@ _CHECKPOINT_MAGIC = "CURVO-CHECKPOINT 1"
 
 
 class ParamStore:
-    """Named trainable matrices with per-parameter Adam state.
+    """Named trainable matrices with Adam state, in four flat float64 vectors.
 
-    Parameter arrays are the single source of truth across training steps;
-    ``leaf`` re-registers them on a fresh tape each step without copying.
+    ``params[name]`` and ``grads[name]`` are views into the parameter and
+    gradient vectors, so Adam, ``scale_grads`` and ``zero_grads`` are whole-vector
+    calls, and an entry written through a view is what they, ``grad_norm`` and
+    ``save`` see. ``leaf`` re-registers the views on a fresh tape each step
+    without copying; ``add`` moves the values into new vectors and rebuilds every view.
     """
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
-        self._moment1: dict[str, np.ndarray] = {}
-        self._moment2: dict[str, np.ndarray] = {}
+        self._flat = self._moment1 = self._moment2 = self._grad_flat = np.zeros(0)
         self.step_count = 0
 
     def add(self, name: str, array) -> None:
@@ -154,10 +156,20 @@ class ParamStore:
         arr = np.array(array, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"parameter {name!r} must be 2-D, got shape {arr.shape}")
-        self.params[name] = arr
-        self.grads[name] = np.zeros_like(arr)
-        self._moment1[name] = np.zeros_like(arr)
-        self._moment2[name] = np.zeros_like(arr)
+        shapes = {**{n: p.shape for n, p in self.params.items()}, name: arr.shape}
+        vectors = (self._flat, self._grad_flat, self._moment1, self._moment2)
+        parts = (arr.reshape(-1),) + (np.zeros(arr.size),) * 3
+        self._attach(shapes, *(np.concatenate(pair) for pair in zip(vectors, parts)))
+
+    def _attach(self, shapes: dict, flat, grad_flat, moment1, moment2) -> None:
+        """Takes the four vectors as the store's state and views them by ``shapes``."""
+        self._flat, self._grad_flat, self._moment1, self._moment2 = flat, grad_flat, moment1, moment2
+        self.params, self.grads, start = {}, {}, 0
+        for name, shape in shapes.items():
+            end = start + shape[0] * shape[1]
+            self.params[name] = flat[start:end].reshape(shape)
+            self.grads[name] = grad_flat[start:end].reshape(shape)
+            start = end
 
     def names(self):
         return list(self.params)
@@ -170,23 +182,24 @@ class ParamStore:
         return Value(tape, node_id, tape._data[node_id])
 
     def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
+        self._grad_flat.fill(0.0)
 
     def grad_norm(self) -> float:
+        """Per-parameter sums of squares added in name order: the order sets the
+        last bit, and with it which steps are clipped."""
         total = 0.0
         for g in self.grads.values():
             total += float(np.sum(g * g))
         return float(np.sqrt(total))
 
     def scale_grads(self, factor: float) -> None:
-        for g in self.grads.values():
-            g *= factor
+        self._grad_flat *= factor
 
     def params_copy(self) -> "ParamStore":
         """Copies of the parameters alone, without gradients or Adam state."""
         copy = ParamStore()
-        copy.params = {name: arr.copy() for name, arr in self.params.items()}
+        copy._attach({name: p.shape for name, p in self.params.items()}, self._flat.copy(),
+                     *(np.zeros_like(self._flat) for _ in range(3)))
         return copy
 
     def save(self, path) -> None:
@@ -215,16 +228,14 @@ class ParamStore:
 
 
 def adam_step(store: ParamStore, lr: float, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
-    """Standard bias-corrected Adam update; zeroes the gradients afterwards."""
+    """Standard bias-corrected Adam update over the flat vectors, elementwise as
+    per parameter; zeroes the gradients afterwards."""
     store.step_count += 1
     t = store.step_count
-    for name, param in store.params.items():
-        g = store.grads[name]
-        m = store._moment1[name]
-        v = store._moment2[name]
-        m[...] = beta1 * m + (1.0 - beta1) * g
-        v[...] = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    g, m, v = store._grad_flat, store._moment1, store._moment2
+    m[...] = beta1 * m + (1.0 - beta1) * g
+    v[...] = beta2 * v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    store._flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
     store.zero_grads()

@@ -92,62 +92,78 @@ def init_params(config: RegressorConfig, seed: int) -> ad.ParamStore:
 
 
 def _layer(x, h, c, w, b):
-    """One LSTM layer over the (T, m, 1) inputs ``x``. Row t of the (T + 1, m + n, 1)
-    ``stacked`` is step t's (x, h) column, the same product operand as
-    ``np.vstack([x, h])``, and the step writes its h' into row t + 1. Returns
-    what the adjoint helpers read: stacked (whose ``[1:, m:]`` are the hs), the
-    (T + 1, n, 1) cs from c on, the (T, n, 1) activations (i, f, o, g) and tanh(c')."""
-    (steps, m, _), n = x.shape, h.shape[0]
-    stacked = np.empty((steps + 1, m + n, 1))
+    """One LSTM layer over the (T, m) input rows ``x`` from the (n, 1) columns h and c.
+    Row t of the (T + 1, m + n) ``stacked`` is step t's (x, h) row, the product
+    operand, and the step writes its h' into row t + 1; every intermediate goes
+    into buffers made once per call. Returns what the adjoint helpers read:
+    stacked (whose ``[1:, m:]`` are the hs), the (T + 1, n) cs from c on, the
+    (T, n) activations (i, f, o, g) and tanh(c')."""
+    (steps, m), n = x.shape, h.shape[0]
+    stacked = np.empty((steps + 1, m + n))
     stacked[:-1, :m] = x
-    stacked[0, m:] = h
-    cs = np.empty((steps + 1, n, 1))
-    cs[0] = c
-    act, tanh_c = np.empty((steps, 4 * n, 1)), np.empty((steps, n, 1))
+    stacked[0, m:] = h[:, 0]
+    cs = np.empty((steps + 1, n))
+    cs[0] = c[:, 0]
+    act, tanh_c = np.empty((steps, 4 * n)), np.empty((steps, n))
     i, f, o, g = (act[:, k * n : (k + 1) * n] for k in range(4))
+    b, e, ig = b.reshape(-1), np.empty(3 * n), np.empty(n)  # e and ig: a step's scratch
+    one = np.ones(3 * n)  # an array operand costs less than the scalar 1.0, with equal bits
     # each step's views come from iterating the arrays, which costs less than indexing
-    for col, a, s, i_t, f_t, o_t, g_t, c_prev, c_t, tc, h_t in zip(
+    for row, a, s, i_t, f_t, o_t, g_t, c_prev, c_t, tc, h_t in zip(
             stacked, act, act[:, : 3 * n], i, f, o, g, cs, cs[1:], tanh_c, stacked[1:, m:]):
-        np.add(w @ col, b, out=a)
-        np.divide(1.0, 1.0 + np.exp(-s), out=s)
+        np.dot(w, row, out=a)  # the gemv of ``w @ row[:, None]``
+        a += b
+        np.exp(np.negative(s, out=e), out=e)
+        np.divide(one, np.add(e, one, out=e), out=s)
         np.tanh(g_t, out=g_t)
         np.multiply(f_t, c_prev, out=c_t)
-        c_t += i_t * g_t
+        c_t += np.multiply(i_t, g_t, out=ig)
         np.multiply(o_t, np.tanh(c_t, out=tc), out=h_t)
     return stacked, cs, (i, f, o, g), tanh_c
 
 
 def _adjoint_factors(cache):
-    """Every step's recurrence-free factors at once: the A, B, C blocks of the chains
-    ((x * A) * B) * C of ``_output_adjoint`` and ``_gate_adjoint``, then f. A chain of
-    two products has C = 1.0 (x * 1.0 == x); the gate blocks' o slot is a placeholder."""
+    """Every step's recurrence-free factors at once: the (T, k, n) A, B, C blocks of
+    the chains ((x * A) * B) * C of ``_output_adjoint`` and ``_gate_adjoint``, then
+    f. A chain of two products has C = 1.0 (x * 1.0 == x); the gate blocks' o slot
+    is a placeholder."""
     _, cs, (i, f, o, g), tanh_c = cache
     one = np.ones_like(i)
     blocks = np.concatenate([tanh_c, o, o, 1.0 - tanh_c * tanh_c, 1.0 - o, one, g, cs[:-1], one, i,
                              i, f, one, 1.0 - g * g, 1.0 - i, 1.0 - f, one, one], axis=1)
-    blocks, ends = blocks.reshape(len(i), 18, -1, 1), (0, 2, 4, 6, 10, 14, 18)
+    blocks, ends = blocks.reshape(len(i), 18, -1), (0, 2, 4, 6, 10, 14, 18)
     return [blocks[:, a:b] for a, b in zip(ends, ends[1:])] + [f]
 
 
-def _output_adjoint(gh, a, b, c):
-    """gh * tanh(c') * o * (1 - o), the output gate's adjoint, and c''s share
-    gh * o * (1 - tanh(c')^2), from a step's h' adjoint ``gh``."""
-    return gh * a * b * c
+def _output_adjoint(gh, a, b, c, out):
+    """Writes gh * tanh(c') * o * (1 - o), the output gate's adjoint, and c''s share
+    gh * o * (1 - tanh(c')^2) into the two rows of ``out``, from a step's h' adjoint
+    ``gh``."""
+    np.multiply(gh, a, out=out)
+    out *= b
+    out *= c
 
 
-def _gate_adjoint(gc, d_o, a, b, c, f, w_t, d, out):
+def _gate_adjoint(gc, d_o, a, b, c, f, w_t, d, out, d_c):
     """Writes the gates' adjoint gc * g * i * (1 - i), gc * c_prev * f * (1 - f), d_o
-    and gc * i * (1 - g^2) into the (4n, 1) column ``d``; returns the (x, h) column's
-    adjoint ``w_t @ d``, written into ``out``, and c's share gc * f."""
-    d4 = d.reshape(4, -1, 1)
-    np.multiply(gc * a * b, c, out=d4)
+    and gc * i * (1 - g^2) into the (4n,) row ``d``, the (x, h) row's adjoint
+    ``w_t d`` into ``out`` and c's share gc * f into ``d_c``, which may be ``gc``."""
+    d4 = d.reshape(4, -1)
+    np.multiply(gc, a, out=d4)
+    d4 *= b
+    d4 *= c
     d4[2] = d_o
-    return np.matmul(w_t, d, out=out), gc * f
+    np.dot(w_t, d, out=out)
+    np.multiply(gc, f, out=d_c)
 
 
 def _descending_sum(parts):
-    """``parts[T-1] + parts[T-2] + ... + parts[0]``, added in that order."""
-    return sum(parts[-2::-1], parts[-1])
+    """``parts[T-1] + parts[T-2] + ... + parts[0]``, added in that order. numpy's reduce
+    over the reversed axis adds in that order where a part has 2 or more elements;
+    over 1-element parts it adds pairwise, so those keep the Python sum."""
+    if parts[0].size < 2:
+        return sum(parts[-2::-1], parts[-1])
+    return np.add.reduce(parts[::-1], axis=0)
 
 
 def lstm_cell(x: ad.Value, state: tuple[ad.Value, ad.Value], weights: ad.Value, bias: ad.Value):
@@ -166,23 +182,25 @@ def lstm_cell(x: ad.Value, state: tuple[ad.Value, ad.Value], weights: ad.Value, 
     if bias.shape != (4 * n, 1):
         raise ad.ShapeMismatchError("lstm_cell", bias.shape, (4 * n, 1))
     w = weights.data
-    cache = _layer(x.data.reshape(1, m, 1), h_prev.data, c_prev.data, w, bias.data)
+    cache = _layer(x.data.reshape(1, m), h_prev.data, c_prev.data, w, bias.data)
     stacked, factors = cache[0], [a[0] for a in _adjoint_factors(cache)]
     output_gate_adjoint = []  # handed from the VJP of h' to the VJP of c'
 
     def c_vjp(gc):
         d_o = output_gate_adjoint.pop() if output_gate_adjoint else 0.0
-        d_gates = np.empty((4 * n, 1))
-        d_stacked, d_c = _gate_adjoint(gc, d_o, *factors[3:], w.T, d_gates, np.empty((m + n, 1)))
-        return d_stacked[:m], d_stacked[m:], d_c, d_gates @ stacked[0].T, d_gates
+        d_gates, d_stacked, d_c = np.empty((4 * n, 1)), np.empty((m + n, 1)), np.empty((n, 1))
+        _gate_adjoint(gc.reshape(n), d_o, *factors[3:], w.T, d_gates.reshape(-1),
+                      d_stacked.reshape(-1), d_c.reshape(-1))
+        return d_stacked[:m], d_stacked[m:], d_c, d_gates @ stacked[:1], d_gates
 
     def h_vjp(gh):
-        d_o, d_c = _output_adjoint(gh, *factors[:3])
-        output_gate_adjoint.append(d_o)
-        return (d_c,)
+        out = np.empty((2, n, 1))
+        _output_adjoint(gh.reshape(n), *factors[:3], out.reshape(2, n))
+        output_gate_adjoint.append(out[0, :, 0])
+        return (out[1],)
 
-    c_value = ad.fused((x, h_prev, c_prev, weights, bias), cache[1][1], c_vjp)
-    return ad.fused((c_value,), stacked[1, m:], h_vjp), c_value
+    c_value = ad.fused((x, h_prev, c_prev, weights, bias), cache[1][1, :, None], c_vjp)
+    return ad.fused((c_value,), stacked[1, m:, None], h_vjp), c_value
 
 
 def _checked_inputs(op: str, features, config: RegressorConfig, initial: HiddenState | None):
@@ -199,27 +217,28 @@ def _checked_inputs(op: str, features, config: RegressorConfig, initial: HiddenS
 
 def _run(features, config: RegressorConfig, params, layers, dropout_rng=None, saved=None):
     """The regressor one layer at a time over all T steps, then the head over the
-    top layer's (T, k, 1) outputs; dropout only with a generator, its masks drawn
-    at once but filled time-major, then by layer, as per-step draws were. Returns
-    the (T, 6) rows and final per-layer (h, c); appends each layer's (cache, mask),
-    then the head's input and output, to ``saved``, which ``_bptt`` reads."""
+    top layer's outputs as (T, k, 1) columns; dropout only with a generator, its
+    masks drawn at once but filled time-major, then by layer, as per-step draws
+    were. Returns the (T, 6) rows and final per-layer (h, c) columns; appends each
+    layer's (cache, mask), then the head's input and output, to ``saved``, which
+    ``_bptt`` reads."""
     steps, sizes = features.shape[0], config.lstm_sizes
     masks = [None] * len(sizes)
     if dropout_rng is not None and config.dropout > 0.0:
-        draw = dropout_rng.random((steps, sum(sizes[:-1]), 1))
+        draw = dropout_rng.random((steps, sum(sizes[:-1])))
         keep = (draw >= config.dropout) / (1.0 - config.dropout)
         masks[:-1] = [keep[:, end - n : end] for n, end in zip(sizes, np.cumsum(sizes[:-1]))]
-    x = features.reshape(steps, -1, 1)
+    x = features
     final = []
     for layer, ((h, c), mask) in enumerate(zip(layers, masks)):
         m = x.shape[1]
         cache = _layer(x, h, c, params[f"lstm{layer}.W"], params[f"lstm{layer}.b"])
-        final.append((cache[0][-1, m:].copy(), cache[1][-1].copy()))
+        final.append((cache[0][-1, m:, None].copy(), cache[1][-1, :, None].copy()))
         x = cache[0][1:, m:] if mask is None else cache[0][1:, m:] * mask
         if saved is not None:
             saved.append((cache, mask))
         del cache  # unless saved, the layer's arrays go once the next layer has copied x
-    head_in = x
+    x = head_in = x[:, :, None]
     if config.head_hidden is not None:
         x = np.tanh(np.matmul(params["head0.W"], x) + params["head0.b"])
     if saved is not None:
@@ -230,9 +249,10 @@ def _run(features, config: RegressorConfig, params, layers, dropout_rng=None, sa
 def _bptt(g, config: RegressorConfig, params, saved) -> dict[str, np.ndarray]:
     """Each parameter's gradient from the rows' (T, 6) adjoint ``g``: the head over
     all T rows at once, then each layer from the top, its steps from T-1 down
-    to 0. Each parameter's per-step parts are added in descending t, the order
-    ``ad.backward`` uses over a graph of one node per cell, dropout mask and
-    head op, so the sums equal that graph's bit for bit."""
+    to 0 in buffers made once per layer. Each parameter's per-step parts are
+    added in descending t, the order ``ad.backward`` uses over a graph of one
+    node per cell, dropout mask and head op, so the sums equal that graph's bit
+    for bit."""
     *caches, (head_in, head_out) = saved
     d_rows = np.ascontiguousarray(g).reshape(-1, OUTPUT_DIM, 1)
     sums = {"head.b": _descending_sum(d_rows),
@@ -243,24 +263,26 @@ def _bptt(g, config: RegressorConfig, params, saved) -> dict[str, np.ndarray]:
         sums["head0.b"] = _descending_sum(d_z)
         sums["head0.W"] = _descending_sum(d_z * head_in.transpose(0, 2, 1))
         d_x = np.matmul(params["head0.W"].T, d_z)
+    d_x = d_x.reshape(len(d_rows), -1)
     for layer in range(len(caches) - 1, -1, -1):
         cache, mask = caches[layer]
         if mask is not None:
             d_x = d_x * mask
-        w_t, stacked = params[f"lstm{layer}.W"].T, cache[0][:-1]
-        m = stacked.shape[1] - d_x.shape[1]
-        d_gates, d_stacked = np.empty((len(stacked), w_t.shape[1], 1)), np.empty(stacked.shape)
-        d_h = d_c = None  # the adjoints reaching h and c from the next step
-        for dx, o_a, o_b, o_c, g_a, g_b, g_c, f, d, ds in zip(*(a[::-1] for a in (
-                d_x, *_adjoint_factors(cache), d_gates, d_stacked))):
-            gh = dx if d_h is None else d_h + dx
-            d_o, c_share = _output_adjoint(gh, o_a, o_b, o_c)
-            gc = c_share if d_c is None else d_c + c_share
-            d_c = _gate_adjoint(gc, d_o, g_a, g_b, g_c, f, w_t, d, ds)[1]
-            d_h = ds[m:]
+        w_t, stacked, n = params[f"lstm{layer}.W"].T, cache[0][:-1], d_x.shape[1]
+        m = stacked.shape[1] - n
+        d_gates, d_stacked = np.empty((len(stacked), 4 * n)), np.empty(stacked.shape)
+        gh, d_c, out = np.empty(n), np.empty(n), np.empty((2, n))
+        d_o, c_share = out
+        d_h = None  # the adjoint reaching h from the next step; d_c holds c's
+        for dx, o_a, o_b, o_c, g_a, g_b, g_c, f, d, ds, ds_h in zip(*(a[::-1] for a in (
+                d_x, *_adjoint_factors(cache), d_gates, d_stacked, d_stacked[:, m:]))):
+            _output_adjoint(dx if d_h is None else np.add(d_h, dx, out=gh), o_a, o_b, o_c, out)
+            gc = c_share if d_h is None else np.add(d_c, c_share, out=d_c)
+            _gate_adjoint(gc, d_o, g_a, g_b, g_c, f, w_t, d, ds, d_c)
+            d_h = ds_h
         del o_a, o_b, o_c, g_a, g_b, g_c  # views that would keep the factors alive below
-        sums[f"lstm{layer}.W"] = _descending_sum(d_gates * stacked.transpose(0, 2, 1))
-        sums[f"lstm{layer}.b"] = _descending_sum(d_gates)
+        sums[f"lstm{layer}.W"] = _descending_sum(d_gates[:, :, None] * stacked[:, None])
+        sums[f"lstm{layer}.b"] = _descending_sum(d_gates).reshape(-1, 1)
         d_x = d_stacked[:, :m]
     return sums
 

@@ -39,13 +39,6 @@ class OuParams:
     reversion: float = 1.0
     sigma: float = 0.0
 
-    def step(self, x: float, dt: float, rng: np.random.Generator) -> float:
-        decay = math.exp(-self.reversion * dt)
-        if self.sigma == 0.0:
-            return x * decay + self.mean * (1.0 - decay)
-        std = self.sigma * math.sqrt((1.0 - decay * decay) / (2.0 * self.reversion))
-        return x * decay + self.mean * (1.0 - decay) + std * rng.normal()
-
 
 @dataclass(frozen=True)
 class MotionModel:
@@ -206,26 +199,33 @@ def generate(
     check_length(length)
     rng = np.random.default_rng(seed)
     dt = motion.dt
+    # exact OU updates x' = x decay + mean (1 - decay) + std z; row k of the innovations
+    # holds step k's z of each process with sigma != 0, in the order of ``processes``
+    processes = (motion.speed, motion.roll_rate, motion.pitch_rate, motion.yaw_rate)
+    decay = [math.exp(-p.reversion * dt) for p in processes]
+    pull = [p.mean * (1.0 - d) for p, d in zip(processes, decay)]
+    noisy = [(j, p.sigma * math.sqrt((1.0 - decay[j] * decay[j]) / (2.0 * p.reversion)))
+             for j, p in enumerate(processes) if p.sigma != 0.0]
+    innovations = rng.normal(size=(length, len(noisy))).tolist()
 
-    speed = motion.speed.mean
-    roll_rate = pitch_rate = yaw_rate = 0.0
+    rates = [motion.speed.mean, 0.0, 0.0, 0.0]
     roll = pitch = yaw = 0.0
     advances = np.zeros((length, 3))  # body-frame step of each k, taken at pose k's heading
     angles = []  # (roll, pitch, yaw) of pose k+1
 
-    for k in range(length):
-        speed = motion.speed.step(speed, dt, rng)
-        roll_rate = motion.roll_rate.step(roll_rate, dt, rng)
-        pitch_rate = motion.pitch_rate.step(pitch_rate, dt, rng)
-        yaw_rate = motion.yaw_rate.step(yaw_rate, dt, rng)
+    for k, draws in enumerate(innovations):
+        rates = [x * d + c for x, d, c in zip(rates, decay, pull)]
+        for (j, std), z in zip(noisy, draws):
+            rates[j] += std * z
+        speed, roll_rate, pitch_rate, yaw_rate = rates
         swept_rate = yaw_rate
         if motion.yaw_oscillation_amp != 0.0:
             swept_rate += motion.yaw_oscillation_amp * math.sin(
                 2.0 * math.pi * (k * dt) / motion.yaw_oscillation_period
             )
         advances[k, 0] = speed * dt
-        roll = float(np.clip(roll + roll_rate * dt, -motion.roll_clamp, motion.roll_clamp))
-        pitch = float(np.clip(pitch + pitch_rate * dt, -motion.pitch_clamp, motion.pitch_clamp))
+        roll = min(max(roll + roll_rate * dt, -motion.roll_clamp), motion.roll_clamp)
+        pitch = min(max(pitch + pitch_rate * dt, -motion.pitch_clamp), motion.pitch_clamp)
         yaw = yaw + swept_rate * dt
         angles.append((roll, pitch, yaw))
 

@@ -154,9 +154,6 @@ class RunLog:
     stage_params: list[ad.ParamStore] = field(default_factory=list)  # one per stage, at its end
     final_metrics: dict = field(default_factory=dict)
 
-    def stage_count(self) -> int:
-        return len({r.stage for r in self.records})
-
     @property
     def transitions(self) -> list[EpochRecord]:
         """The last epoch of each stage, in stage order: the one that ended it."""
@@ -360,7 +357,6 @@ def train(config: RunConfig, data: PreparedData | None = None) -> tuple[ad.Param
                 stage = runlog.records[-1].stage
                 runlog.stage_params[-1].save(out_dir / f"checkpoint_stage{stage}.txt")
 
-    runlog.final_metrics["final_val_loss"] = runlog.records[-1].val_loss
     runlog.final_metrics["epochs"] = epoch
     if out_dir is not None:
         store.save(out_dir / "checkpoint_final.txt")

@@ -3,11 +3,20 @@
 Everything here deliberately avoids the library's own conversion and
 composition code: rotations go through scipy or explicit axis matrices,
 composition through plain 4x4 homogeneous numpy products, and derivatives
-through central finite differences.
+through central finite differences. The one exception is
+``reference_generate``: the generator's per-step motion loop, one scalar
+draw and one OU update per process and step, which pins the generator's
+vectorized draws bit for bit, so it builds the sequence from its motion
+through the library's own geometry and feature code.
 """
+
+import math
 
 import numpy as np
 from scipy.spatial.transform import Rotation
+
+from curvo import geometry as geo
+from curvo import synthdata as sd
 
 
 def rot_x(a):
@@ -73,3 +82,53 @@ def gradients_close(analytic, numeric, rtol=1e-5):
     numeric = np.asarray(numeric, dtype=float)
     scale = max(1.0, np.linalg.norm(analytic), np.linalg.norm(numeric))
     return np.linalg.norm(analytic - numeric) <= rtol * scale
+
+
+def _ou_step(process, x, dt, rng):
+    """One exact conditional update of a mean-reverting process, one draw if noisy."""
+    decay = math.exp(-process.reversion * dt)
+    if process.sigma == 0.0:
+        return x * decay + process.mean * (1.0 - decay)
+    std = process.sigma * math.sqrt((1.0 - decay * decay) / (2.0 * process.reversion))
+    return x * decay + process.mean * (1.0 - decay) + std * rng.normal()
+
+
+def reference_generate(motion, feature_model, length, seed):
+    """``synthdata.generate`` with its motion simulated one step and one draw at a time."""
+    rng = np.random.default_rng(seed)
+    dt = motion.dt
+    speed = motion.speed.mean
+    roll_rate = pitch_rate = yaw_rate = 0.0
+    roll = pitch = yaw = 0.0
+    advances = np.zeros((length, 3))
+    angles = []
+    for k in range(length):
+        speed = _ou_step(motion.speed, speed, dt, rng)
+        roll_rate = _ou_step(motion.roll_rate, roll_rate, dt, rng)
+        pitch_rate = _ou_step(motion.pitch_rate, pitch_rate, dt, rng)
+        yaw_rate = _ou_step(motion.yaw_rate, yaw_rate, dt, rng)
+        swept_rate = yaw_rate
+        if motion.yaw_oscillation_amp != 0.0:
+            swept_rate += motion.yaw_oscillation_amp * math.sin(
+                2.0 * math.pi * (k * dt) / motion.yaw_oscillation_period
+            )
+        advances[k, 0] = speed * dt
+        roll = float(np.clip(roll + roll_rate * dt, -motion.roll_clamp, motion.roll_clamp))
+        pitch = float(np.clip(pitch + pitch_rate * dt, -motion.pitch_clamp, motion.pitch_clamp))
+        yaw = yaw + swept_rate * dt
+        angles.append((roll, pitch, yaw))
+
+    quaternions = np.array([(1.0, 0.0, 0.0, 0.0)] + [geo._euler_quat(*a) for a in angles])
+    headings = geo._normalize_quat(quaternions[:-1])
+    positions = np.cumsum(np.vstack([np.zeros(3), geo._rotate(headings, advances)]), axis=0)
+    trajectory = geo.Trajectory(positions, quaternions)
+    relatives = geo._step_vectors(trajectory)
+    features = relatives @ feature_model.encoding.T
+    if feature_model.noise_sigma > 0 or feature_model.bias_sigma > 0:
+        features = features + feature_model._observation_noise(length, rng)
+    if feature_model.nuisance_dim > 0:
+        noise = feature_model.nuisance_sigma * rng.normal(
+            size=(length, feature_model.nuisance_dim)
+        )
+        features = np.hstack([features, sd._ar1(noise, feature_model.noise_rho)])
+    return sd.Sequence(trajectory=trajectory, relatives=relatives, features=features, seed=seed)

@@ -309,6 +309,87 @@ def _reference_adam(x, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
     return x
 
 
+def _store_of(rng):
+    store = ad.ParamStore()
+    for name, shape in (("lstm0.W", (8, 5)), ("lstm0.b", (8, 1)), ("head.W", (6, 2)),
+                        ("head.b", (6, 1))):
+        store.add(name, rng.normal(size=shape))
+    return store
+
+
+def _per_parameter_adam(params, grads, moments, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as one update per parameter array, on dicts of arrays."""
+    for name, param in params.items():
+        g, (m, v) = grads[name], moments[name]
+        m[...] = beta1 * m + (1.0 - beta1) * g
+        v[...] = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+class TestFlatParamStore:
+    def test_adam_equals_per_parameter_update(self):
+        rng = np.random.default_rng(21)
+        store = _store_of(rng)
+        params = {name: p.copy() for name, p in store.params.items()}
+        moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
+        for t in range(1, 9):
+            grads = {name: rng.normal(size=p.shape) * 10.0 ** rng.integers(-4, 3)
+                     for name, p in params.items()}
+            for name, g in grads.items():
+                store.grads[name][...] = g
+            if t % 2 == 0:  # clipped as the trainer clips
+                factor = 0.5 / store.grad_norm()
+                store.scale_grads(factor)
+                for g in grads.values():
+                    g *= factor
+            ad.adam_step(store, lr=1e-2)
+            _per_parameter_adam(params, grads, moments, t, lr=1e-2)
+            for name, p in params.items():
+                assert store.params[name].tobytes() == p.tobytes(), (t, name)
+                assert not store.grads[name].any()
+
+    def test_entries_written_through_the_views_are_the_store(self, tmp_path):
+        rng = np.random.default_rng(22)
+        store = _store_of(rng)
+        store.params["lstm0.W"][3, 4] = 7.5
+        store.grads["lstm0.W"][3, 4] = -2.0
+        store.grads["head.b"][5, 0] = 0.25
+        grads = {name: g.copy() for name, g in store.grads.items()}
+        expected = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+        assert store.grad_norm() == expected == float(np.sqrt(4.0 + 0.0625))
+        params = {name: p.copy() for name, p in store.params.items()}
+        moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
+        ad.adam_step(store, lr=1e-3)
+        _per_parameter_adam(params, grads, moments, 1, lr=1e-3)
+        assert store.params["lstm0.W"][3, 4] == params["lstm0.W"][3, 4] != 7.5
+        store.params["head.W"][1, 1] = -3.25
+        store.save(tmp_path / "ckpt.txt")
+        loaded = ad.ParamStore.load(tmp_path / "ckpt.txt")
+        assert loaded.params["head.W"][1, 1] == -3.25
+        for name in store.names():
+            assert np.array_equal(loaded.params[name], store.params[name])
+
+    def test_copies_share_no_memory_with_their_source(self, tmp_path):
+        store = _store_of(np.random.default_rng(23))
+        store.save(tmp_path / "ckpt.txt")
+        before = {name: p.copy() for name, p in store.params.items()}
+        for copy in (store.params_copy(), ad.ParamStore.load(tmp_path / "ckpt.txt")):
+            assert copy.names() == store.names()
+            for name in store.names():
+                assert np.array_equal(copy.params[name], store.params[name])
+                for ours in (copy.params[name], copy.grads[name]):
+                    for theirs in (store.params[name], store.grads[name]):
+                        assert not np.shares_memory(ours, theirs)
+            copy.params["head.b"][0, 0] += 1.0
+            copy.grads["head.W"][0, 0] = 1.0
+            ad.adam_step(copy, lr=1e-3)
+            for name, p in before.items():
+                assert store.params[name].tobytes() == p.tobytes()
+            assert store.step_count == 0 and not any(g.any() for g in store.grads.values())
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -334,6 +334,23 @@ class TestForwardSequence:
         # pairwise, gives other bits here
         assert_gradients_equal_per_step_graph((5, 3, 4), 1, 0.3, True, steps)
 
+    @pytest.mark.parametrize("head_hidden,steps", [(1, 10), (1, 60), (2, 24)])
+    def test_head_gradient_sums_equal_per_step_graph(self, head_hidden, steps):
+        # head0.b's parts have head_hidden elements: one takes the Python sum, two the
+        # numpy reduce, and both add in descending t
+        assert_gradients_equal_per_step_graph((4, 3), head_hidden, 0.0, False, steps)
+
+    @pytest.mark.parametrize("steps", [1, 2, 10, 24, 200])
+    @pytest.mark.parametrize("part", [(1,), (1, 1), (2,), (2, 1), (3, 1), (6, 1), (8, 3), (64, 26)])
+    def test_descending_sum_adds_from_the_last_part(self, steps, part):
+        rng = np.random.default_rng(steps)
+        parts = rng.normal(size=(steps, *part)) * np.exp(3.0 * rng.normal(size=(steps, *part)))
+        expected = parts[-1].copy()
+        for t in range(steps - 2, -1, -1):
+            expected = expected + parts[t]
+        got = model._descending_sum(parts)
+        assert got.shape == part and got.tobytes() == expected.tobytes()
+
     def test_feature_width_checked(self):
         cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4,))
         store = model.init_params(cfg, seed=13)

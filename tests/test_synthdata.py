@@ -5,6 +5,7 @@ import pytest
 
 from curvo import geometry as geo
 from curvo import synthdata as sd
+from oracles import reference_generate
 
 
 def check_consistency(seq, tol=1e-9):
@@ -13,6 +14,39 @@ def check_consistency(seq, tol=1e-9):
     for a, b in zip(rebuilt.poses, seq.trajectory.poses):
         np.testing.assert_allclose(a.translation, b.translation, atol=tol)
         np.testing.assert_allclose(a.quaternion, b.quaternion, atol=tol)
+
+
+def assert_generate_equals_per_step_loop(motion, feature_model, length, seed):
+    """generate's arrays equal the per-step reference loop's bit for bit."""
+    seq = sd.generate(motion, feature_model, length=length, seed=seed)
+    ref = reference_generate(motion, feature_model, length, seed)
+    for got, want in ((seq.trajectory.positions, ref.trajectory.positions),
+                      (seq.trajectory.quaternions, ref.trajectory.quaternions),
+                      (seq.relatives, ref.relatives), (seq.features, ref.features)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestGenerateEqualsPerStepLoop:
+    @pytest.mark.parametrize("preset", sorted(sd.MOTION_PRESETS))
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_presets(self, preset, seed):
+        fm = sd.FeatureModel.seeded(8, seed=1, noise_sigma=0.02, nuisance_dim=2)
+        assert_generate_equals_per_step_loop(sd.MOTION_PRESETS[preset](), fm, 200, seed)
+
+    def test_silent_process_without_yaw_sweep(self):
+        # roll has no noise, so each step draws three innovations, not four
+        motion = sd.MotionModel(roll_rate=sd.OuParams(mean=0.2, reversion=2.0, sigma=0.0),
+                                yaw_oscillation_amp=0.0)
+        fm = sd.FeatureModel.seeded(7, seed=4, noise_sigma=0.05, nuisance_dim=1)
+        for seed in (3, 11):
+            assert_generate_equals_per_step_loop(motion, fm, 60, seed)
+
+    def test_correlated_biased_features(self):
+        # the feature noise draws follow the motion's on the same generator
+        fm = sd.FeatureModel.seeded(8, seed=5, noise_sigma=0.03, nuisance_dim=2,
+                                    noise_rho=0.7, bias_sigma=0.1)
+        for preset in sd.MOTION_PRESETS.values():
+            assert_generate_equals_per_step_loop(preset(), fm, 80, 9)
 
 
 class TestGenerate:

@@ -93,13 +93,34 @@ class TestPrepareData:
 class TestTrain:
     def test_three_stage_runlog(self):
         store, runlog = tr.train(tiny_config())
-        assert runlog.stage_count() == 3
         assert len(runlog.transitions) == 3
         epochs = [r.epoch for r in runlog.records]
         assert epochs == list(range(1, len(epochs) + 1))
         for record in runlog.records:
             assert math.isfinite(record.train_loss)
             assert math.isfinite(record.val_loss)
+
+    def test_adam_and_grad_norm_called_through_the_module(self, monkeypatch):
+        # one ad.adam_step per span, looked up on the module, and one grad_norm per
+        # step: the benchmark times each op up to adam_step and reads clipping from
+        # grad_norm
+        calls = {"adam_step": 0, "grad_norm": 0}
+        adam_step, grad_norm = ad.adam_step, ad.ParamStore.grad_norm
+
+        def counted_adam_step(*args, **kwargs):
+            calls["adam_step"] += 1
+            return adam_step(*args, **kwargs)
+
+        def counted_grad_norm(store):
+            calls["grad_norm"] += 1
+            return grad_norm(store)
+
+        monkeypatch.setattr(ad, "adam_step", counted_adam_step)
+        monkeypatch.setattr(ad.ParamStore, "grad_norm", counted_grad_norm)
+        config = tiny_config()
+        _, runlog = tr.train(config)
+        spans = len(runlog.records) * len(tr.prepare_data(config).train) * config.subseq_count
+        assert calls == {"adam_step": spans, "grad_norm": spans}
 
     def test_zero_noise_relative_loss_drops_tenfold(self):
         config = tiny_config(
