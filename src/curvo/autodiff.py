@@ -4,7 +4,7 @@ Deliberately minimal: the engine is ``Tape``, ``Value``, ``fused``,
 ``backward``, ``ParamStore`` and ``adam_step``. Values are handles into an
 append-only Tape; the tape is rebuilt for every forward pass
 (define-by-run), while long-lived parameters and their Adam state live in a
-ParamStore and are re-attached to each new tape as leaves.
+ParamStore's four flat vectors and are re-attached to each new tape as leaves.
 
 A tape node is its forward array, its parents' node ids and one VJP callable
 that maps the node's adjoint to one contribution per parent. The tape holds
@@ -134,6 +134,15 @@ def backward(loss: Value) -> None:
 _CHECKPOINT_MAGIC = "CURVO-CHECKPOINT 1"
 
 
+def _views(vector: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
+    """Consecutive named views into ``vector``, one per (name, shape), in order."""
+    views, start = {}, 0
+    for name, (rows, cols) in shapes.items():
+        views[name] = vector[start : start + rows * cols].reshape(rows, cols)
+        start += rows * cols
+    return views
+
+
 class ParamStore:
     """Named trainable matrices with Adam state, in four flat float64 vectors.
 
@@ -159,17 +168,9 @@ class ParamStore:
         shapes = {**{n: p.shape for n, p in self.params.items()}, name: arr.shape}
         vectors = (self._flat, self._grad_flat, self._moment1, self._moment2)
         parts = (arr.reshape(-1),) + (np.zeros(arr.size),) * 3
-        self._attach(shapes, *(np.concatenate(pair) for pair in zip(vectors, parts)))
-
-    def _attach(self, shapes: dict, flat, grad_flat, moment1, moment2) -> None:
-        """Takes the four vectors as the store's state and views them by ``shapes``."""
-        self._flat, self._grad_flat, self._moment1, self._moment2 = flat, grad_flat, moment1, moment2
-        self.params, self.grads, start = {}, {}, 0
-        for name, shape in shapes.items():
-            end = start + shape[0] * shape[1]
-            self.params[name] = flat[start:end].reshape(shape)
-            self.grads[name] = grad_flat[start:end].reshape(shape)
-            start = end
+        self._flat, self._grad_flat, self._moment1, self._moment2 = (
+            np.concatenate(pair) for pair in zip(vectors, parts))
+        self.params, self.grads = _views(self._flat, shapes), _views(self._grad_flat, shapes)
 
     def names(self):
         return list(self.params)
@@ -198,8 +199,8 @@ class ParamStore:
     def params_copy(self) -> "ParamStore":
         """Copies of the parameters alone, without gradients or Adam state."""
         copy = ParamStore()
-        copy._attach({name: p.shape for name, p in self.params.items()}, self._flat.copy(),
-                     *(np.zeros_like(self._flat) for _ in range(3)))
+        copy._flat = self._flat.copy()
+        copy.params = _views(copy._flat, {name: p.shape for name, p in self.params.items()})
         return copy
 
     def save(self, path) -> None:

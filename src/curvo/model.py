@@ -7,13 +7,14 @@ tanh, then ``c' = f*c + i*g`` and ``h' = o*tanh(c')``. A bias column is added
 on top of the stacked product (zero bias reproduces the bias-free cell
 exactly); the forget-gate slice is initialized to +1 for trainability.
 
-Vectors are (n, 1) columns, stacked along a leading T axis over a sequence;
-the outputs of a sequence are (T, 6) rows, one pose per step, ordered (tx,
-ty, tz, roll, pitch, yaw). The network runs one layer at a time, each
-layer's time loop over all T steps before the next starts, then the head
-over all T at once: ``predict`` runs it with no tape, ``forward_sequence``
-records its rows as one tape node whose VJP is the hand-written BPTT, and
-``lstm_cell`` is the layer loop at T=1.
+Inside a layer's time loop a step's vectors are 1-D rows of (T, ·) arrays and
+each product is one ``np.dot`` into a buffer made once per call; the hidden
+state passed in and out and the head's input are (n, 1) columns. A sequence's
+outputs are (T, 6) rows, one pose per step, ordered (tx, ty, tz, roll, pitch,
+yaw). Layers run one at a time, each over all T steps, then the head over all
+T at once: ``predict`` runs this with no tape, ``forward_sequence`` records its
+rows as one tape node whose VJP is the hand-written BPTT, and ``lstm_cell`` is
+the layer loop at T=1.
 """
 
 from __future__ import annotations
@@ -137,8 +138,7 @@ def _adjoint_factors(cache):
 
 def _output_adjoint(gh, a, b, c, out):
     """Writes gh * tanh(c') * o * (1 - o), the output gate's adjoint, and c''s share
-    gh * o * (1 - tanh(c')^2) into the two rows of ``out``, from a step's h' adjoint
-    ``gh``."""
+    gh * o * (1 - tanh(c')^2) into ``out``'s two rows, from a step's h' adjoint gh."""
     np.multiply(gh, a, out=out)
     out *= b
     out *= c

@@ -349,6 +349,9 @@ class TestFlatParamStore:
             for name, p in params.items():
                 assert store.params[name].tobytes() == p.tobytes(), (t, name)
                 assert not store.grads[name].any()
+            for k, flat in enumerate((store._moment1, store._moment2)):
+                ref = np.concatenate([pair[k].reshape(-1) for pair in moments.values()])
+                assert flat.tobytes() == ref.tobytes(), (t, k)
 
     def test_entries_written_through_the_views_are_the_store(self, tmp_path):
         rng = np.random.default_rng(22)
@@ -375,19 +378,21 @@ class TestFlatParamStore:
         store = _store_of(np.random.default_rng(23))
         store.save(tmp_path / "ckpt.txt")
         before = {name: p.copy() for name, p in store.params.items()}
-        for copy in (store.params_copy(), ad.ParamStore.load(tmp_path / "ckpt.txt")):
-            assert copy.names() == store.names()
+        copy, loaded = store.params_copy(), ad.ParamStore.load(tmp_path / "ckpt.txt")
+        assert copy.grads == {}  # the parameters alone
+        for other in (copy, loaded):
+            assert other.names() == store.names()
             for name in store.names():
-                assert np.array_equal(copy.params[name], store.params[name])
-                for ours in (copy.params[name], copy.grads[name]):
-                    for theirs in (store.params[name], store.grads[name]):
-                        assert not np.shares_memory(ours, theirs)
-            copy.params["head.b"][0, 0] += 1.0
-            copy.grads["head.W"][0, 0] = 1.0
-            ad.adam_step(copy, lr=1e-3)
-            for name, p in before.items():
-                assert store.params[name].tobytes() == p.tobytes()
-            assert store.step_count == 0 and not any(g.any() for g in store.grads.values())
+                assert np.array_equal(other.params[name], store.params[name])
+            for ours in (*other.params.values(), *other.grads.values()):
+                for theirs in (*store.params.values(), *store.grads.values()):
+                    assert not np.shares_memory(ours, theirs)
+            other.params["head.b"][0, 0] += 1.0
+        loaded.grads["head.W"][0, 0] = 1.0
+        ad.adam_step(loaded, lr=1e-3)
+        for name, p in before.items():
+            assert store.params[name].tobytes() == p.tobytes()
+        assert store.step_count == 0 and not any(g.any() for g in store.grads.values())
 
 
 class TestCheckpoint:
