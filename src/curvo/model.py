@@ -107,7 +107,7 @@ def _layer(x, h, c, w, b):
     cs[0] = c[:, 0]
     act, tanh_c = np.empty((steps, 4 * n)), np.empty((steps, n))
     i, f, o, g = (act[:, k * n : (k + 1) * n] for k in range(4))
-    b, e, ig = b.reshape(-1), np.empty(3 * n), np.empty(n)  # e and ig: a step's scratch
+    b, e, ig = b.reshape(-1), np.empty(3 * n), np.empty(n)  # e and ig: a step's work buffers
     one = np.ones(3 * n)  # an array operand costs less than the scalar 1.0, with equal bits
     # each step's views come from iterating the arrays, which costs less than indexing
     for row, a, s, i_t, f_t, o_t, g_t, c_prev, c_t, tc, h_t in zip(
