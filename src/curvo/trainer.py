@@ -268,7 +268,7 @@ def relative_validation_loss(store, model_cfg, config: RunConfig, sequences) -> 
 
 
 def predict_relatives(store, model_cfg, sequence: sd.Sequence) -> np.ndarray:
-    return md.predict(sequence.features, model_cfg, store)[0]
+    return md.predict(sequence.features, model_cfg, store)
 
 
 def relative_pose_errors(store, model_cfg, sequences) -> tuple[float, float]:
@@ -281,6 +281,20 @@ def relative_pose_errors(store, model_cfg, sequences) -> tuple[float, float]:
 
 def predicted_trajectory(store, model_cfg, sequence: sd.Sequence) -> geo.Trajectory:
     return geo.accumulate_vectors(predict_relatives(store, model_cfg, sequence))
+
+
+def span_gradients(store: ad.ParamStore, model_cfg: md.RegressorConfig, features, gt, weights,
+                   truth_windows=None, dropout_rng=None) -> float:
+    """One span's objective total, from the zero state; when it is finite, the
+    span's gradient is added into ``store.grads``, and otherwise they are left as
+    they were. The forward, the objective and the reverse sweep are each looked
+    up on their module, where the benchmark's tracer wraps them."""
+    preds, _ = md.forward_sequence(ad.Tape(), features, model_cfg, store, dropout_rng=dropout_rng)
+    total = ls.sequence_loss(preds, gt, weights, truth_windows)
+    value = total.item()
+    if math.isfinite(value):
+        ad.backward(total)
+    return value
 
 
 def train(config: RunConfig, data: PreparedData | None = None) -> tuple[ad.ParamStore, RunLog]:
@@ -314,22 +328,16 @@ def train(config: RunConfig, data: PreparedData | None = None) -> tuple[ad.Param
                 len(seq), config.subseq_count, config.subseq_min, config.subseq_max, sample_seed
             )
             for start, length in spans:
-                tape = ad.Tape()
                 dropout_rng = None
                 if model_cfg.dropout > 0.0:
                     dropout_rng = np.random.default_rng(int(epoch_rng.integers(2**31)))
-                preds, _ = md.forward_sequence(
-                    tape, seq.features[start : start + length], model_cfg, store,
-                    dropout_rng=dropout_rng,
-                )
                 end = start + max(0, length - config.window + 1)  # the span's windows
                 windows = truths and tuple(a[start:end] for a in truths[seq_index])
-                gt = seq.relatives[start : start + length]
-                total = ls.sequence_loss(preds, gt, weights, windows)
-                value = total.item()
+                value = span_gradients(store, model_cfg, seq.features[start : start + length],
+                                       seq.relatives[start : start + length], weights, windows,
+                                       dropout_rng)
                 if not math.isfinite(value):
                     raise NonFiniteLossError(epoch, progress.stage_index, "train", value, seq_index)
-                ad.backward(total)
                 if config.grad_clip > 0.0:
                     norm = store.grad_norm()
                     if norm > config.grad_clip:

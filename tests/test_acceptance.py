@@ -20,7 +20,7 @@ from curvo import model as md
 from curvo import trainer as tr
 from oracles import gradients_close, pose_matrix
 
-from test_model import scalar_lstm_reference
+from test_model import run_cell, scalar_lstm_reference
 
 
 def report(name):
@@ -34,7 +34,7 @@ def test_01_sequence_loss_gradients_match_finite_differences():
     started = time.perf_counter()
     rng = np.random.default_rng(2024)
     cases = 100
-    passes = nodes = 0  # host-independent work counts, printed beside the time
+    passes = 0  # a host-independent work count, printed beside the time
     for case in range(cases):
         input_dim = int(rng.integers(2, 4))
         sizes = tuple(int(rng.integers(2, 6)) for _ in range(int(rng.integers(1, 3))))
@@ -50,16 +50,12 @@ def test_01_sequence_loss_gradients_match_finite_differences():
         )
 
         def total():
-            nonlocal passes, nodes
-            tape = ad.Tape()
-            preds, _ = md.forward_sequence(tape, features, config, store)
-            loss = ls.sequence_loss(preds, gt, weights)
+            nonlocal passes
             passes += 1
-            nodes += len(tape)
-            return loss
+            return ls.sequence_loss_value(md.predict(features, config, store), gt, weights)
 
-        scalar = total()
-        ad.backward(scalar)
+        passes += 1  # the analytic gradient's forward pass
+        tr.span_gradients(store, config, features, gt, weights)
         analytic = {name: store.grads[name].copy() for name in store.names()}
         store.zero_grads()
 
@@ -72,16 +68,15 @@ def test_01_sequence_loss_gradients_match_finite_differences():
                 idx = it.multi_index
                 orig = param[idx]
                 param[idx] = orig + step
-                hi = total().item()
+                hi = total()
                 param[idx] = orig - step
-                lo = total().item()
+                lo = total()
                 param[idx] = orig
                 fd[idx] = (hi - lo) / (2.0 * step)
             assert gradients_close(analytic[name], fd, rtol=1e-5), (case, name)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"gradient check took {elapsed:.1f}s"
-    report(f"1 gradient correctness ({cases} cases, {elapsed:.1f}s, {passes} forward passes, "
-           f"{nodes / passes:.1f} tape nodes per pass)")
+    report(f"1 gradient correctness ({cases} cases, {elapsed:.1f}s, {passes} forward passes)")
 
 
 # --- 2. geometry oracle equivalence ---------------------------------------------
@@ -172,18 +167,7 @@ def test_03_loss_identities():
 
 
 def test_04_lstm_cell_conformance():
-    def run_cell(x, h, c, w, b):
-        tape = ad.Tape()
-        hv, cv = md.lstm_cell(
-            tape.leaf(np.asarray(x, float).reshape(-1, 1)),
-            (tape.leaf(np.asarray(h, float).reshape(-1, 1)),
-             tape.leaf(np.asarray(c, float).reshape(-1, 1))),
-            tape.leaf(np.asarray(w, float)),
-            tape.leaf(np.asarray(b, float).reshape(-1, 1)),
-        )
-        return hv.data.reshape(-1), cv.data.reshape(-1)
-
-    # zero weights: gates sit at 0.5, the candidate at 0
+    # run_cell is model._layer at T = 1; zero weights: gates sit at 0.5, the candidate at 0
     n, m_dim = 4, 3
     h, c = run_cell(np.ones(m_dim), np.zeros(n), np.zeros(n),
                     np.zeros((4 * n, m_dim + n)), np.zeros(4 * n))

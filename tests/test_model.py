@@ -37,15 +37,45 @@ def scalar_lstm_reference(x, h_prev, c_prev, weights, bias):
 
 
 def run_cell(x, h, c, w, b):
-    tape = ad.Tape()
-    hv, cv = model.lstm_cell(
-        tape.leaf(np.asarray(x, float).reshape(-1, 1)),
-        (tape.leaf(np.asarray(h, float).reshape(-1, 1)),
-         tape.leaf(np.asarray(c, float).reshape(-1, 1))),
-        tape.leaf(np.asarray(w, float)),
-        tape.leaf(np.asarray(b, float).reshape(-1, 1)),
+    """The cell as ``model._layer`` at T = 1; returns (h', c') as 1-D rows."""
+    x = np.asarray(x, float)
+    stacked, cs, _, _ = model._layer(
+        x.reshape(1, -1), np.asarray(h, float).reshape(-1, 1),
+        np.asarray(c, float).reshape(-1, 1), np.asarray(w, float),
+        np.asarray(b, float).reshape(-1, 1),
     )
-    return hv.data.reshape(-1), cv.data.reshape(-1)
+    return stacked[1, len(x):], cs[1]
+
+
+def taped_cell(x, state, weights, bias):
+    """One cell update as two tape nodes, c' and then h'; returns (h', c').
+
+    The reverse sweep reaches h' first: its VJP passes the output-gate adjoint
+    on to the VJP of c', which assembles the adjoint of all four gates once and
+    pushes it through the stacked weights in one product.
+    """
+    h_prev, c_prev = state
+    n, m = h_prev.shape[0], x.shape[0]
+    w = weights.data
+    cache = model._layer(x.data.reshape(1, m), h_prev.data, c_prev.data, w, bias.data)
+    stacked, factors = cache[0], [a[0] for a in model._adjoint_factors(cache)]
+    output_gate_adjoint = []  # handed from the VJP of h' to the VJP of c'
+
+    def c_vjp(gc):
+        d_o = output_gate_adjoint.pop() if output_gate_adjoint else 0.0
+        d_gates, d_stacked, d_c = np.empty((4 * n, 1)), np.empty((m + n, 1)), np.empty((n, 1))
+        model._gate_adjoint(gc.reshape(n), d_o, *factors[3:], w.T, d_gates.reshape(-1),
+                            d_stacked.reshape(-1), d_c.reshape(-1))
+        return d_stacked[:m], d_stacked[m:], d_c, d_gates @ stacked[:1], d_gates
+
+    def h_vjp(gh):
+        out = np.empty((2, n, 1))
+        model._output_adjoint(gh.reshape(n), *factors[:3], out.reshape(2, n))
+        output_gate_adjoint.append(out[0, :, 0])
+        return (out[1],)
+
+    c_value = ad.fused((x, h_prev, c_prev, weights, bias), cache[1][1, :, None], c_vjp)
+    return ad.fused((c_value,), stacked[1, m:, None], h_vjp), c_value
 
 
 def dense(w, b, x, tanh=False):
@@ -63,18 +93,17 @@ def dense(w, b, x, tanh=False):
     return ad.fused((w, b, x), out, vjp)
 
 
-def per_step_graph(tape, features, cfg, store, initial=None, dropout_rng=None):
+def per_step_graph(tape, features, cfg, store, *, dropout_rng=None):
     """forward_sequence as one node per cell, dropout mask and head layer:
-    ``lstm_cell`` plus small fused kernels, with forward_sequence's signature."""
+    ``taped_cell`` plus small fused kernels, from the zero state, with
+    forward_sequence's signature."""
     leaf = {name: store.leaf(tape, name) for name in store.names()}
-    state = initial if initial is not None else model.HiddenState.zeros(cfg)
-    layers = [(tape.leaf(h), tape.leaf(c)) for h, c in state.layers]
+    layers = [(tape.leaf(np.zeros((n, 1))), tape.leaf(np.zeros((n, 1)))) for n in cfg.lstm_sizes]
     rows = []
     for t in range(len(features)):
         x = tape.leaf(features[t].reshape(-1, 1))
         for layer in range(len(layers)):
-            x, c = model.lstm_cell(x, layers[layer],
-                                   leaf[f"lstm{layer}.W"], leaf[f"lstm{layer}.b"])
+            x, c = taped_cell(x, layers[layer], leaf[f"lstm{layer}.W"], leaf[f"lstm{layer}.b"])
             layers[layer] = (x, c)
             if dropout_rng is not None and cfg.dropout > 0.0 and layer < len(layers) - 1:
                 keep = (dropout_rng.random(x.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
@@ -84,7 +113,7 @@ def per_step_graph(tape, features, cfg, store, initial=None, dropout_rng=None):
         rows.append(dense(leaf["head.W"], leaf["head.b"], x))
     stacked = ad.fused(rows, np.hstack([r.data for r in rows]).T,
                        lambda g: [g[t].reshape(6, 1) for t in range(len(rows))])
-    return stacked, model.HiddenState([(h.data, c.data) for h, c in layers])
+    return stacked, [(h.data, c.data) for h, c in layers]
 
 
 def assert_gradients_equal_per_step_graph(sizes, head_hidden, dropout, seeded, steps):
@@ -95,15 +124,12 @@ def assert_gradients_equal_per_step_graph(sizes, head_hidden, dropout, seeded, s
     rng = np.random.default_rng(15)
     features = rng.normal(size=(steps, 3))
     gt = rng.uniform(-0.3, 0.3, size=(steps, 6))
-    initial = model.HiddenState(
-        [(rng.normal(size=(n, 1)), rng.normal(size=(n, 1))) for n in sizes]
-    )
     weights = loss.LossWeights(alpha=0.5, delta=1.0, zeta=3.0, window=2)
     grads = []
     for run in (model.forward_sequence, per_step_graph):
         drop = np.random.default_rng(19) if seeded else None
         tape = ad.Tape()
-        preds, _ = run(tape, features, cfg, store, initial, drop)
+        preds, _ = run(tape, features, cfg, store, dropout_rng=drop)
         total = loss.sequence_loss(preds, gt, weights)
         ad.backward(total)
         grads.append((total.item(), {n: g.copy() for n, g in store.grads.items()}))
@@ -115,21 +141,13 @@ def assert_gradients_equal_per_step_graph(sizes, head_hidden, dropout, seeded, s
 
 
 def assert_predict_equals_forward_sequence(sizes, head_hidden, dropout, steps):
-    """predict's rows and final state equal forward_sequence's under ==."""
+    """predict's rows equal forward_sequence's under ==."""
     cfg = model.RegressorConfig(input_dim=3, lstm_sizes=sizes, head_hidden=head_hidden,
                                 dropout=dropout)
     store = model.init_params(cfg, seed=14)
-    rng = np.random.default_rng(15)
-    features = rng.normal(size=(steps, 3))
-    initial = model.HiddenState(
-        [(rng.normal(size=(n, 1)), rng.normal(size=(n, 1))) for n in sizes]
-    )
-    preds, taped = model.forward_sequence(ad.Tape(), features, cfg, store, initial=initial)
-    rows, final = model.predict(features, cfg, store, initial=initial)
-    assert np.array_equal(rows, preds.data)
-    assert len(final.layers) == len(sizes)
-    for (h, c), (h_ref, c_ref) in zip(final.layers, taped.layers):
-        assert np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
+    features = np.random.default_rng(15).normal(size=(steps, 3))
+    preds, _ = model.forward_sequence(ad.Tape(), features, cfg, store)
+    assert np.array_equal(model.predict(features, cfg, store), preds.data)
 
 
 class TestLstmCell:
@@ -162,16 +180,6 @@ class TestLstmCell:
             h_ref, c_ref = scalar_lstm_reference(x, h0, c0, w, b)
             np.testing.assert_allclose(h, h_ref, atol=1e-12)
             np.testing.assert_allclose(c, c_ref, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        tape = ad.Tape()
-        with pytest.raises(ad.ShapeMismatchError):
-            model.lstm_cell(
-                tape.leaf(np.zeros((2, 1))),
-                (tape.leaf(np.zeros((3, 1))), tape.leaf(np.zeros((3, 1)))),
-                tape.leaf(np.zeros((12, 4))),
-                tape.leaf(np.zeros((12, 1))),
-            )
 
 
 class TestInit:
@@ -208,14 +216,14 @@ class TestForwardSequence:
         store = model.init_params(cfg, seed=1)
         features = np.random.default_rng(2).normal(size=(1, 3))
         tape = ad.Tape()
-        preds, state = model.forward_sequence(tape, features, cfg, store)
+        preds, final = model.forward_sequence(tape, features, cfg, store)
         h, _ = run_cell(
             features[0], np.zeros(4), np.zeros(4),
             store.params["lstm0.W"], store.params["lstm0.b"].reshape(-1),
         )
         expected = store.params["head.W"] @ h.reshape(-1, 1) + store.params["head.b"]
         np.testing.assert_allclose(preds.data[0], expected[:, 0], atol=1e-12)
-        np.testing.assert_allclose(state.layers[0][0].reshape(-1), h, atol=1e-12)
+        np.testing.assert_allclose(final[0][0].reshape(-1), h, atol=1e-12)
 
     def test_zero_head_outputs_identity_motion(self):
         cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4, 4))
@@ -227,20 +235,6 @@ class TestForwardSequence:
             tape, np.random.default_rng(4).normal(size=(5, 3)), cfg, store
         )
         np.testing.assert_allclose(preds.data, 0.0, atol=1e-15)
-
-    def test_state_threading_bit_identical(self):
-        cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4, 3))
-        store = model.init_params(cfg, seed=5)
-        features = np.random.default_rng(6).normal(size=(8, 3))
-        tape = ad.Tape()
-        preds_full, _ = model.forward_sequence(tape, features, cfg, store)
-        tape2 = ad.Tape()
-        preds_a, mid = model.forward_sequence(tape2, features[:3], cfg, store)
-        tape3 = ad.Tape()
-        preds_b, _ = model.forward_sequence(tape3, features[3:], cfg, store, initial=mid)
-        full = preds_full.data
-        split = np.vstack([preds_a.data, preds_b.data])
-        assert np.array_equal(full, split)
 
     @pytest.mark.parametrize("sizes,head_hidden,dropout", [
         ((4, 3), None, 0.0),
@@ -371,18 +365,6 @@ class TestPredict:
 
     def test_single_step_equals_forward_sequence(self):
         assert_predict_equals_forward_sequence((5, 3, 4), 1, 0.3, steps=1)
-
-    @pytest.mark.parametrize("sizes,head_hidden", [((4, 3), None), ((5, 3, 4), 1)])
-    def test_state_threading_bit_identical(self, sizes, head_hidden):
-        cfg = model.RegressorConfig(input_dim=3, lstm_sizes=sizes, head_hidden=head_hidden)
-        store = model.init_params(cfg, seed=5)
-        features = np.random.default_rng(6).normal(size=(8, 3))
-        whole, end = model.predict(features, cfg, store)
-        head, mid = model.predict(features[:3], cfg, store)
-        tail, split_end = model.predict(features[3:], cfg, store, initial=mid)
-        assert np.array_equal(np.vstack([head, tail]), whole)
-        for (h, c), (h_ref, c_ref) in zip(split_end.layers, end.layers):
-            assert np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
 
     def test_feature_width_checked(self):
         cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4,))

@@ -90,6 +90,65 @@ class TestPrepareData:
         assert len(data.train) + len(data.val) == len(sequences)
 
 
+SPAN_WEIGHTS = ls.LossWeights(alpha=0.5, delta=1.0, zeta=3.0, window=2)
+
+
+def span_case(dropout=0.0):
+    """A (4, 3)-LSTM with a hidden head layer, and a 9-step span for it."""
+    cfg = md.RegressorConfig(input_dim=3, lstm_sizes=(4, 3), head_hidden=5, dropout=dropout)
+    rng = np.random.default_rng(22)
+    features, gt = rng.normal(size=(9, 3)), rng.uniform(-0.3, 0.3, size=(9, 6))
+    return cfg, md.init_params(cfg, seed=21), features, gt
+
+
+def grads_of(store):
+    return {name: g.copy() for name, g in store.grads.items()}
+
+
+class TestSpanGradients:
+    def test_total_equals_the_no_grad_objective(self):
+        cfg, store, features, gt = span_case()
+        total = tr.span_gradients(store, cfg, features, gt, SPAN_WEIGHTS)
+        assert total == ls.sequence_loss_value(md.predict(features, cfg, store), gt, SPAN_WEIGHTS)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_gradients_equal_the_taped_path(self, dropout):
+        cfg, store, features, gt = span_case(dropout)
+        windows = ls.ground_truth_window_relatives(gt, SPAN_WEIGHTS.window)
+        total = tr.span_gradients(store, cfg, features, gt, SPAN_WEIGHTS, windows,
+                                  np.random.default_rng(23))
+        got = grads_of(store)
+        store.zero_grads()
+        preds, _ = md.forward_sequence(ad.Tape(), features, cfg, store,
+                                       dropout_rng=np.random.default_rng(23))
+        taped = ls.sequence_loss(preds, gt, SPAN_WEIGHTS, windows)
+        ad.backward(taped)
+        assert total == taped.item()
+        for name in store.names():
+            assert np.array_equal(got[name], store.grads[name]), name
+
+    def test_two_calls_add_up(self):
+        cfg, store, features, gt = span_case()
+        first, second = slice(0, 5), slice(3, 9)
+        parts = []
+        for rows in (first, second):
+            tr.span_gradients(store, cfg, features[rows], gt[rows], SPAN_WEIGHTS)
+            parts.append(grads_of(store))
+            store.zero_grads()
+        for rows in (first, second):
+            tr.span_gradients(store, cfg, features[rows], gt[rows], SPAN_WEIGHTS)
+        for name in store.names():
+            assert np.array_equal(store.grads[name], parts[0][name] + parts[1][name]), name
+
+    def test_non_finite_total_leaves_gradients_at_zero(self):
+        cfg, store, features, gt = span_case()
+        store.params["head.W"][...] = 1e200  # the squared step terms overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = tr.span_gradients(store, cfg, features, gt, SPAN_WEIGHTS)
+        assert not math.isfinite(total)
+        assert not any(g.any() for g in store.grads.values())
+
+
 class TestTrain:
     def test_three_stage_runlog(self):
         store, runlog = tr.train(tiny_config())
@@ -101,26 +160,25 @@ class TestTrain:
             assert math.isfinite(record.val_loss)
 
     def test_adam_and_grad_norm_called_through_the_module(self, monkeypatch):
-        # one ad.adam_step per span, looked up on the module, and one grad_norm per
-        # step: the benchmark times each op up to adam_step and reads clipping from
-        # grad_norm
-        calls = {"adam_step": 0, "grad_norm": 0}
-        adam_step, grad_norm = ad.adam_step, ad.ParamStore.grad_norm
+        # one ad.adam_step, md.forward_sequence and ad.backward per span and one
+        # grad_norm per step, each looked up on its module: the benchmark times each
+        # op up to adam_step, reads clipping from grad_norm, and wraps the forward
+        # and the reverse sweep where they are defined
+        calls = dict.fromkeys(("adam_step", "grad_norm", "forward_sequence", "backward"), 0)
 
-        def counted_adam_step(*args, **kwargs):
-            calls["adam_step"] += 1
-            return adam_step(*args, **kwargs)
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
 
-        def counted_grad_norm(store):
-            calls["grad_norm"] += 1
-            return grad_norm(store)
-
-        monkeypatch.setattr(ad, "adam_step", counted_adam_step)
-        monkeypatch.setattr(ad.ParamStore, "grad_norm", counted_grad_norm)
+        for owner, name in ((ad, "adam_step"), (ad.ParamStore, "grad_norm"),
+                            (md, "forward_sequence"), (ad, "backward")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
         config = tiny_config()
         _, runlog = tr.train(config)
         spans = len(runlog.records) * len(tr.prepare_data(config).train) * config.subseq_count
-        assert calls == {"adam_step": spans, "grad_norm": spans}
+        assert calls == dict.fromkeys(calls, spans)
 
     def test_zero_noise_relative_loss_drops_tenfold(self):
         config = tiny_config(
@@ -389,6 +447,5 @@ class TestPredictionHelpers:
         store = md.init_params(model_cfg, seed=3)
         seq = data.val[0]
         weights = ls.LossWeights(alpha=0.5, delta=1.0, zeta=10.0, window=3)
-        preds, _ = md.forward_sequence(ad.Tape(), seq.features, model_cfg, store)
-        taped = ls.sequence_loss(preds, seq.relatives, weights).item() / len(seq)
-        assert tr.validation_loss(store, model_cfg, [seq], weights) == taped
+        taped = tr.span_gradients(store, model_cfg, seq.features, seq.relatives, weights)
+        assert tr.validation_loss(store, model_cfg, [seq], weights) == taped / len(seq)
