@@ -36,10 +36,6 @@ class LineCountMismatchError(ValueError):
     pass
 
 
-def _parse_optional_int(v):
-    return None if v.strip() == "" else int(v)
-
-
 def _parse_optional_str(v):
     return None if v.strip() == "" else str(v)
 
@@ -76,8 +72,6 @@ CONFIG_SCHEMA = {
     },
     "model": {
         "lstm_sizes": ("lstm_sizes", _parse_int_tuple),
-        "head_hidden": ("head_hidden", _parse_optional_int),
-        "dropout": ("dropout", float),
     },
     "objective": {
         "mode": ("mode", str),

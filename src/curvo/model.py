@@ -1,4 +1,4 @@
-"""Pose regressor: stacked LSTM layers plus a fully connected head.
+"""Pose regressor: stacked LSTM layers plus one linear head.
 
 Each LSTM layer carries one stacked weight matrix of shape
 ``4n x (n_prev + n)`` over the concatenated (input, previous hidden) column,
@@ -9,12 +9,12 @@ exactly); the forget-gate slice is initialized to +1 for trainability.
 
 Every sequence starts from the zero state. Inside a layer's time loop a
 step's vectors are 1-D rows of (T, ·) arrays and each product is one
-``np.dot`` into a buffer made once per call; the head's input is (T, k, 1)
-columns. A sequence's outputs are (T, 6) rows, one pose per step, ordered
-(tx, ty, tz, roll, pitch, yaw). Layers run one at a time, each over all T
-steps, then the head over all T at once: ``predict`` runs this with no tape,
-and ``forward_sequence`` records its rows as one tape node whose VJP is the
-hand-written BPTT.
+``np.dot`` into a buffer made once per call; the head's input is the top
+layer's outputs as (T, k, 1) columns. A sequence's outputs are (T, 6) rows,
+one pose per step, ordered (tx, ty, tz, roll, pitch, yaw). Layers run one at
+a time, each over all T steps, then the head over all T at once: ``predict``
+runs this with no tape, and ``forward_sequence`` records its rows as one tape
+node whose VJP is the hand-written BPTT.
 """
 
 from __future__ import annotations
@@ -32,20 +32,13 @@ OUTPUT_DIM = 6
 class RegressorConfig:
     input_dim: int
     lstm_sizes: tuple[int, ...] = (32, 32)
-    output_dim: int = OUTPUT_DIM
-    head_hidden: int | None = None  # optional second FC layer with tanh between
-    dropout: float = 0.0  # inverted dropout on inter-layer h vectors, 0 = off
 
     def __post_init__(self):
         if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
-        if not self.lstm_sizes:
-            raise ValueError("at least one LSTM layer is required")
-        if self.output_dim != OUTPUT_DIM:
-            raise ValueError(f"output_dim is fixed at {OUTPUT_DIM}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
         object.__setattr__(self, "lstm_sizes", tuple(int(n) for n in self.lstm_sizes))
+        if not self.lstm_sizes or min(self.lstm_sizes) < 1:
+            raise ValueError(f"need one or more LSTM layers of size >= 1, got {self.lstm_sizes}")
 
 
 def init_params(config: RegressorConfig, seed: int) -> ad.ParamStore:
@@ -61,14 +54,9 @@ def init_params(config: RegressorConfig, seed: int) -> ad.ParamStore:
         bias[n : 2 * n] = 1.0
         store.add(f"lstm{layer}.b", bias)
         prev = n
-    if config.head_hidden is not None:
-        k = 1.0 / np.sqrt(prev)
-        store.add("head0.W", rng.uniform(-k, k, size=(config.head_hidden, prev)))
-        store.add("head0.b", np.zeros((config.head_hidden, 1)))
-        prev = config.head_hidden
     k = 1.0 / np.sqrt(prev)
-    store.add("head.W", rng.uniform(-k, k, size=(config.output_dim, prev)))
-    store.add("head.b", np.zeros((config.output_dim, 1)))
+    store.add("head.W", rng.uniform(-k, k, size=(OUTPUT_DIM, prev)))
+    store.add("head.b", np.zeros((OUTPUT_DIM, 1)))
     return store
 
 
@@ -138,11 +126,9 @@ def _gate_adjoint(gc, d_o, a, b, c, f, w_t, d, out, d_c):
 
 
 def _descending_sum(parts):
-    """``parts[T-1] + parts[T-2] + ... + parts[0]``, added in that order. numpy's reduce
-    over the reversed axis adds in that order where a part has 2 or more elements;
-    over 1-element parts it adds pairwise, so those keep the Python sum."""
-    if parts[0].size < 2:
-        return sum(parts[-2::-1], parts[-1])
+    """``parts[T-1] + parts[T-2] + ... + parts[0]``, added in that order: numpy's reduce
+    over the reversed axis adds in that order where a part has 2 or more elements, as
+    every parameter's parts do (a bias has at least 4 and the head's 6)."""
     return np.add.reduce(parts[::-1], axis=0)
 
 
@@ -156,59 +142,41 @@ def _checked_features(op: str, features, config: RegressorConfig) -> np.ndarray:
     return features
 
 
-def _run(features, config: RegressorConfig, params, dropout_rng=None, saved=None):
+def _run(features, config: RegressorConfig, params, saved=None):
     """The regressor from the zero state one layer at a time over all T steps,
-    then the head over the top layer's outputs as (T, k, 1) columns; dropout only
-    with a generator, its masks drawn at once but filled time-major, then by
-    layer, as per-step draws were. Returns the (T, 6) rows and the final
-    per-layer (h, c) columns; appends each layer's (cache, mask), then the head's
-    input and output, to ``saved``, which ``_bptt`` reads."""
-    steps, sizes = features.shape[0], config.lstm_sizes
-    masks = [None] * len(sizes)
-    if dropout_rng is not None and config.dropout > 0.0:
-        draw = dropout_rng.random((steps, sum(sizes[:-1])))
-        keep = (draw >= config.dropout) / (1.0 - config.dropout)
-        masks[:-1] = [keep[:, end - n : end] for n, end in zip(sizes, np.cumsum(sizes[:-1]))]
+    then the head over the top layer's outputs as (T, k, 1) columns. Returns the
+    (T, 6) rows and the final per-layer (h, c) columns; appends each layer's
+    cache, then the head's input, to ``saved``, which ``_bptt`` reads."""
     x = features
     final = []
-    for layer, (n, mask) in enumerate(zip(sizes, masks)):
+    for layer, n in enumerate(config.lstm_sizes):
         m, zero = x.shape[1], np.zeros((n, 1))
         cache = _layer(x, zero, zero, params[f"lstm{layer}.W"], params[f"lstm{layer}.b"])
         final.append((cache[0][-1, m:, None].copy(), cache[1][-1, :, None].copy()))
-        x = cache[0][1:, m:] if mask is None else cache[0][1:, m:] * mask
+        x = cache[0][1:, m:]
         if saved is not None:
-            saved.append((cache, mask))
+            saved.append(cache)
         del cache  # unless saved, the layer's arrays go once the next layer has copied x
-    x = head_in = x[:, :, None]
-    if config.head_hidden is not None:
-        x = np.tanh(np.matmul(params["head0.W"], x) + params["head0.b"])
+    x = x[:, :, None]
     if saved is not None:
-        saved.append((head_in, x))
-    return (np.matmul(params["head.W"], x) + params["head.b"]).reshape(steps, OUTPUT_DIM), final
+        saved.append(x)
+    return (np.matmul(params["head.W"], x) + params["head.b"]).reshape(-1, OUTPUT_DIM), final
 
 
-def _bptt(g, config: RegressorConfig, params, saved) -> dict[str, np.ndarray]:
+def _bptt(g, params, saved) -> dict[str, np.ndarray]:
     """Each parameter's gradient from the rows' (T, 6) adjoint ``g``: the head over
     all T rows at once, then each layer from the top, its steps from T-1 down
     to 0 in buffers made once per layer. Each parameter's per-step parts are
     added in descending t, the order ``ad.backward`` uses over a graph of one
-    node per cell, dropout mask and head op, so the sums equal that graph's bit
-    for bit."""
-    *caches, (head_in, head_out) = saved
+    node per cell and per head product, so the sums equal that graph's bit for
+    bit."""
+    *caches, head_in = saved
     d_rows = np.ascontiguousarray(g).reshape(-1, OUTPUT_DIM, 1)
     sums = {"head.b": _descending_sum(d_rows),
-            "head.W": _descending_sum(d_rows * head_out.transpose(0, 2, 1))}
-    d_x = np.matmul(params["head.W"].T, d_rows)
-    if config.head_hidden is not None:
-        d_z = d_x * (1.0 - head_out * head_out)
-        sums["head0.b"] = _descending_sum(d_z)
-        sums["head0.W"] = _descending_sum(d_z * head_in.transpose(0, 2, 1))
-        d_x = np.matmul(params["head0.W"].T, d_z)
-    d_x = d_x.reshape(len(d_rows), -1)
+            "head.W": _descending_sum(d_rows * head_in.transpose(0, 2, 1))}
+    d_x = np.matmul(params["head.W"].T, d_rows).reshape(len(d_rows), -1)
     for layer in range(len(caches) - 1, -1, -1):
-        cache, mask = caches[layer]
-        if mask is not None:
-            d_x = d_x * mask
+        cache = caches[layer]
         w_t, stacked, n = params[f"lstm{layer}.W"].T, cache[0][:-1], d_x.shape[1]
         m = stacked.shape[1] - n
         d_gates, d_stacked = np.empty((len(stacked), 4 * n)), np.empty(stacked.shape)
@@ -229,7 +197,7 @@ def _bptt(g, config: RegressorConfig, params, saved) -> dict[str, np.ndarray]:
 
 
 def forward_sequence(tape: ad.Tape, features: np.ndarray, config: RegressorConfig,
-                     store: ad.ParamStore, *, dropout_rng: np.random.Generator | None = None):
+                     store: ad.ParamStore):
     """Run the regressor from the zero state over a (T, input_dim) feature block.
 
     Returns (predictions, final): predictions is one (T, 6) Value over the
@@ -237,17 +205,16 @@ def forward_sequence(tape: ad.Tape, features: np.ndarray, config: RegressorConfi
     final is the per-layer list of (h, c) columns after step T-1. The pair,
     and the tape as the first argument, stay because the benchmark's gradient
     check unpacks two values and its tracer reads the tape and the features
-    from the first two arguments. Dropout runs only if the config enables it
-    and a generator is supplied.
+    from the first two arguments.
     """
     features = _checked_features("forward_sequence", features, config)
     names = store.names()
     leaves = [store.leaf(tape, name) for name in names]
     saved = []
-    rows, final = _run(features, config, store.params, dropout_rng, saved)
+    rows, final = _run(features, config, store.params, saved)
 
     def vjp(g):
-        sums = _bptt(g, config, store.params, saved)
+        sums = _bptt(g, store.params, saved)
         return [sums[name] for name in names]
 
     return ad.fused(leaves, rows, vjp), final
@@ -255,6 +222,5 @@ def forward_sequence(tape: ad.Tape, features: np.ndarray, config: RegressorConfi
 
 def predict(features, config: RegressorConfig, store: ad.ParamStore) -> np.ndarray:
     """The no-grad forward: ``forward_sequence``'s time loop with no tape, so its
-    (T, 6) rows equal those of ``forward_sequence`` without a dropout generator
-    bit for bit."""
+    (T, 6) rows equal those of ``forward_sequence`` bit for bit."""
     return _run(_checked_features("predict", features, config), config, store.params)[0]

@@ -74,8 +74,6 @@ class RunConfig:
     bias_sigma: float = 0.0
     # model
     lstm_sizes: tuple[int, ...] = (16, 16)
-    head_hidden: int | None = None
-    dropout: float = 0.0
     # objective schedule
     mode: str = "curriculum"
     alphas: tuple[float, ...] = cur.DEFAULT_ALPHAS
@@ -104,6 +102,7 @@ class RunConfig:
             raise ValueError(f"mode must be one of {SCHEDULE_MODES}, got {self.mode!r}")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "lstm_sizes", tuple(int(n) for n in self.lstm_sizes))
+        self.regressor_config(1)  # the layer-size checks
         if self.mode == "fixed" and len(set(self.alphas)) != 1:
             raise ValueError("fixed mode needs a single alpha value")
         if self.dataset_dir is None:  # generated data: generate's and the feature model's rules
@@ -118,12 +117,7 @@ class RunConfig:
         self.schedule()  # the loss-weight and stage checks
 
     def regressor_config(self, input_dim: int) -> md.RegressorConfig:
-        return md.RegressorConfig(
-            input_dim=input_dim,
-            lstm_sizes=self.lstm_sizes,
-            head_hidden=self.head_hidden,
-            dropout=self.dropout,
-        )
+        return md.RegressorConfig(input_dim=input_dim, lstm_sizes=self.lstm_sizes)
 
     def schedule(self) -> cur.CurriculumSchedule:
         """One stage per alpha: reversed for the anti-curriculum, as given otherwise."""
@@ -284,12 +278,12 @@ def predicted_trajectory(store, model_cfg, sequence: sd.Sequence) -> geo.Traject
 
 
 def span_gradients(store: ad.ParamStore, model_cfg: md.RegressorConfig, features, gt, weights,
-                   truth_windows=None, dropout_rng=None) -> float:
+                   truth_windows=None) -> float:
     """One span's objective total, from the zero state; when it is finite, the
     span's gradient is added into ``store.grads``, and otherwise they are left as
     they were. The forward, the objective and the reverse sweep are each looked
     up on their module, where the benchmark's tracer wraps them."""
-    preds, _ = md.forward_sequence(ad.Tape(), features, model_cfg, store, dropout_rng=dropout_rng)
+    preds, _ = md.forward_sequence(ad.Tape(), features, model_cfg, store)
     total = ls.sequence_loss(preds, gt, weights, truth_windows)
     value = total.item()
     if math.isfinite(value):
@@ -328,14 +322,10 @@ def train(config: RunConfig, data: PreparedData | None = None) -> tuple[ad.Param
                 len(seq), config.subseq_count, config.subseq_min, config.subseq_max, sample_seed
             )
             for start, length in spans:
-                dropout_rng = None
-                if model_cfg.dropout > 0.0:
-                    dropout_rng = np.random.default_rng(int(epoch_rng.integers(2**31)))
                 end = start + max(0, length - config.window + 1)  # the span's windows
                 windows = truths and tuple(a[start:end] for a in truths[seq_index])
                 value = span_gradients(store, model_cfg, seq.features[start : start + length],
-                                       seq.relatives[start : start + length], weights, windows,
-                                       dropout_rng)
+                                       seq.relatives[start : start + length], weights, windows)
                 if not math.isfinite(value):
                     raise NonFiniteLossError(epoch, progress.stage_index, "train", value, seq_index)
                 if config.grad_clip > 0.0:

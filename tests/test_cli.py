@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -61,13 +63,21 @@ class TestConfigParsing:
     def test_unknown_keys_all_reported(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[data]\nbogus = 1\npreset = walker\n[nosuch]\nx = 2\n"
+                        "[model]\ndropout = 0.3\nhead_hidden = 4\n"
                         "[training]\nseed = notanint\n")
         with pytest.raises(cli.UsageError) as err:
             cli.load_run_config(path)
         message = str(err.value)
         assert "bogus" in message
         assert "nosuch" in message
+        assert "[model] dropout" in message
+        assert "[model] head_hidden" in message
         assert "seed" in message
+
+    def test_schema_names_every_run_config_field_once(self):
+        # the benchmark writes its config files by reading each schema field off a RunConfig
+        named = sorted(name for section in cli.CONFIG_SCHEMA.values() for name, _ in section.values())
+        assert named == sorted(f.name for f in fields(tr.RunConfig) if f.name != "out_dir")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(cli.UsageError):
@@ -223,6 +233,17 @@ def test_span_setting_error_is_config_error(config_file, tmp_path, capsys, setti
     lines = [setting if line.startswith(f"{key} = ") else line
              for line in CONFIG_TEXT.splitlines()]
     config_file.write_text("\n".join(lines) + "\n")
+    for command in (["train"], ["ablate", "--seeds", "0,1"], ["alpha-sweep"]):
+        out = tmp_path / command[0]
+        assert cli.main([*command, "--config", str(config_file), "--out", str(out)]) == 1
+        assert "config errors" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["lstm_sizes = 0", "lstm_sizes = 4,-2", "lstm_sizes ="],
+                         ids=["zero-size", "negative-size", "no-layers"])
+def test_model_setting_error_is_config_error(config_file, tmp_path, capsys, setting):
+    config_file.write_text(CONFIG_TEXT.replace("lstm_sizes = 8", setting))
     for command in (["train"], ["ablate", "--seeds", "0,1"], ["alpha-sweep"]):
         out = tmp_path / command[0]
         assert cli.main([*command, "--config", str(config_file), "--out", str(out)]) == 1

@@ -78,25 +78,16 @@ def taped_cell(x, state, weights, bias):
     return ad.fused((c_value,), stacked[1, m:, None], h_vjp), c_value
 
 
-def dense(w, b, x, tanh=False):
-    """``w x + b``, or ``tanh(w x + b)``, as one fused node over (w, b, x)."""
+def dense(w, b, x):
+    """``w x + b`` as one fused node over (w, b, x)."""
     w_data, x_data = w.data, x.data
-    out = w_data @ x_data + b.data
-    if not tanh:
-        return ad.fused((w, b, x), out, lambda g: (g @ x_data.T, g, w_data.T @ g))
-    out = np.tanh(out)
-
-    def vjp(g):
-        d_z = g * (1.0 - out * out)
-        return d_z @ x_data.T, d_z, w_data.T @ d_z
-
-    return ad.fused((w, b, x), out, vjp)
+    return ad.fused((w, b, x), w_data @ x_data + b.data, lambda g: (g @ x_data.T, g, w_data.T @ g))
 
 
-def per_step_graph(tape, features, cfg, store, *, dropout_rng=None):
-    """forward_sequence as one node per cell, dropout mask and head layer:
-    ``taped_cell`` plus small fused kernels, from the zero state, with
-    forward_sequence's signature."""
+def per_step_graph(tape, features, cfg, store):
+    """forward_sequence as one node per cell and per head product: ``taped_cell``
+    plus small fused kernels, from the zero state, with forward_sequence's
+    signature."""
     leaf = {name: store.leaf(tape, name) for name in store.names()}
     layers = [(tape.leaf(np.zeros((n, 1))), tape.leaf(np.zeros((n, 1)))) for n in cfg.lstm_sizes]
     rows = []
@@ -105,21 +96,15 @@ def per_step_graph(tape, features, cfg, store, *, dropout_rng=None):
         for layer in range(len(layers)):
             x, c = taped_cell(x, layers[layer], leaf[f"lstm{layer}.W"], leaf[f"lstm{layer}.b"])
             layers[layer] = (x, c)
-            if dropout_rng is not None and cfg.dropout > 0.0 and layer < len(layers) - 1:
-                keep = (dropout_rng.random(x.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
-                x = ad.fused((x,), x.data * keep, lambda g, keep=keep: (g * keep,))
-        if cfg.head_hidden is not None:
-            x = dense(leaf["head0.W"], leaf["head0.b"], x, tanh=True)
         rows.append(dense(leaf["head.W"], leaf["head.b"], x))
     stacked = ad.fused(rows, np.hstack([r.data for r in rows]).T,
                        lambda g: [g[t].reshape(6, 1) for t in range(len(rows))])
     return stacked, [(h.data, c.data) for h, c in layers]
 
 
-def assert_gradients_equal_per_step_graph(sizes, head_hidden, dropout, seeded, steps):
+def assert_gradients_equal_per_step_graph(sizes, steps):
     """forward_sequence's loss and gradients equal per_step_graph's under ==."""
-    cfg = model.RegressorConfig(input_dim=3, lstm_sizes=sizes, head_hidden=head_hidden,
-                                dropout=dropout)
+    cfg = model.RegressorConfig(input_dim=3, lstm_sizes=sizes)
     store = model.init_params(cfg, seed=14)
     rng = np.random.default_rng(15)
     features = rng.normal(size=(steps, 3))
@@ -127,9 +112,8 @@ def assert_gradients_equal_per_step_graph(sizes, head_hidden, dropout, seeded, s
     weights = loss.LossWeights(alpha=0.5, delta=1.0, zeta=3.0, window=2)
     grads = []
     for run in (model.forward_sequence, per_step_graph):
-        drop = np.random.default_rng(19) if seeded else None
         tape = ad.Tape()
-        preds, _ = run(tape, features, cfg, store, dropout_rng=drop)
+        preds, _ = run(tape, features, cfg, store)
         total = loss.sequence_loss(preds, gt, weights)
         ad.backward(total)
         grads.append((total.item(), {n: g.copy() for n, g in store.grads.items()}))
@@ -140,10 +124,9 @@ def assert_gradients_equal_per_step_graph(sizes, head_hidden, dropout, seeded, s
         assert np.array_equal(fused[name], graph[name]), name
 
 
-def assert_predict_equals_forward_sequence(sizes, head_hidden, dropout, steps):
+def assert_predict_equals_forward_sequence(sizes, steps):
     """predict's rows equal forward_sequence's under ==."""
-    cfg = model.RegressorConfig(input_dim=3, lstm_sizes=sizes, head_hidden=head_hidden,
-                                dropout=dropout)
+    cfg = model.RegressorConfig(input_dim=3, lstm_sizes=sizes)
     store = model.init_params(cfg, seed=14)
     features = np.random.default_rng(15).normal(size=(steps, 3))
     preds, _ = model.forward_sequence(ad.Tape(), features, cfg, store)
@@ -204,10 +187,9 @@ class TestInit:
         assert np.abs(a.params["lstm0.W"]).max() <= k
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            model.RegressorConfig(input_dim=4, lstm_sizes=())
-        with pytest.raises(ValueError):
-            model.RegressorConfig(input_dim=4, lstm_sizes=(3,), output_dim=7)
+        for sizes in ((), (0,), (4, -2)):
+            with pytest.raises(ValueError):
+                model.RegressorConfig(input_dim=4, lstm_sizes=sizes)
 
 
 class TestForwardSequence:
@@ -236,14 +218,9 @@ class TestForwardSequence:
         )
         np.testing.assert_allclose(preds.data, 0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("sizes,head_hidden,dropout", [
-        ((4, 3), None, 0.0),
-        ((3, 4, 2), 5, 0.0),
-        ((4, 4), None, 0.5),
-    ])
-    def test_bptt_gradient_matches_finite_differences(self, sizes, head_hidden, dropout):
-        cfg = model.RegressorConfig(input_dim=3, lstm_sizes=sizes, head_hidden=head_hidden,
-                                    dropout=dropout)
+    @pytest.mark.parametrize("sizes", [(4, 3), (3, 4, 2), (4, 4)])
+    def test_bptt_gradient_matches_finite_differences(self, sizes):
+        cfg = model.RegressorConfig(input_dim=3, lstm_sizes=sizes)
         store = model.init_params(cfg, seed=7)
         # unit-scale weights keep every layer and the head in their nonlinear
         # range: at init scale the top of a 3-layer stack is nearly zero
@@ -257,8 +234,7 @@ class TestForwardSequence:
 
         def loss_value():
             tape = ad.Tape()
-            preds, _ = model.forward_sequence(tape, features, cfg, store,
-                                              dropout_rng=np.random.default_rng(10))
+            preds, _ = model.forward_sequence(tape, features, cfg, store)
             return loss.sequence_loss(preds, target, weights)
 
         ad.backward(loss_value())
@@ -281,61 +257,27 @@ class TestForwardSequence:
                 fd[idx] = (hi - lo) / (2 * step)
             assert gradients_close(analytic[name], fd, rtol=1e-5), name
 
-    def test_dropout_off_by_default_and_deterministic_when_on(self):
-        cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4, 4), dropout=0.5)
-        store = model.init_params(cfg, seed=11)
-        features = np.random.default_rng(12).normal(size=(4, 3))
-        tape = ad.Tape()
-        no_rng, _ = model.forward_sequence(tape, features, cfg, store)
-        tape2 = ad.Tape()
-        plain_cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4, 4))
-        plain, _ = model.forward_sequence(tape2, features, plain_cfg, store)
-        assert np.array_equal(no_rng.data, plain.data)
-        out = []
-        for _ in range(2):
-            tape_n = ad.Tape()
-            preds, _ = model.forward_sequence(
-                tape_n, features, cfg, store, dropout_rng=np.random.default_rng(99)
-            )
-            out.append(preds.data)
-        assert np.array_equal(out[0], out[1])
-        assert not np.array_equal(out[0], plain.data)
-
     def test_records_one_tape_node(self):
-        cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4, 3), head_hidden=5, dropout=0.5)
+        cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4, 3))
         store = model.init_params(cfg, seed=16)
         features = np.random.default_rng(17).normal(size=(7, 3))
         tape = ad.Tape()
-        model.forward_sequence(tape, features, cfg, store, dropout_rng=np.random.default_rng(18))
+        model.forward_sequence(tape, features, cfg, store)
         assert len(tape) == len(store.names()) + 1
 
-    @pytest.mark.parametrize("sizes,head_hidden,dropout,seeded", [
-        ((5,), None, 0.0, False),
-        ((4, 3), 7, 0.0, False),
-        ((3, 4, 2), None, 0.0, False),
-        ((4, 4), None, 0.5, False),
-        ((4, 4), None, 0.5, True),
-        ((5, 3, 4), 1, 0.3, True),  # unequal layers pin the order of the mask draws
-    ])
-    def test_gradients_equal_per_step_graph(self, sizes, head_hidden, dropout, seeded):
+    @pytest.mark.parametrize("sizes", [(5,), (4, 3), (3, 4, 2), (4, 4), (5, 3, 4)])
+    def test_gradients_equal_per_step_graph(self, sizes):
         # the BPTT adds each parameter's per-step parts in the order backward
         # adds them over a graph of one node per step op: equal under ==
-        assert_gradients_equal_per_step_graph(sizes, head_hidden, dropout, seeded, steps=9)
+        assert_gradients_equal_per_step_graph(sizes, steps=9)
 
     @pytest.mark.parametrize("steps", [1, 24])
     def test_sequence_length_gradients_equal_per_step_graph(self, steps):
-        # 24 steps of (T, 1, 1) head0.b parts: a numpy reduce, which sums them
-        # pairwise, gives other bits here
-        assert_gradients_equal_per_step_graph((5, 3, 4), 1, 0.3, True, steps)
+        assert_gradients_equal_per_step_graph((5, 3, 4), steps)
 
-    @pytest.mark.parametrize("head_hidden,steps", [(1, 10), (1, 60), (2, 24)])
-    def test_head_gradient_sums_equal_per_step_graph(self, head_hidden, steps):
-        # head0.b's parts have head_hidden elements: one takes the Python sum, two the
-        # numpy reduce, and both add in descending t
-        assert_gradients_equal_per_step_graph((4, 3), head_hidden, 0.0, False, steps)
-
+    # every parameter's parts have 2 or more elements: a bias's at least 4, the head's 6
     @pytest.mark.parametrize("steps", [1, 2, 10, 24, 200])
-    @pytest.mark.parametrize("part", [(1,), (1, 1), (2,), (2, 1), (3, 1), (6, 1), (8, 3), (64, 26)])
+    @pytest.mark.parametrize("part", [(2,), (2, 1), (3, 1), (6, 1), (8, 3), (64, 26)])
     def test_descending_sum_adds_from_the_last_part(self, steps, part):
         rng = np.random.default_rng(steps)
         parts = rng.normal(size=(steps, *part)) * np.exp(3.0 * rng.normal(size=(steps, *part)))
@@ -353,18 +295,12 @@ class TestForwardSequence:
 
 
 class TestPredict:
-    @pytest.mark.parametrize("sizes,head_hidden,dropout", [
-        ((5,), None, 0.0),
-        ((4, 3), 7, 0.0),
-        ((3, 4, 2), None, 0.0),
-        ((4, 4), None, 0.5),  # dropout configured, but no generator: off in both
-        ((5, 3, 4), 1, 0.3),
-    ])
-    def test_equals_forward_sequence_bit_for_bit(self, sizes, head_hidden, dropout):
-        assert_predict_equals_forward_sequence(sizes, head_hidden, dropout, steps=9)
+    @pytest.mark.parametrize("sizes", [(5,), (4, 3), (3, 4, 2), (4, 4), (5, 3, 4)])
+    def test_equals_forward_sequence_bit_for_bit(self, sizes):
+        assert_predict_equals_forward_sequence(sizes, steps=9)
 
     def test_single_step_equals_forward_sequence(self):
-        assert_predict_equals_forward_sequence((5, 3, 4), 1, 0.3, steps=1)
+        assert_predict_equals_forward_sequence((5, 3, 4), steps=1)
 
     def test_feature_width_checked(self):
         cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4,))
