@@ -17,7 +17,7 @@ config = tr.RunConfig(
     seq_length=200,
     noise_sigma=0.03,
     lstm_sizes=(16, 16),
-    mode="curriculum",          # alpha steps 1.0 -> 0.5 -> 0.1
+    alphas=(1.0, 0.5, 0.1),     # one stage per alpha, in this order
     max_epochs_per_stage=8,
     patience=3,
     seed=0,

@@ -74,7 +74,6 @@ CONFIG_SCHEMA = {
         "lstm_sizes": ("lstm_sizes", _parse_int_tuple),
     },
     "objective": {
-        "mode": ("mode", str),
         "alphas": ("alphas", _parse_float_tuple),
         "delta": ("delta", float),
         "zeta": ("zeta", float),
@@ -187,7 +186,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config = load_run_config(args.config, overrides={"seed": args.seed})
+    config = load_run_config(args.config)
     seeds = _list_flag(args, "seeds", _parse_int_tuple)
     try:
         tr.check_ablation(config, seeds)
@@ -388,10 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("ablate", help="compare objective schedules on shared data")
+    # every run is seeded from --seeds, so a --seed must not pass as its abbreviation
+    p = sub.add_parser("ablate", help="compare objective schedules on shared data",
+                       allow_abbrev=False)
     p.add_argument("--config", required=True)
     p.add_argument("--seeds", default="0,1", help="comma-separated seeds")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)
 

@@ -2,13 +2,12 @@
 
 A schedule is plain data: the loss weights of each stage, in order, and one
 stop rule that every stage shares (patience on relative validation-loss
-improvement, capped by a maximum epoch count). ``build_schedule`` makes one
+improvement, capped by a maximum epoch count). ``trainer.RunConfig`` makes one
 stage per alpha, in the order given, so the alpha tuple alone tells schedules
 apart: the standard ramp (1, 0.5, 0.1) moves from relative terms only to a
-small final value that emphasizes the window composite, its reversal is the
-anti-curriculum, and a repeated single value is a fixed baseline.
-``trainer.RunConfig`` names those modes, chooses the order and supplies the
-stop rule.
+small final value that emphasizes the window composite, its reversal
+(0.1, 0.5, 1) is the anti-curriculum, and a repeated single value is a fixed
+baseline.
 
 The scheduler sees nothing but the validation-loss sequence, so replaying a
 recorded sequence reproduces the exact same transitions.
@@ -21,10 +20,6 @@ from dataclasses import dataclass, replace
 from .loss import LossWeights
 
 DEFAULT_ALPHAS = (1.0, 0.5, 0.1)
-
-
-class TrainingCompleteError(RuntimeError):
-    """current_weights was asked for weights after the last stage finished."""
 
 
 @dataclass(frozen=True)
@@ -82,21 +77,3 @@ def advance(
     return replace(
         progress, epochs_in_stage=epochs, best_loss=best, epochs_since_improvement=stalled
     ), False
-
-
-def current_weights(progress: StageProgress, schedule: CurriculumSchedule) -> LossWeights:
-    if progress.complete:
-        raise TrainingCompleteError("all stages have finished")
-    return schedule.stages[progress.stage_index]
-
-
-def build_schedule(
-    alphas, *, delta, zeta, window, max_epochs, patience, min_delta
-) -> CurriculumSchedule:
-    """One stage per alpha, in the order given; every other setting is shared."""
-    return CurriculumSchedule(
-        stages=tuple(LossWeights(alpha=a, delta=delta, zeta=zeta, window=window) for a in alphas),
-        max_epochs=max_epochs,
-        patience=patience,
-        min_delta=min_delta,
-    )

@@ -36,9 +36,12 @@ class RegressorConfig:
     def __post_init__(self):
         if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
-        object.__setattr__(self, "lstm_sizes", tuple(int(n) for n in self.lstm_sizes))
-        if not self.lstm_sizes or min(self.lstm_sizes) < 1:
-            raise ValueError(f"need one or more LSTM layers of size >= 1, got {self.lstm_sizes}")
+        given = tuple(self.lstm_sizes)
+        sizes = tuple(int(n) for n in given)
+        if sizes != given or not sizes or min(sizes) < 1:
+            raise ValueError("need one or more LSTM layers of whole-number size >= 1, "
+                             f"got {given}")
+        object.__setattr__(self, "lstm_sizes", sizes)
 
 
 def init_params(config: RegressorConfig, seed: int) -> ad.ParamStore:

@@ -10,10 +10,10 @@ the stage scheduler. At every stage boundary the run log keeps a copy of the
 parameters, saved as that stage's checkpoint; the final ones are saved at the
 end. The log's transitions are the last epoch record of each stage.
 
-The schedule is the tuple ``alphas``, one stage per value: ``RunConfig``
-reverses it for the anti-curriculum, requires one repeated value for a fixed
-run, and checks the mode, the loss weights and the stage rules when it is
-built, so a bad config fails before any file is written.
+The schedule is the tuple ``alphas``, one stage per value in the order given:
+the anti-curriculum is the reversed tuple, and a fixed run repeats one value.
+``RunConfig`` checks the loss weights and the stage rules when it is built, so
+a bad config fails before any file is written.
 
 The ablation grid and alpha sweep hold data and initialization fixed per seed
 so that only the objective schedule differs between the compared runs. The
@@ -38,7 +38,6 @@ from . import loss as ls
 from . import model as md
 from . import synthdata as sd
 
-SCHEDULE_MODES = ("curriculum", "anti-curriculum", "fixed")
 ABLATION_MODES = ("curriculum", "anti-curriculum", "fixed-relative", "fixed-bounded")
 SWEEP_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -75,7 +74,6 @@ class RunConfig:
     # model
     lstm_sizes: tuple[int, ...] = (16, 16)
     # objective schedule
-    mode: str = "curriculum"
     alphas: tuple[float, ...] = cur.DEFAULT_ALPHAS
     delta: float = 1.0
     zeta: float = 10.0
@@ -98,13 +96,9 @@ class RunConfig:
             raise ValueError("val_split must be in (0, 1)")
         if self.preset not in sd.MOTION_PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
-        if self.mode not in SCHEDULE_MODES:
-            raise ValueError(f"mode must be one of {SCHEDULE_MODES}, got {self.mode!r}")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "lstm_sizes", tuple(int(n) for n in self.lstm_sizes))
-        self.regressor_config(1)  # the layer-size checks
-        if self.mode == "fixed" and len(set(self.alphas)) != 1:
-            raise ValueError("fixed mode needs a single alpha value")
+        # the layer sizes as RegressorConfig checks and stores them
+        object.__setattr__(self, "lstm_sizes", self.regressor_config(1).lstm_sizes)
         if self.dataset_dir is None:  # generated data: generate's and the feature model's rules
             if self.n_sequences < 2:  # one to train on, one to validate on
                 raise ValueError(f"need n_sequences >= 2, got {self.n_sequences}")
@@ -120,12 +114,10 @@ class RunConfig:
         return md.RegressorConfig(input_dim=input_dim, lstm_sizes=self.lstm_sizes)
 
     def schedule(self) -> cur.CurriculumSchedule:
-        """One stage per alpha: reversed for the anti-curriculum, as given otherwise."""
-        return cur.build_schedule(
-            self.alphas[::-1] if self.mode == "anti-curriculum" else self.alphas,
-            delta=self.delta,
-            zeta=self.zeta,
-            window=self.window,
+        """One stage per alpha, in the order given; every other setting is shared."""
+        return cur.CurriculumSchedule(
+            stages=tuple(ls.LossWeights(alpha=a, delta=self.delta, zeta=self.zeta,
+                                        window=self.window) for a in self.alphas),
             max_epochs=self.max_epochs_per_stage,
             patience=self.patience,
             min_delta=self.min_delta,
@@ -312,7 +304,7 @@ def train(config: RunConfig, data: PreparedData | None = None) -> tuple[ad.Param
     progress = cur.StageProgress()
     epoch = 0
     while not progress.complete:
-        weights = cur.current_weights(progress, schedule)
+        weights = schedule.stages[progress.stage_index]
         epoch += 1
         started = time.perf_counter()
         batch_losses = []
@@ -387,7 +379,6 @@ class AblationRow:
 @dataclass
 class AblationReport:
     rows: list[AblationRow] = field(default_factory=list)
-    segment_lengths: tuple[float, ...] = ()
 
     def modes(self):
         seen = []
@@ -401,15 +392,17 @@ class AblationReport:
 
 
 def _mode_config(config: RunConfig, mode: str) -> RunConfig:
+    """``config`` with the alphas (and, for fixed-bounded, the window) of one of
+    the ablation's named schedules."""
     stages = len(config.alphas)
     if mode == "curriculum":
-        return replace(config, mode="curriculum")
+        return config
     if mode == "anti-curriculum":
-        return replace(config, mode="anti-curriculum")
+        return replace(config, alphas=config.alphas[::-1])
     if mode == "fixed-relative":
-        return replace(config, mode="fixed", alphas=(1.0,) * stages)
+        return replace(config, alphas=(1.0,) * stages)
     if mode == "fixed-bounded":
-        return replace(config, mode="fixed", alphas=(0.5,) * stages, window=2)
+        return replace(config, alphas=(0.5,) * stages, window=2)
     raise ValueError(f"unknown ablation mode {mode!r}")
 
 
@@ -457,7 +450,7 @@ def ablate(
         segment_lengths = (
             ev.WALKER_SEGMENT_LENGTHS if config.preset == "walker" else ev.VEHICLE_SEGMENT_LENGTHS
         )
-    report = AblationReport(segment_lengths=tuple(segment_lengths))
+    report = AblationReport()
     for seed in seeds:
         base = replace(config, seed=int(seed), out_dir=None)
         data = prepare_data(base)
@@ -509,7 +502,7 @@ def sweep_configs(config: RunConfig, alphas, epochs: int) -> list[RunConfig]:
     if not alphas:
         raise ValueError("an alpha sweep needs at least one alpha")
     return [
-        replace(config, mode="fixed", alphas=(alpha,), max_epochs_per_stage=epochs,
+        replace(config, alphas=(alpha,), max_epochs_per_stage=epochs,
                 patience=epochs, out_dir=None)
         for alpha in alphas
     ]

@@ -22,7 +22,6 @@ noise_sigma = 0.0
 lstm_sizes = 8
 
 [objective]
-mode = curriculum
 alphas = 1.0,0.5,0.1
 window = 2
 
@@ -64,6 +63,7 @@ class TestConfigParsing:
         path = tmp_path / "bad.ini"
         path.write_text("[data]\nbogus = 1\npreset = walker\n[nosuch]\nx = 2\n"
                         "[model]\ndropout = 0.3\nhead_hidden = 4\n"
+                        "[objective]\nmode = curriculum\n"
                         "[training]\nseed = notanint\n")
         with pytest.raises(cli.UsageError) as err:
             cli.load_run_config(path)
@@ -72,6 +72,7 @@ class TestConfigParsing:
         assert "nosuch" in message
         assert "[model] dropout" in message
         assert "[model] head_hidden" in message
+        assert "[objective] mode" in message
         assert "seed" in message
 
     def test_schema_names_every_run_config_field_once(self):
@@ -175,8 +176,8 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize(
         "objective",
-        ["mode = bogus", "mode = fixed\nalphas = 0.5,1.0", "alphas = 1.0,1.5", "window = 0"],
-        ids=["unknown-mode", "fixed-needs-one-alpha", "alpha-out-of-range", "window-zero"],
+        ["alphas = 1.0,1.5", "window = 0"],
+        ids=["alpha-out-of-range", "window-zero"],
     )
     def test_objective_error_is_config_error(self, tmp_path, capsys, objective):
         config = tmp_path / "bad.ini"
@@ -207,6 +208,15 @@ def test_ablate_on_a_dataset_is_config_error(config_file, tmp_path, capsys):
     assert not out.exists()
     with pytest.raises(ValueError, match="generator"):
         tr.ablate(cli.load_run_config(config_file), seeds=[0, 1])
+
+
+def test_ablate_has_no_seed_flag(config_file, tmp_path, capsys):
+    # every ablation run is seeded from --seeds, so a single seed would be ignored
+    out = tmp_path / "ablation"
+    assert cli.main(["ablate", "--config", str(config_file), "--seeds", "0,1", "--seed", "3",
+                     "--out", str(out)]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [

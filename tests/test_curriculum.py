@@ -6,9 +6,9 @@ from curvo.loss import LossWeights
 
 
 def schedule_of(alphas=cur.DEFAULT_ALPHAS, **overrides):
-    """``build_schedule`` with every setting but the alphas defaulted."""
-    settings = dict(delta=1.0, zeta=1.0, window=2, max_epochs=200, patience=5, min_delta=1e-4)
-    return cur.build_schedule(alphas, **(settings | overrides))
+    """``RunConfig(...).schedule()`` with every setting but the alphas defaulted."""
+    settings = dict(zeta=1.0, max_epochs_per_stage=200) | overrides
+    return tr.RunConfig(alphas=alphas, **settings).schedule()
 
 
 def alphas_of(schedule):
@@ -31,14 +31,14 @@ def run_schedule(losses, schedule):
 
 class TestAdvance:
     def test_decreasing_losses_run_to_epoch_cap(self):
-        schedule = schedule_of((1.0,), max_epochs=10, patience=3)
+        schedule = schedule_of((1.0,), max_epochs_per_stage=10, patience=3)
         losses = [1.0 / (k + 1) for k in range(20)]
         stages, transitions, progress = run_schedule(losses, schedule)
         assert transitions == [10]
         assert progress.complete
 
     def test_constant_loss_exhausts_patience(self):
-        schedule = schedule_of((1.0,), max_epochs=200, patience=5)
+        schedule = schedule_of((1.0,), patience=5)
         losses = [0.5] * 20
         stages, transitions, progress = run_schedule(losses, schedule)
         # first epoch sets the best, then exactly 5 non-improving epochs
@@ -46,7 +46,7 @@ class TestAdvance:
         assert progress.complete
 
     def test_min_delta_filters_tiny_improvements(self):
-        schedule = schedule_of((1.0,), max_epochs=200, patience=2, min_delta=1e-3)
+        schedule = schedule_of((1.0,), patience=2, min_delta=1e-3)
         losses = [1.0, 0.9, 0.9001, 0.89999, 0.89]
         stages, transitions, _ = run_schedule(losses, schedule)
         # 0.9 improves; the next two stay within min_delta of 0.9, so the
@@ -54,7 +54,7 @@ class TestAdvance:
         assert transitions == [4]
 
     def test_three_stage_walkthrough(self):
-        schedule = schedule_of(max_epochs=50, patience=2)
+        schedule = schedule_of(max_epochs_per_stage=50, patience=2)
         losses = [1.0] + [1.0] * 2 + [0.8] + [0.8] * 2 + [0.1] + [0.1] * 2
         stages, transitions, progress = run_schedule(losses, schedule)
         assert stages == [0, 0, 0, 1, 1, 1, 2, 2, 2]
@@ -62,7 +62,7 @@ class TestAdvance:
         assert progress.complete
 
     def test_counters_reset_on_transition(self):
-        schedule = schedule_of(max_epochs=50, patience=3)
+        schedule = schedule_of(max_epochs_per_stage=50, patience=3)
         progress = cur.StageProgress()
         for value in [1.0, 1.0, 1.0, 1.0]:
             progress, moved = cur.advance(progress, value, schedule)
@@ -72,7 +72,7 @@ class TestAdvance:
         assert progress.epochs_since_improvement == 0
 
     def test_patience_never_exceeded_before_transition(self):
-        schedule = schedule_of((1.0,), max_epochs=100, patience=4)
+        schedule = schedule_of((1.0,), max_epochs_per_stage=100, patience=4)
         progress = cur.StageProgress()
         for value in [0.5] * 50:
             if progress.complete:
@@ -81,7 +81,7 @@ class TestAdvance:
             progress, _ = cur.advance(progress, value, schedule)
 
     def test_replay_reproduces_transitions(self):
-        schedule = schedule_of(max_epochs=30, patience=3)
+        schedule = schedule_of(max_epochs_per_stage=30, patience=3)
         losses = [1.0, 0.7, 0.69, 0.69, 0.69, 0.5, 0.5, 0.5, 0.4, 0.4, 0.4, 0.4]
         first = run_schedule(losses, schedule)
         second = run_schedule(losses, schedule)
@@ -89,37 +89,30 @@ class TestAdvance:
 
 
 class TestCurrentWeights:
+    """A stage's weights are ``schedule.stages[progress.stage_index]``."""
+
     def test_stage_alphas(self):
         schedule = schedule_of()
-        assert cur.current_weights(cur.StageProgress(stage_index=0), schedule).alpha == 1.0
-        assert cur.current_weights(cur.StageProgress(stage_index=1), schedule).alpha == 0.5
-        assert cur.current_weights(cur.StageProgress(stage_index=2), schedule).alpha == 0.1
+        assert [schedule.stages[k].alpha for k in range(3)] == [1.0, 0.5, 0.1]
 
     def test_anti_curriculum_first_stage(self):
-        schedule = tr.RunConfig(mode="anti-curriculum").schedule()
-        assert cur.current_weights(cur.StageProgress(stage_index=0), schedule).alpha == 0.1
-
-    def test_complete_raises(self):
-        schedule = schedule_of((0.5,))
-        with pytest.raises(cur.TrainingCompleteError):
-            cur.current_weights(cur.StageProgress(stage_index=1, complete=True), schedule)
+        schedule = tr.RunConfig(alphas=cur.DEFAULT_ALPHAS[::-1]).schedule()
+        assert schedule.stages[cur.StageProgress().stage_index].alpha == 0.1
 
 
 class TestScheduleConstruction:
     def test_anti_is_exact_reverse(self):
-        common = dict(delta=2.0, zeta=3.0, window=3)
-        forward = tr.RunConfig(mode="curriculum", **common).schedule()
-        backward = tr.RunConfig(mode="anti-curriculum", **common).schedule()
+        config = tr.RunConfig(delta=2.0, zeta=3.0, window=3)
+        forward = config.schedule()
+        backward = tr._mode_config(config, "anti-curriculum").schedule()
         assert alphas_of(backward) == tuple(reversed(alphas_of(forward)))
         for a, b in zip(forward.stages, reversed(backward.stages)):
             assert a == b
 
     def test_fixed_has_one_stage(self):
-        schedule = tr.RunConfig(mode="fixed", alphas=(0.5,), window=2).schedule()
+        schedule = tr.RunConfig(alphas=(0.5,), window=2).schedule()
         assert len(schedule.stages) == 1
         assert schedule.stages[0].alpha == 0.5
-        with pytest.raises(ValueError):
-            tr.RunConfig(mode="fixed", alphas=cur.DEFAULT_ALPHAS)
 
     def test_defaults(self):
         schedule = tr.RunConfig().schedule()
@@ -144,5 +137,3 @@ class TestScheduleConstruction:
             cur.CurriculumSchedule(stages=(), **rule)
         with pytest.raises(ValueError):
             schedule_of(())
-        with pytest.raises(ValueError):
-            tr.RunConfig(mode="bogus")

@@ -43,20 +43,29 @@ class TestRunConfig:
             tiny_config(preset="flying")
 
     def test_schedule_modes(self):
-        def alphas(config):
-            return tuple(weights.alpha for weights in config.schedule().stages)
+        # the ablation's named schedules are alpha tuples (fixed-bounded also sets the window)
+        def stages(mode):
+            return tuple((w.alpha, w.window)
+                         for w in tr._mode_config(tiny_config(window=3), mode).schedule().stages)
 
-        assert alphas(tiny_config(mode="curriculum")) == (1.0, 0.5, 0.1)
-        assert alphas(tiny_config(mode="anti-curriculum")) == (0.1, 0.5, 1.0)
-        assert alphas(tiny_config(mode="fixed", alphas=(0.5, 0.5, 0.5))) == (0.5, 0.5, 0.5)
+        assert stages("curriculum") == ((1.0, 3), (0.5, 3), (0.1, 3))
+        assert stages("anti-curriculum") == ((0.1, 3), (0.5, 3), (1.0, 3))
+        assert stages("fixed-relative") == ((1.0, 3),) * 3
+        assert stages("fixed-bounded") == ((0.5, 2),) * 3
         with pytest.raises(ValueError):
-            tiny_config(mode="fixed", alphas=(0.5, 1.0))
+            tr._mode_config(tiny_config(), "fixed")
+
+    def test_layer_sizes_must_be_whole_numbers(self):
+        for make in (tiny_config, lambda **kw: md.RegressorConfig(input_dim=3, **kw)):
+            with pytest.raises(ValueError, match="whole-number"):
+                make(lstm_sizes=(2.7, 3.9))
+            sizes = make(lstm_sizes=(np.int64(4),)).lstm_sizes
+            assert sizes == (4,) and type(sizes[0]) is int
 
     @pytest.mark.parametrize(
         "overrides",
-        [dict(mode="bogus"), dict(alphas=(1.0, 1.5)), dict(window=0), dict(alphas=()),
-         dict(max_epochs_per_stage=0)],
-        ids=["mode", "alpha-range", "window", "no-stages", "stage-epochs"],
+        [dict(alphas=(1.0, 1.5)), dict(window=0), dict(alphas=()), dict(max_epochs_per_stage=0)],
+        ids=["alpha-range", "window", "no-stages", "stage-epochs"],
     )
     def test_schedule_checked_at_construction(self, overrides):
         with pytest.raises(ValueError):
@@ -181,7 +190,6 @@ class TestTrain:
         config = tiny_config(
             n_sequences=4,
             seq_length=120,
-            mode="fixed",
             alphas=(1.0,),
             max_epochs_per_stage=50,
             patience=50,
@@ -211,8 +219,8 @@ class TestTrain:
 
     def test_stage_isolation(self):
         # stage-3 settings cannot influence stage-1 records
-        base = tiny_config(mode="curriculum", alphas=(1.0, 0.5, 0.1))
-        moved = tiny_config(mode="curriculum", alphas=(1.0, 0.5, 0.3))
+        base = tiny_config(alphas=(1.0, 0.5, 0.1))
+        moved = tiny_config(alphas=(1.0, 0.5, 0.3))
         _, log_a = tr.train(base)
         _, log_b = tr.train(moved)
         first_a = [r for r in log_a.records if r.stage == 0]
@@ -278,7 +286,7 @@ class TestTrain:
         assert len(calls) == len(trained) + len(validated)
 
         calls.clear()
-        tr.train(tiny_config(mode="fixed", alphas=(1.0, 1.0)), data=data)
+        tr.train(tiny_config(alphas=(1.0, 1.0)), data=data)
         assert calls == []
 
     def test_checkpoints_written(self, tmp_path):
