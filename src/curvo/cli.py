@@ -126,15 +126,15 @@ def load_run_config(path, overrides=None) -> tr.RunConfig:
         raise UsageError(f"config errors:\n  {exc}") from None
 
 
-def write_manifest(out_dir: Path, command: str, config: tr.RunConfig | None, extra=None):
+def write_manifest(out_dir: Path, command: str, config: tr.RunConfig | None, extra=None, omit=()):
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"tool = curvo {__version__}", f"command = {command}"]
     if config is not None:
-        for f in fields(tr.RunConfig):
-            value = getattr(config, f.name)
+        for name in (f.name for f in fields(tr.RunConfig) if f.name not in omit):
+            value = getattr(config, name)
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
-            lines.append(f"{f.name} = {value}")
+            lines.append(f"{name} = {value}")
     for key in sorted(extra or {}):
         lines.append(f"{key} = {(extra or {})[key]}")
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
@@ -193,7 +193,8 @@ def cmd_ablate(args) -> int:
     except ValueError as exc:
         raise UsageError(f"config errors:\n  {exc}") from None
     out = Path(args.out)
-    write_manifest(out, "ablate", config, extra={"seeds": args.seeds})
+    # each run's seed comes from --seeds, so the config's own seed is left out
+    write_manifest(out, "ablate", config, extra={"seeds": args.seeds}, omit=("seed",))
     report = tr.ablate(config, seeds=seeds)
     tr.write_ablation_csv(report, out / "ablation.csv")
     for metric, path in (("trans", "ablation_translation.svg"), ("rot", "ablation_rotation.svg")):

@@ -7,14 +7,15 @@ tanh, then ``c' = f*c + i*g`` and ``h' = o*tanh(c')``. A bias column is added
 on top of the stacked product (zero bias reproduces the bias-free cell
 exactly); the forget-gate slice is initialized to +1 for trainability.
 
-Every sequence starts from the zero state. Inside a layer's time loop a
-step's vectors are 1-D rows of (T, ·) arrays and each product is one
-``np.dot`` into a buffer made once per call; the head's input is the top
-layer's outputs as (T, k, 1) columns. A sequence's outputs are (T, 6) rows,
-one pose per step, ordered (tx, ty, tz, roll, pitch, yaw). Layers run one at
-a time, each over all T steps, then the head over all T at once: ``predict``
-runs this with no tape, and ``forward_sequence`` records its rows as one tape
-node whose VJP is the hand-written BPTT.
+Every sequence starts from the zero state. The L layers run as one wavefront
+loop of T + L - 1 steps, layer l one step behind layer l - 1: at loop step k,
+layer l runs its step k - l. Each layer keeps its own ``np.dot`` on a contiguous
+row, and every other op of a step runs once over all layers' units, in buffers
+made once per call. The head's input is the top layer's outputs as (T, k, 1)
+columns. A sequence's outputs are (T, 6) rows, one pose per step, ordered
+(tx, ty, tz, roll, pitch, yaw). ``predict`` runs this with no tape, and
+``forward_sequence`` records its rows as one tape node whose VJP is the
+hand-written BPTT, the same wavefront run backwards.
 """
 
 from __future__ import annotations
@@ -63,39 +64,55 @@ def init_params(config: RegressorConfig, seed: int) -> ad.ParamStore:
     return store
 
 
-def _layer(x, h, c, w, b):
-    """One LSTM layer over the (T, m) input rows ``x`` from the (n, 1) columns h and c.
-    Row t of the (T + 1, m + n) ``stacked`` is step t's (x, h) row, the product
-    operand, and the step writes its h' into row t + 1; every intermediate goes
-    into buffers made once per call. Returns what the adjoint helpers read:
-    stacked (whose ``[1:, m:]`` are the hs), the (T + 1, n) cs from c on, the
-    (T, n) activations (i, f, o, g) and tanh(c')."""
-    (steps, m), n = x.shape, h.shape[0]
-    stacked = np.empty((steps + 1, m + n))
-    stacked[:-1, :m] = x
-    stacked[0, m:] = h[:, 0]
-    cs = np.empty((steps + 1, n))
-    cs[0] = c[:, 0]
-    act, tanh_c = np.empty((steps, 4 * n)), np.empty((steps, n))
-    i, f, o, g = (act[:, k * n : (k + 1) * n] for k in range(4))
-    b, e, ig = b.reshape(-1), np.empty(3 * n), np.empty(n)  # e and ig: a step's work buffers
+def _columns(m, sizes):
+    """Each layer's (lo, u, hi) in a row (x, h_0, ..., h_{L-1}) of ``stacked``: its
+    gemv operand, its input then its own h, is columns lo to hi, and its h u to hi."""
+    ends = np.cumsum([m, *sizes]).tolist()
+    return list(zip([0, *ends[:-2]], ends[:-1], ends[1:]))
+
+
+def _wavefront(x, h, c, layers):
+    """The (W, b) ``layers``, bottom first, over the (T, m) input rows ``x`` from the
+    (N,) rows h and c of all layers' states, in K = T + L - 1 steps: at step k, layer l
+    runs its step k - l. Row k of the (K + 1, m + N) ``stacked`` is (x_k, h_0, ...)
+    as they stand before step k; the step writes every h' into row k + 1. Each layer's
+    gemv output goes into the step's gate-major (i, f, o, g) x N block, so every other
+    op runs once over all N units. A layer that has not started gets its initial (h, c)
+    back; steps after a layer's last are never read. Returns what the adjoint helpers
+    read: stacked, the (K + 1, N) cs from c on, the (K, N) (i, f, o, g) and tanh(c')."""
+    (steps, m), depth = x.shape, len(layers)
+    columns = _columns(m, [w.shape[0] // 4 for w, _ in layers])
+    span, n = steps + depth - 1, len(h)
+    stacked, cs = np.zeros((span + 1, m + n)), np.empty((span + 1, n))
+    stacked[:steps, :m], stacked[0, m:], cs[0] = x, h, c  # x stays 0 past row T - 1, unread
+    act, tanh_c = np.empty((span, 4, n)), np.empty((span, n))
+    bias, z = np.concatenate([b.reshape(4, -1) for _, b in layers], axis=1), np.empty((4, n))
+    per_layer = [(w, stacked[:, lo:hi], buf, buf.reshape(4, -1), z[:, u - m : hi - m])
+                 for (w, _), (lo, u, hi) in zip(layers, columns) for buf in [np.empty(w.shape[0])]]
+    e, ig = np.empty(3 * n), np.empty(n)  # a step's work buffers
     one = np.ones(3 * n)  # an array operand costs less than the scalar 1.0, with equal bits
     # each step's views come from iterating the arrays, which costs less than indexing
-    for row, a, s, i_t, f_t, o_t, g_t, c_prev, c_t, tc, h_t in zip(
-            stacked, act, act[:, : 3 * n], i, f, o, g, cs, cs[1:], tanh_c, stacked[1:, m:]):
-        np.dot(w, row, out=a)  # the gemv of ``w @ row[:, None]``
-        a += b
+    for k, (a, s, i_t, f_t, o_t, g_t, c_prev, c_t, tc, h_t) in enumerate(zip(
+            act, act.reshape(span, -1)[:, : 3 * n], *act.transpose(1, 0, 2), cs, cs[1:],
+            tanh_c, stacked[1:, m:])):
+        for w, operand, buf, buf4, z_l in per_layer:
+            np.dot(w, operand[k], out=buf)  # the gemv of ``w @ operand[k][:, None]``
+            np.copyto(z_l, buf4)
+        np.add(z, bias, out=a)
         np.exp(np.negative(s, out=e), out=e)
         np.divide(one, np.add(e, one, out=e), out=s)
         np.tanh(g_t, out=g_t)
         np.multiply(f_t, c_prev, out=c_t)
         c_t += np.multiply(i_t, g_t, out=ig)
         np.multiply(o_t, np.tanh(c_t, out=tc), out=h_t)
-    return stacked, cs, (i, f, o, g), tanh_c
+        if k + 1 < depth:  # layers k + 1 and up start later
+            fresh = columns[k + 1][1] - m
+            h_t[fresh:], c_t[fresh:] = h[fresh:], c[fresh:]
+    return stacked, cs, tuple(act.transpose(1, 0, 2)), tanh_c
 
 
 def _adjoint_factors(cache):
-    """Every step's recurrence-free factors at once: the (T, k, n) A, B, C blocks of
+    """Every step's recurrence-free factors at once: the (K, k, N) A, B, C blocks of
     the chains ((x * A) * B) * C of ``_output_adjoint`` and ``_gate_adjoint``, then
     f. A chain of two products has C = 1.0 (x * 1.0 == x); the gate blocks' o slot
     is a placeholder."""
@@ -115,16 +132,14 @@ def _output_adjoint(gh, a, b, c, out):
     out *= c
 
 
-def _gate_adjoint(gc, d_o, a, b, c, f, w_t, d, out, d_c):
+def _gate_adjoint(gc, d_o, a, b, c, f, d4, d_c):
     """Writes the gates' adjoint gc * g * i * (1 - i), gc * c_prev * f * (1 - f), d_o
-    and gc * i * (1 - g^2) into the (4n,) row ``d``, the (x, h) row's adjoint
-    ``w_t d`` into ``out`` and c's share gc * f into ``d_c``, which may be ``gc``."""
-    d4 = d.reshape(4, -1)
+    and gc * i * (1 - g^2) into the (4, n) block ``d4`` and c's share gc * f into
+    ``d_c``, which may be ``gc``."""
     np.multiply(gc, a, out=d4)
     d4 *= b
     d4 *= c
     d4[2] = d_o
-    np.dot(w_t, d, out=out)
     np.multiply(gc, f, out=d_c)
 
 
@@ -145,57 +160,58 @@ def _checked_features(op: str, features, config: RegressorConfig) -> np.ndarray:
     return features
 
 
-def _run(features, config: RegressorConfig, params, saved=None):
-    """The regressor from the zero state one layer at a time over all T steps,
-    then the head over the top layer's outputs as (T, k, 1) columns. Returns the
-    (T, 6) rows and the final per-layer (h, c) columns; appends each layer's
-    cache, then the head's input, to ``saved``, which ``_bptt`` reads."""
-    x = features
-    final = []
-    for layer, n in enumerate(config.lstm_sizes):
-        m, zero = x.shape[1], np.zeros((n, 1))
-        cache = _layer(x, zero, zero, params[f"lstm{layer}.W"], params[f"lstm{layer}.b"])
-        final.append((cache[0][-1, m:, None].copy(), cache[1][-1, :, None].copy()))
-        x = cache[0][1:, m:]
-        if saved is not None:
-            saved.append(cache)
-        del cache  # unless saved, the layer's arrays go once the next layer has copied x
-    x = x[:, :, None]
-    if saved is not None:
-        saved.append(x)
-    return (np.matmul(params["head.W"], x) + params["head.b"]).reshape(-1, OUTPUT_DIM), final
+def _run(features, config: RegressorConfig, params):
+    """The regressor from the zero state: ``_wavefront`` over every layer, then the
+    head over the top layer's outputs as (T, k, 1) columns. Returns the (T, 6) rows
+    and the wavefront's arrays, which ``_bptt`` reads."""
+    depth, n = len(config.lstm_sizes), sum(config.lstm_sizes)
+    cache = _wavefront(features, np.zeros(n), np.zeros(n), [
+        (params[f"lstm{layer}.W"], params[f"lstm{layer}.b"]) for layer in range(depth)])
+    x = cache[0][depth:, -config.lstm_sizes[-1] :, None]
+    return (np.matmul(params["head.W"], x) + params["head.b"]).reshape(-1, OUTPUT_DIM), cache
 
 
-def _bptt(g, params, saved) -> dict[str, np.ndarray]:
+def _bptt(g, params, cache) -> dict[str, np.ndarray]:
     """Each parameter's gradient from the rows' (T, 6) adjoint ``g``: the head over
-    all T rows at once, then each layer from the top, its steps from T-1 down
-    to 0 in buffers made once per layer. Each parameter's per-step parts are
-    added in descending t, the order ``ad.backward`` uses over a graph of one
-    node per cell and per head product, so the sums equal that graph's bit for
-    bit."""
-    *caches, head_in = saved
+    all T rows at once, then ``_wavefront`` backwards, each step one adjoint chain over
+    all N units and then each layer's ``w_t`` gemv on its gate adjoints, gathered into
+    a contiguous row. ``adj[p, k]`` holds what step k's layers of parity p pass back,
+    and the head's adjoint sits in the other parity's top columns, so each h adjoint is
+    one two-term sum: its own next step's plus the layer above's (or the head's). Each
+    parameter's parts over the layer's T real steps add in descending t, as
+    ``ad.backward`` adds them over a graph of one node per cell and per head product,
+    so the sums equal that graph's bit for bit."""
+    stacked, _, (_, f, _, _), _ = cache
+    (span, n), steps = f.shape, len(g)
+    depth, m = span + 1 - steps, stacked.shape[1] - n
+    ws = [params[f"lstm{layer}.W"] for layer in range(depth)]
+    columns = _columns(m, [w.shape[0] // 4 for w in ws])
+    top = stacked[depth:, columns[-1][1] :, None]
     d_rows = np.ascontiguousarray(g).reshape(-1, OUTPUT_DIM, 1)
     sums = {"head.b": _descending_sum(d_rows),
-            "head.W": _descending_sum(d_rows * head_in.transpose(0, 2, 1))}
-    d_x = np.matmul(params["head.W"].T, d_rows).reshape(len(d_rows), -1)
-    for layer in range(len(caches) - 1, -1, -1):
-        cache = caches[layer]
-        w_t, stacked, n = params[f"lstm{layer}.W"].T, cache[0][:-1], d_x.shape[1]
-        m = stacked.shape[1] - n
-        d_gates, d_stacked = np.empty((len(stacked), 4 * n)), np.empty(stacked.shape)
-        gh, d_c, out = np.empty(n), np.empty(n), np.empty((2, n))
-        d_o, c_share = out
-        d_h = None  # the adjoint reaching h from the next step; d_c holds c's
-        for dx, o_a, o_b, o_c, g_a, g_b, g_c, f, d, ds, ds_h in zip(*(a[::-1] for a in (
-                d_x, *_adjoint_factors(cache), d_gates, d_stacked, d_stacked[:, m:]))):
-            _output_adjoint(dx if d_h is None else np.add(d_h, dx, out=gh), o_a, o_b, o_c, out)
-            gc = c_share if d_h is None else np.add(d_c, c_share, out=d_c)
-            _gate_adjoint(gc, d_o, g_a, g_b, g_c, f, w_t, d, ds, d_c)
-            d_h = ds_h
-        del o_a, o_b, o_c, g_a, g_b, g_c  # views that would keep the factors alive below
-        sums[f"lstm{layer}.W"] = _descending_sum(d_gates[:, :, None] * stacked[:, None])
-        sums[f"lstm{layer}.b"] = _descending_sum(d_gates).reshape(-1, 1)
-        d_x = d_stacked[:, :m]
+            "head.W": _descending_sum(d_rows * top.transpose(0, 2, 1))}
+    adj = np.zeros((2, span + 1, m + n))
+    adj[depth % 2, depth:, columns[-1][1] :] = np.matmul(params["head.W"].T, d_rows)[..., 0]
+    gh, d_c, out, d4 = np.empty(n), np.zeros(n), np.empty((2, n)), np.empty((4, n))
+    d_o, c_share = out
+    per_layer = [(w.T, d, d.reshape(span, 4, -1), d4[:, u - m : hi - m], adj[layer % 2, :, lo:hi])
+                 for layer, (w, (lo, u, hi)) in enumerate(zip(ws, columns))
+                 for d in [np.empty((span, 4 * (hi - u)))]]
+    factors = (a[::-1] for a in _adjoint_factors(cache))
+    for k, even, odd, o_a, o_b, o_c, g_a, g_b, g_c, f_t in zip(
+            range(span - 1, -1, -1), *adj[:, :0:-1, m:], *factors):
+        np.add(even, odd, out=gh)
+        _output_adjoint(gh, o_a, o_b, o_c, out)
+        _gate_adjoint(np.add(d_c, c_share, out=d_c), d_o, g_a, g_b, g_c, f_t, d4, d_c)
+        for w_t, d_gates, d_gates4, d4_l, d_operand in per_layer:
+            d_gates4[k] = d4_l
+            np.dot(w_t, d_gates[k], out=d_operand[k])
+    del o_a, o_b, o_c, g_a, g_b, g_c  # views that would keep the factors alive below
+    for layer, ((_, d_gates, *_), (lo, _, hi)) in enumerate(zip(per_layer, columns)):
+        real = slice(layer, layer + steps)
+        sums[f"lstm{layer}.W"] = _descending_sum(
+            d_gates[real, :, None] * stacked[real, None, lo:hi])
+        sums[f"lstm{layer}.b"] = _descending_sum(d_gates[real]).reshape(-1, 1)
     return sums
 
 
@@ -213,11 +229,13 @@ def forward_sequence(tape: ad.Tape, features: np.ndarray, config: RegressorConfi
     features = _checked_features("forward_sequence", features, config)
     names = store.names()
     leaves = [store.leaf(tape, name) for name in names]
-    saved = []
-    rows, final = _run(features, config, store.params, saved)
+    rows, cache = _run(features, config, store.params)
+    (stacked, cs, *_), (steps, m) = cache, features.shape
+    final = [(stacked[steps + layer, u:hi, None], cs[steps + layer, u - m : hi - m, None])
+             for layer, (_, u, hi) in enumerate(_columns(m, config.lstm_sizes))]
 
     def vjp(g):
-        sums = _bptt(g, store.params, saved)
+        sums = _bptt(g, store.params, cache)
         return [sums[name] for name in names]
 
     return ad.fused(leaves, rows, vjp), final

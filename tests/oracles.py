@@ -7,7 +7,10 @@ through central finite differences. The one exception is
 ``reference_generate``: the generator's per-step motion loop, one scalar
 draw and one OU update per process and step, which pins the generator's
 vectorized draws bit for bit, so it builds the sequence from its motion
-through the library's own geometry and feature code.
+through the library's own geometry and feature code. ``per_layer_predict`` is
+the regressor's forward as it ran before the layers shared one wavefront loop:
+each layer over all T steps, then the next, which pins the wavefront's rows bit
+for bit.
 """
 
 import math
@@ -132,3 +135,33 @@ def reference_generate(motion, feature_model, length, seed):
         )
         features = np.hstack([features, sd._ar1(noise, feature_model.noise_rho)])
     return sd.Sequence(trajectory=trajectory, relatives=relatives, features=features, seed=seed)
+
+
+def _lstm_layer(x, w, b):
+    """One LSTM layer over the (T, m) rows ``x`` from the zero state, one step at a time;
+    returns the (T, n) hs. Each step's ops are those of the wavefront loop: one gemv,
+    the bias add, the logistic function as 1 / (1 + exp(-a)), tanh, c' and h'."""
+    (steps, m), n = x.shape, w.shape[0] // 4
+    stacked = np.zeros((steps + 1, m + n))
+    stacked[:-1, :m] = x
+    c, hs = np.zeros(n), stacked[1:, m:]
+    act, e, one = np.empty(4 * n), np.empty(3 * n), np.ones(3 * n)
+    for row, h_t in zip(stacked, hs):
+        np.dot(w, row, out=act)
+        act += b.reshape(-1)
+        s, (i, f, o, g) = act[: 3 * n], act.reshape(4, n)
+        np.exp(np.negative(s, out=e), out=e)
+        np.divide(one, np.add(e, one, out=e), out=s)
+        np.tanh(g, out=g)
+        c = f * c + i * g
+        np.multiply(o, np.tanh(c), out=h_t)
+    return hs
+
+
+def per_layer_predict(features, sizes, params):
+    """The (T, 6) rows of the regressor with ``lstm_sizes`` ``sizes``: each layer over
+    all T steps in turn, then the head over the top layer's hs as (T, k, 1) columns."""
+    x = np.asarray(features, dtype=float)
+    for layer in range(len(sizes)):
+        x = _lstm_layer(x, params[f"lstm{layer}.W"], params[f"lstm{layer}.b"])
+    return (np.matmul(params["head.W"], x[:, :, None]) + params["head.b"]).reshape(-1, 6)

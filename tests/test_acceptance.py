@@ -167,7 +167,8 @@ def test_03_loss_identities():
 
 
 def test_04_lstm_cell_conformance():
-    # run_cell is model._layer at T = 1; zero weights: gates sit at 0.5, the candidate at 0
+    # run_cell is model._wavefront at one layer and T = 1;
+    # zero weights: gates sit at 0.5, the candidate at 0
     n, m_dim = 4, 3
     h, c = run_cell(np.ones(m_dim), np.zeros(n), np.zeros(n),
                     np.zeros((4 * n, m_dim + n)), np.zeros(4 * n))

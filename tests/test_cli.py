@@ -301,6 +301,16 @@ class TestComparisonCommands:
             assert_plots_match(out / "ablation.csv", out / name, tmp_path, "--metric", metric)
         assert (out / "manifest.txt").exists()
 
+    def test_ablate_manifest_has_seeds_and_no_seed(self, config_file, tmp_path):
+        # each run's seed comes from --seeds, so the config's own seed is not recorded
+        config_file.write_text(CONFIG_TEXT.replace("max_epochs_per_stage = 3",
+                                                   "max_epochs_per_stage = 1"))
+        out = tmp_path / "ablation"
+        assert cli.main(["ablate", "--config", str(config_file), "--seeds", "0,1",
+                         "--out", str(out)]) == 0
+        keys = [line.split(" = ")[0] for line in (out / "manifest.txt").read_text().splitlines()]
+        assert "seeds" in keys and "seed" not in keys
+
     def test_alpha_sweep(self, config_file, tmp_path):
         out = tmp_path / "sweep"
         assert cli.main(["alpha-sweep", "--config", str(config_file), "--alphas", "0,0.5,1",

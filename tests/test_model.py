@@ -6,7 +6,7 @@ import pytest
 from curvo import autodiff as ad
 from curvo import loss
 from curvo import model
-from oracles import gradients_close
+from oracles import gradients_close, per_layer_predict
 
 
 def scalar_lstm_reference(x, h_prev, c_prev, weights, bias):
@@ -37,12 +37,11 @@ def scalar_lstm_reference(x, h_prev, c_prev, weights, bias):
 
 
 def run_cell(x, h, c, w, b):
-    """The cell as ``model._layer`` at T = 1; returns (h', c') as 1-D rows."""
+    """The cell as ``model._wavefront`` at one layer and T = 1; returns (h', c') as 1-D rows."""
     x = np.asarray(x, float)
-    stacked, cs, _, _ = model._layer(
-        x.reshape(1, -1), np.asarray(h, float).reshape(-1, 1),
-        np.asarray(c, float).reshape(-1, 1), np.asarray(w, float),
-        np.asarray(b, float).reshape(-1, 1),
+    stacked, cs, _, _ = model._wavefront(
+        x.reshape(1, -1), np.asarray(h, float).reshape(-1), np.asarray(c, float).reshape(-1),
+        [(np.asarray(w, float), np.asarray(b, float).reshape(-1, 1))],
     )
     return stacked[1, len(x):], cs[1]
 
@@ -57,15 +56,17 @@ def taped_cell(x, state, weights, bias):
     h_prev, c_prev = state
     n, m = h_prev.shape[0], x.shape[0]
     w = weights.data
-    cache = model._layer(x.data.reshape(1, m), h_prev.data, c_prev.data, w, bias.data)
+    cache = model._wavefront(x.data.reshape(1, m), h_prev.data.reshape(-1),
+                             c_prev.data.reshape(-1), [(w, bias.data)])
     stacked, factors = cache[0], [a[0] for a in model._adjoint_factors(cache)]
     output_gate_adjoint = []  # handed from the VJP of h' to the VJP of c'
 
     def c_vjp(gc):
         d_o = output_gate_adjoint.pop() if output_gate_adjoint else 0.0
         d_gates, d_stacked, d_c = np.empty((4 * n, 1)), np.empty((m + n, 1)), np.empty((n, 1))
-        model._gate_adjoint(gc.reshape(n), d_o, *factors[3:], w.T, d_gates.reshape(-1),
-                            d_stacked.reshape(-1), d_c.reshape(-1))
+        model._gate_adjoint(gc.reshape(n), d_o, *factors[3:], d_gates.reshape(4, n),
+                            d_c.reshape(-1))
+        np.dot(w.T, d_gates.reshape(-1), out=d_stacked.reshape(-1))
         return d_stacked[:m], d_stacked[m:], d_c, d_gates @ stacked[:1], d_gates
 
     def h_vjp(gh):
@@ -301,6 +302,19 @@ class TestPredict:
 
     def test_single_step_equals_forward_sequence(self):
         assert_predict_equals_forward_sequence((5, 3, 4), steps=1)
+
+    # T < L runs only the wavefront's start-up steps, where the upper layers have not begun
+    @pytest.mark.parametrize("sizes, steps", [((16, 16), 200)] + [
+        (sizes, steps) for sizes in ((7, 16, 9), (5, 3, 4)) for steps in (1, 2, 24)])
+    def test_equals_per_layer_reference_bit_for_bit(self, sizes, steps):
+        cfg = model.RegressorConfig(input_dim=3, lstm_sizes=sizes)
+        store = model.init_params(cfg, seed=18)
+        rng = np.random.default_rng(19)
+        for param in store.params.values():  # unit scale keeps every layer nonlinear
+            param[...] = rng.normal(size=param.shape)
+        features = rng.normal(size=(steps, 3))
+        expected = per_layer_predict(features, sizes, store.params)
+        assert np.array_equal(model.predict(features, cfg, store), expected)
 
     def test_feature_width_checked(self):
         cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4,))
