@@ -148,18 +148,12 @@ def cmd_gen_data(args) -> int:
     if args.sequences < 1:
         raise UsageError(f"config errors:\n  need --sequences >= 1, got {args.sequences}")
     try:
-        config = tr.RunConfig(
-            preset=args.preset,
-            seq_length=args.length,
-            feature_dim=args.feature_dim,
-            nuisance_dim=args.nuisance_dim,
-            noise_sigma=args.noise_sigma,
-            seed=args.seed,
-            subseq_min=1, subseq_max=1,  # no spans are drawn; one step fits any length
-        )
+        spec = tr.DataSpec(preset=args.preset, seq_length=args.length, feature_dim=args.feature_dim,
+                           nuisance_dim=args.nuisance_dim, noise_sigma=args.noise_sigma,
+                           noise_rho=0.0, bias_sigma=0.0, seed=args.seed)
     except ValueError as exc:
         raise UsageError(f"config errors:\n  {exc}") from None
-    sequences = tr.generate_sequences(config, args.sequences)
+    sequences = tr.synthesize(spec, args.sequences)
     meta = {
         "preset": args.preset,
         "master_seed": args.seed,

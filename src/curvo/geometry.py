@@ -12,12 +12,16 @@ Conventions, fixed once for the whole package:
 
 ``Pose`` is the type at the API boundary; a ``Trajectory`` is two arrays of
 canonical rows, which its producers fill without building a Pose per row.
-The scalar kernels ``_qmul`` (Hamilton product) and ``_qrot`` (rotation of a
-3-vector) run the trajectory scan here and, in ``loss``, the window chain and
-its reverse scan. ``_between`` is the one relative-pose kernel, and its rotation
-half ``_qrel`` is also the loss's log-map argument. No derivatives live here:
-the objective differentiates its chain in quaternions, so Euler extraction, and
-with it ``GimbalLockError``, happens only at this module's Pose/Euler boundary.
+``_qmul`` (Hamilton product) and ``_qrot`` (rotation of a 3-vector) run on
+floats or on columns: on floats in the trajectory's heading scan here and, in
+``loss``, in the window chain and its reverse scan; on columns where the
+trajectory rotates all its steps at once. ``_between`` is the one relative-pose
+kernel, and its rotation half ``_qrel`` is also the loss's log-map argument.
+``_euler_quats`` and ``_quats_to_euler`` are the one pair of Euler/quaternion
+row kernels; every conversion goes through them, a Pose's as the one-row case.
+No derivatives live here: the objective differentiates its chain in
+quaternions, so Euler extraction, and with it ``GimbalLockError``, happens only
+in generated step relatives and at this module's Pose/Euler boundary.
 
 All functions are pure and operate on float64 throughout.
 """
@@ -32,6 +36,11 @@ import numpy as np
 _QUAT_NORM_TOL = 1e-12
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 _GIMBAL_GUARD = 1e-6
+# _euler_quats' picks, 0 for cos and 1 for sin: the (yaw, pitch) pair and the roll of
+# each component's two terms, and the sign that joins them
+_EULER_PAIRS = (np.array([[0, 0, 0, 1], [1, 1, 1, 0]]), np.array([[0, 0, 1, 0], [1, 1, 0, 1]]))
+_EULER_ROLLS = np.array([[0, 1, 0, 0], [1, 0, 1, 1]])
+_EULER_SIGNS = np.array([[1.0], [-1.0], [1.0], [-1.0]])
 
 
 class GimbalLockError(ValueError):
@@ -215,60 +224,70 @@ _IDENTITY = Pose()
 
 
 def accumulate(relatives, initial: Pose | None = None) -> Trajectory:
-    """Chain relative transforms into an absolute trajectory.
-
-    pose[0] is ``initial`` (identity by default) and
-    pose[k+1] = compose(pose[k], relatives[k]).
-    """
-    steps = [(*p.translation.tolist(), *p.quaternion.tolist()) for p in relatives]
-    return _accumulate(steps, initial if initial is not None else _IDENTITY)
+    """The absolute trajectory pose[0] = ``initial`` (identity by default),
+    pose[k+1] = compose(pose[k], relatives[k])."""
+    t = np.array([p.translation for p in relatives]).reshape(-1, 3)
+    q = np.array([p.quaternion for p in relatives]).reshape(-1, 4)
+    return _accumulate(t, q, initial if initial is not None else _IDENTITY)
 
 
 def accumulate_vectors(rows) -> Trajectory:
     """``accumulate`` of (N, 6) vector rows (t, r), without a Pose per row."""
-    return _accumulate(np.hstack(_vector_arrays(rows)).tolist(), _IDENTITY)
+    return _accumulate(*_vector_arrays(rows), _IDENTITY)
 
 
-def _accumulate(steps, initial: Pose) -> Trajectory:
-    """The scan behind both over (t, q) 7-float steps: it renormalizes q each
-    step, as ``compose`` into a Pose does, and Trajectory then canonicalizes
-    each row, as that Pose's constructor does."""
-    rows = [(*initial.translation.tolist(), *initial.quaternion.tolist())]
-    tx, ty, tz, w, x, y, z = rows[0]
-    for step in steps:
-        rx, ry, rz = _qrot((w, x, y, z), step[:3])
-        tx, ty, tz = tx + rx, ty + ry, tz + rz
-        w, x, y, z = _qmul((w, x, y, z), step[3:])
+def _accumulate(t: np.ndarray, q: np.ndarray, initial: Pose) -> Trajectory:
+    """The scan behind both over (N, 3) steps ``t`` and (N, 4) turns ``q``: only the
+    heading P_(k+1) = P_k x q_k, renormalized as ``compose`` into a Pose does, runs per
+    step; all steps are then rotated at once and summed from the initial position."""
+    w, x, y, z = initial.quaternion.tolist()
+    headings = [(w, x, y, z)]
+    for step in q.tolist():
+        w, x, y, z = _qmul((w, x, y, z), step)
         norm = math.sqrt(w * w + x * x + y * y + z * z)
         w, x, y, z = w / norm, x / norm, y / norm, z / norm
-        rows.append((tx, ty, tz, w, x, y, z))
-    rows = np.array(rows)
-    return Trajectory(rows[:, :3], rows[:, 3:])
+        headings.append((w, x, y, z))
+    headings = np.array(headings)
+    moves = np.array(_qrot(headings[:-1].T, t.T)).T
+    positions = np.add.accumulate(np.vstack([initial.translation, moves]), axis=0)
+    return Trajectory(positions, headings)
 
 
 def euler_to_pose(t, r) -> Pose:
     """Pose from translation and (roll, pitch, yaw); R = Rz(yaw) Ry(pitch) Rx(roll)."""
-    return Pose(np.asarray(t, dtype=np.float64), _euler_quat(*np.reshape(r, 3).tolist()))
+    return Pose(np.asarray(t, dtype=np.float64), _euler_quats(r)[0])
 
 
 def pose_to_euler(p: Pose) -> tuple[np.ndarray, np.ndarray]:
-    """Translation and (roll, pitch, yaw) of a pose.
-
-    Raises GimbalLockError if |pitch| is within 1e-6 of pi/2, where the
-    decomposition degenerates.
-    """
-    return p.translation.copy(), np.array(_quat_to_euler(*p.quaternion))
+    """Translation and (roll, pitch, yaw) of a pose; GimbalLockError if |pitch| is
+    within 1e-6 of pi/2, where the decomposition degenerates."""
+    return p.translation.copy(), _quats_to_euler(p.quaternion)[0]
 
 
-def _quat_to_euler(w, x, y, z) -> tuple[float, float, float]:
-    """(roll, pitch, yaw) of a unit quaternion; GimbalLockError near pitch +-pi/2."""
-    sin_pitch = -2.0 * (x * z - w * y)
-    pitch = math.asin(max(-1.0, min(1.0, sin_pitch)))
-    if math.pi / 2 - abs(pitch) <= _GIMBAL_GUARD:
-        raise GimbalLockError(f"pitch {pitch:.9f} is within {_GIMBAL_GUARD} of +-pi/2")
-    roll = math.atan2(2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y))
-    yaw = math.atan2(2.0 * (x * y + w * z), 1.0 - 2.0 * (y * y + z * z))
-    return roll, pitch, yaw
+def _euler_quats(angles) -> np.ndarray:
+    """(N, 4) quaternions (w, x, y, z) of Rz(yaw) Ry(pitch) Rx(roll) for (N, 3) rows
+    (roll, pitch, yaw), half of the row-kernel pair: with (a, b, c, d) = (cy cp, sy sp,
+    cy sp, sy cp), w = a cr + b sr, x = a sr - b cr, y = c cr + d sr, z = d cr - c sr in
+    array ops. sin and cos come from ``math``, so no bit depends on numpy's SIMD dispatch."""
+    half = (np.asarray(angles, dtype=np.float64).reshape(-1, 3) / 2).ravel().tolist()
+    trig = np.array([list(map(math.cos, half)), list(map(math.sin, half))]).reshape(2, -1, 3)
+    roll, pitch, yaw = trig[..., 0], trig[..., 1], trig[..., 2]  # rows (cos, sin)
+    terms = (yaw[:, None] * pitch)[_EULER_PAIRS] * roll[_EULER_ROLLS]  # (2 terms, 4, N)
+    return (terms[0] + terms[1] * _EULER_SIGNS).T.copy()
+
+
+def _quats_to_euler(q) -> np.ndarray:
+    """(N, 3) rows (roll, pitch, yaw) of (N, 4) finite unit quaternions: the other half
+    of the pair. GimbalLockError names the first row whose pitch is within the guard of
+    +-pi/2. asin and atan2 come from ``math``: numpy's arctan2 rounds otherwise."""
+    w, x, y, z = np.asarray(q, dtype=np.float64).reshape(-1, 4).T
+    pitch = list(map(math.asin, np.clip(-2.0 * (x * z - w * y), -1.0, 1.0).tolist()))
+    locked = np.flatnonzero(math.pi / 2 - np.abs(pitch) <= _GIMBAL_GUARD)
+    if locked.size:
+        raise GimbalLockError(f"pitch {pitch[locked[0]]:.9f} is within {_GIMBAL_GUARD} of +-pi/2")
+    roll = map(math.atan2, (2.0 * (y * z + w * x)).tolist(), (1.0 - 2.0 * (x * x + y * y)).tolist())
+    yaw = map(math.atan2, (2.0 * (x * y + w * z)).tolist(), (1.0 - 2.0 * (y * y + z * z)).tolist())
+    return np.stack([list(roll), pitch, list(yaw)], axis=1)
 
 
 def pose_to_vector(p: Pose) -> np.ndarray:
@@ -287,7 +306,7 @@ def _step_vectors(trajectory: Trajectory) -> np.ndarray:
     """Rows pose_to_vector(relative_between(poses[k], poses[k+1])), bit for bit."""
     t, q = trajectory.positions, trajectory.quaternions
     rel_t, rel_q = _between(t[:-1], q[:-1], t[1:], q[1:])
-    return np.hstack([rel_t, [_quat_to_euler(*row) for row in _normalize_quat(rel_q).tolist()]])
+    return np.hstack([rel_t, _quats_to_euler(_normalize_quat(rel_q))])
 
 
 def _rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -298,24 +317,10 @@ def _rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(rotations, np.ascontiguousarray(v)[:, :, None])[:, :, 0]
 
 
-def _euler_quat(roll: float, pitch: float, yaw: float) -> tuple[float, float, float, float]:
-    """Quaternion (w, x, y, z) of Rz(yaw) Ry(pitch) Rx(roll)."""
-    cr, sr = math.cos(roll / 2), math.sin(roll / 2)
-    cp, sp = math.cos(pitch / 2), math.sin(pitch / 2)
-    cy, sy = math.cos(yaw / 2), math.sin(yaw / 2)
-    return (
-        cy * cp * cr + sy * sp * sr,
-        cy * cp * sr - sy * sp * cr,
-        cy * sp * cr + sy * cp * sr,
-        sy * cp * cr - cy * sp * sr,
-    )
-
-
 def _vector_arrays(rows) -> tuple[np.ndarray, np.ndarray]:
     """(N, 3) translations and (N, 4) quaternions of (N, 6) vector rows."""
     rows = np.asarray(rows, dtype=np.float64).reshape(-1, 6)
-    quaternions = np.array([_euler_quat(*r) for r in rows[:, 3:].tolist()]).reshape(-1, 4)
-    return rows[:, :3], quaternions
+    return rows[:, :3], _euler_quats(rows[:, 3:])
 
 
 # --- trajectory file I/O (KITTI odometry ground-truth layout) ----------------

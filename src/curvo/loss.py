@@ -9,12 +9,12 @@ The window composite chains the last w step predictions through SE(3)
 composition in chronological order (the step w frames back is applied first),
 so with perfect predictions it reproduces the ground-truth pose of frame t
 relative to frame t-w. Predictions and the ground truth go through the same
-closed-form chain on plain floats, ``_compose_chains``: one quaternion per
-row straight from its Euler angles, then t += R(P) t_k and P = P x q_k,
-with the scalar kernels ``geometry._qmul`` and ``_qrot``. The composite stays
-a (t, q) pair. Its rotation residual is the log map of q_d = q_gt* x q, with
-q_d's sign chosen so that w >= 0 (the short way round):
-phi = 2 atan2(|v|, w) v / |v|, with a series near |v| = 0, so |phi| is the
+closed-form chain, ``_compose_chains``: one quaternion per row straight from
+its Euler angles (``geometry._euler_quats`` over all rows at once), then
+t += R(P) t_k and P = P x q_k on plain floats, with ``geometry._qmul`` and
+``_qrot``. The composite stays a (t, q) pair. Its rotation residual is the
+log map of q_d = q_gt* x q, with q_d's sign chosen so that w >= 0 (the short
+way round): phi = 2 atan2(|v|, w) v / |v|, with a series near |v| = 0, so |phi| is the
 geodesic angle between the two rotations (Sola et al., arXiv 1812.01537;
 Hartley et al., "Rotation averaging"). The composite term is
 delta*||t_hat - t||^2 + zeta*||phi||^2. No Euler angles are extracted from a
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .geometry import _euler_quat, _qmul, _qrel, _qrot
+from .geometry import _euler_quats, _qmul, _qrel, _qrot
 
 _IDENTITY = (1.0, 0.0, 0.0, 0.0)
 _I, _K = (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)
@@ -72,12 +72,12 @@ class LossWeights:
             raise ValueError(f"window must be >= 1, got {self.window}")
 
 
-def _compose_chains(rows: list[list[float]], window: int) -> list[tuple]:
-    """Compose each full window of (t, r) rows left to right (oldest first) in
+def _compose_chains(rows: np.ndarray, window: int) -> list[tuple]:
+    """Compose each full window of (T, 6) rows (t, r) left to right (oldest first) in
     closed form, from one quaternion per row. Returns, per window, the composite
     translation and quaternion, each operand's quaternion and prefix product
     P_k = q_0 x ... x q_(k-1) (P_0 is the identity); t accumulates R(P_k) t_k."""
-    quats, chains = [_euler_quat(*row[3:]) for row in rows], []
+    quats, rows, chains = _euler_quats(rows[:, 3:]).tolist(), rows.tolist(), []
     for start in range(len(rows) - window + 1):
         operands, operand_quats = rows[start : start + window], quats[start : start + window]
         prefixes = [_IDENTITY]
@@ -120,7 +120,7 @@ def _log_map(q_gt, q):
 
 
 def _euler_adjoint(r, q, g) -> list[float]:
-    """(roll, pitch, yaw) adjoint of q = _euler_quat(r) at the input angles, where
+    """(roll, pitch, yaw) adjoint of q = _euler_quats(r) at the input angles, where
     dq/dr = 1/2 (q x i, (-sin yaw, cos yaw, 0) x q, k x q), so it holds over the
     whole Euler range, not only for pitch inside (-pi/2, pi/2)."""
     yaw = r[2]
@@ -153,7 +153,7 @@ def ground_truth_window_relatives(gt_relatives, window: int) -> tuple[np.ndarray
     """(N, 3) translations and (N, 4) quaternions of the N = T - window + 1 full
     windows of (T, 6) rows: row i composes steps i .. i + window - 1, the pose of
     frame i + window relative to frame i."""
-    chains = _compose_chains(np.asarray(gt_relatives, float).reshape(-1, 6).tolist(), window)
+    chains = _compose_chains(np.asarray(gt_relatives, float).reshape(-1, 6), window)
     return (np.array([c[0] for c in chains]).reshape(-1, 3),
             np.array([c[1] for c in chains]).reshape(-1, 4))
 
@@ -187,7 +187,7 @@ def _objective(rows: np.ndarray, gt_relatives, weights: LossWeights, truth_windo
     opened: list[int] = []  # window i covers rows i .. i + window - 1
     if alpha < 1.0:
         chains = rows.tolist()
-        windows = _compose_chains(chains, window)
+        windows = _compose_chains(rows, window)
         truth_t, truth_q = truth_windows or ground_truth_window_relatives(gt_relatives, window)
         if truth_t.shape != (len(windows), 3):
             raise ad.ShapeMismatchError("sequence_loss", truth_t.shape, (len(windows), 3))

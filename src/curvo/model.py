@@ -21,6 +21,7 @@ hand-written BPTT, the same wavefront run backwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,7 +68,7 @@ def init_params(config: RegressorConfig, seed: int) -> ad.ParamStore:
 def _columns(m, sizes):
     """Each layer's (lo, u, hi) in a row (x, h_0, ..., h_{L-1}) of ``stacked``: its
     gemv operand, its input then its own h, is columns lo to hi, and its h u to hi."""
-    ends = np.cumsum([m, *sizes]).tolist()
+    ends = list(accumulate(sizes, initial=m))  # integer sums: no numpy call
     return list(zip([0, *ends[:-2]], ends[:-1], ends[1:]))
 
 

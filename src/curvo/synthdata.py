@@ -186,6 +186,25 @@ class Sequence:
         return len(self.relatives)
 
 
+def _ou_scan(process: OuParams, x: float, dt: float, draws, length: int) -> np.ndarray:
+    """``length`` exact OU updates of ``process`` from ``x``, one per step; ``draws``
+    holds each step's standard normal z, or is None for a process without noise."""
+    decay = math.exp(-process.reversion * dt)
+    pull = process.mean * (1.0 - decay)
+    if draws is None:
+        return np.array([x := x * decay + pull for _ in range(length)])
+    std = process.sigma * math.sqrt((1.0 - decay * decay) / (2.0 * process.reversion))
+    return np.array([x := x * decay + pull + std * z for z in draws])
+
+
+def _clamp_scan(steps: np.ndarray, clamp: float) -> np.ndarray:
+    """Running sum of ``steps`` from 0.0, put back into [-clamp, clamp] after each step
+    as min(max(angle, -clamp), clamp) does."""
+    angle, low = 0.0, -clamp
+    return np.array([angle := low if low > (a := angle + step) else clamp if clamp < a else a
+                     for step in steps.tolist()])
+
+
 def check_length(length: int) -> None:
     """The rule on ``generate``'s step count."""
     if length < 2:
@@ -199,37 +218,29 @@ def generate(
     check_length(length)
     rng = np.random.default_rng(seed)
     dt = motion.dt
-    # exact OU updates x' = x decay + mean (1 - decay) + std z; row k of the innovations
-    # holds step k's z of each process with sigma != 0, in the order of ``processes``
+    # exact OU updates x' = x decay + mean (1 - decay) + std z, each process its own
+    # scalar scan; column j of the innovations holds the z of the j-th process with
+    # sigma != 0, in the order of ``processes``
     processes = (motion.speed, motion.roll_rate, motion.pitch_rate, motion.yaw_rate)
-    decay = [math.exp(-p.reversion * dt) for p in processes]
-    pull = [p.mean * (1.0 - d) for p, d in zip(processes, decay)]
-    noisy = [(j, p.sigma * math.sqrt((1.0 - decay[j] * decay[j]) / (2.0 * p.reversion)))
-             for j, p in enumerate(processes) if p.sigma != 0.0]
-    innovations = rng.normal(size=(length, len(noisy))).tolist()
+    innovations = iter(rng.normal(
+        size=(length, sum(p.sigma != 0.0 for p in processes))).T.tolist())
+    speed, roll_rate, pitch_rate, yaw_rate = (
+        _ou_scan(p, start, dt, next(innovations) if p.sigma != 0.0 else None, length)
+        for p, start in zip(processes, (motion.speed.mean, 0.0, 0.0, 0.0)))
 
-    rates = [motion.speed.mean, 0.0, 0.0, 0.0]
-    roll = pitch = yaw = 0.0
     advances = np.zeros((length, 3))  # body-frame step of each k, taken at pose k's heading
-    angles = []  # (roll, pitch, yaw) of pose k+1
+    advances[:, 0] = speed * dt
+    swept_rate = yaw_rate
+    if motion.yaw_oscillation_amp != 0.0:
+        phases = 2.0 * math.pi * (np.arange(length) * dt) / motion.yaw_oscillation_period
+        swept_rate = swept_rate + motion.yaw_oscillation_amp * np.array(
+            list(map(math.sin, phases.tolist())))
+    # (roll, pitch, yaw) of poses 1 .. length; the sums add step by step from 0.0
+    angles = np.stack([_clamp_scan(roll_rate * dt, motion.roll_clamp),
+                       _clamp_scan(pitch_rate * dt, motion.pitch_clamp),
+                       np.add.accumulate(np.append(0.0, swept_rate * dt))[1:]], axis=1)
 
-    for k, draws in enumerate(innovations):
-        rates = [x * d + c for x, d, c in zip(rates, decay, pull)]
-        for (j, std), z in zip(noisy, draws):
-            rates[j] += std * z
-        speed, roll_rate, pitch_rate, yaw_rate = rates
-        swept_rate = yaw_rate
-        if motion.yaw_oscillation_amp != 0.0:
-            swept_rate += motion.yaw_oscillation_amp * math.sin(
-                2.0 * math.pi * (k * dt) / motion.yaw_oscillation_period
-            )
-        advances[k, 0] = speed * dt
-        roll = min(max(roll + roll_rate * dt, -motion.roll_clamp), motion.roll_clamp)
-        pitch = min(max(pitch + pitch_rate * dt, -motion.pitch_clamp), motion.pitch_clamp)
-        yaw = yaw + swept_rate * dt
-        angles.append((roll, pitch, yaw))
-
-    quaternions = np.array([(1.0, 0.0, 0.0, 0.0)] + [geo._euler_quat(*a) for a in angles])
+    quaternions = np.vstack([(1.0, 0.0, 0.0, 0.0), geo._euler_quats(angles)])
     headings = geo._normalize_quat(quaternions[:-1])
     # cumsum adds step by step from the zero origin, as `position + step` would
     positions = np.cumsum(np.vstack([np.zeros(3), geo._rotate(headings, advances)]), axis=0)

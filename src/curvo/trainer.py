@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +55,27 @@ class NonFiniteLossError(RuntimeError):
         self.epoch = epoch
         self.stage = stage
         self.sequence = sequence
+
+
+@dataclass(frozen=True)
+class DataSpec:
+    """What generated data depends on: ``gen-data``'s settings, named as in RunConfig.
+    Building one runs ``generate``'s and the feature model's checks."""
+
+    preset: str
+    seq_length: int
+    feature_dim: int
+    nuisance_dim: int
+    noise_sigma: float
+    noise_rho: float
+    bias_sigma: float
+    seed: int
+
+    def __post_init__(self):
+        if self.preset not in sd.MOTION_PRESETS:
+            raise ValueError(f"unknown preset {self.preset!r}")
+        sd.check_length(self.seq_length)
+        build_feature_model(self, np.random.default_rng(0))
 
 
 @dataclass(frozen=True)
@@ -99,16 +120,18 @@ class RunConfig:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         # the layer sizes as RegressorConfig checks and stores them
         object.__setattr__(self, "lstm_sizes", self.regressor_config(1).lstm_sizes)
-        if self.dataset_dir is None:  # generated data: generate's and the feature model's rules
+        if self.dataset_dir is None:  # generated data
             if self.n_sequences < 2:  # one to train on, one to validate on
                 raise ValueError(f"need n_sequences >= 2, got {self.n_sequences}")
-            sd.check_length(self.seq_length)
-            build_feature_model(self, np.random.default_rng(0))
+            self.data_spec()
         if self.subseq_count < 1 or not 1 <= self.subseq_min <= self.subseq_max:
             raise ValueError("need subseq_count >= 1 and 1 <= subseq_min <= subseq_max")
         if self.dataset_dir is None and self.subseq_max > self.seq_length:
             raise ValueError(f"subseq_max {self.subseq_max} exceeds seq_length {self.seq_length}")
         self.schedule()  # the loss-weight and stage checks
+
+    def data_spec(self) -> DataSpec:
+        return DataSpec(**{f.name: getattr(self, f.name) for f in fields(DataSpec)})
 
     def regressor_config(self, input_dim: int) -> md.RegressorConfig:
         return md.RegressorConfig(input_dim=input_dim, lstm_sizes=self.lstm_sizes)
@@ -176,37 +199,25 @@ def _seed_streams(master_seed: int):
     return tuple(np.random.default_rng(child) for child in children)
 
 
-def build_feature_model(config: RunConfig, data_rng) -> sd.FeatureModel:
-    encoding_seed = int(data_rng.integers(2**31))
+def build_feature_model(spec: DataSpec, data_rng) -> sd.FeatureModel:
     return sd.FeatureModel.seeded(
-        config.feature_dim,
-        seed=encoding_seed,
-        noise_sigma=config.noise_sigma,
-        nuisance_dim=config.nuisance_dim,
-        nuisance_sigma=config.noise_sigma * 5.0,
-        noise_rho=config.noise_rho,
-        bias_sigma=config.bias_sigma,
-    )
+        spec.feature_dim, seed=int(data_rng.integers(2**31)), noise_sigma=spec.noise_sigma,
+        nuisance_dim=spec.nuisance_dim, nuisance_sigma=spec.noise_sigma * 5.0,
+        noise_rho=spec.noise_rho, bias_sigma=spec.bias_sigma)
 
 
-def _synthesize(config: RunConfig, count: int, stream: int) -> list[sd.Sequence]:
-    """``count`` sequences seeded from ``_seed_streams(config.seed)[stream]``.
+def synthesize(spec: DataSpec, count: int, stream: int = 0) -> list[sd.Sequence]:
+    """``count`` sequences seeded from ``_seed_streams(spec.seed)[stream]``: the one
+    generation path, behind ``train``'s data, the held-out sequences and ``gen-data``.
 
     The feature model always takes the first draw of the data stream, so the
     training and held-out sequences share one feature encoding.
     """
-    streams = _seed_streams(config.seed)
-    motion = sd.MOTION_PRESETS[config.preset]()
-    feature_model = build_feature_model(config, streams[0])
+    streams = _seed_streams(spec.seed)
+    motion = sd.MOTION_PRESETS[spec.preset]()
+    feature_model = build_feature_model(spec, streams[0])
     seeds = [int(streams[stream].integers(2**31)) for _ in range(count)]
-    return [
-        sd.generate(motion, feature_model, length=config.seq_length, seed=s) for s in seeds
-    ]
-
-
-def generate_sequences(config: RunConfig, count: int | None = None) -> list[sd.Sequence]:
-    """The run's synthetic dataset, as ``train`` and ``gen-data`` build it."""
-    return _synthesize(config, count if count is not None else config.n_sequences, 0)
+    return [sd.generate(motion, feature_model, length=spec.seq_length, seed=s) for s in seeds]
 
 
 def prepare_data(config: RunConfig, sequences: list[sd.Sequence] | None = None) -> PreparedData:
@@ -215,7 +226,7 @@ def prepare_data(config: RunConfig, sequences: list[sd.Sequence] | None = None) 
         if config.dataset_dir is not None:
             sequences, _ = sd.load_dataset(config.dataset_dir)
         else:
-            sequences = generate_sequences(config)
+            sequences = synthesize(config.data_spec(), config.n_sequences)
     if len(sequences) < 2:
         raise ValueError("need at least 2 sequences to hold out validation data")
     n_val = max(1, int(round(config.val_split * len(sequences))))
@@ -232,19 +243,18 @@ def prepare_data(config: RunConfig, sequences: list[sd.Sequence] | None = None) 
     )
 
 
-def sequence_objective(
-    store: ad.ParamStore,
-    model_cfg: md.RegressorConfig,
-    sequence: sd.Sequence,
-    weights: ls.LossWeights,
-) -> float:
+def sequence_objective(store: ad.ParamStore, model_cfg: md.RegressorConfig, sequence: sd.Sequence,
+                       weights: ls.LossWeights, truth_windows=None) -> float:
     """Per-step objective of one sequence, from the no-grad forward and loss."""
     rows = predict_relatives(store, model_cfg, sequence)
-    return ls.sequence_loss_value(rows, sequence.relatives, weights) / len(sequence)
+    return ls.sequence_loss_value(rows, sequence.relatives, weights, truth_windows) / len(sequence)
 
 
-def validation_loss(store, model_cfg, sequences, weights) -> float:
-    return float(np.mean([sequence_objective(store, model_cfg, s, weights) for s in sequences]))
+def validation_loss(store, model_cfg, sequences, weights, truths=None) -> float:
+    """Mean per-step objective; ``truths`` holds each sequence's truth windows, if given."""
+    truths = truths or [None] * len(sequences)
+    return float(np.mean([sequence_objective(store, model_cfg, s, weights, t)
+                          for s, t in zip(sequences, truths)]))
 
 
 def relative_validation_loss(store, model_cfg, config: RunConfig, sequences) -> float:
@@ -298,8 +308,9 @@ def train(config: RunConfig, data: PreparedData | None = None) -> tuple[ad.Param
 
     # every stage shares the window, so each sequence's truth windows are built once;
     # a span's are a slice of them, with the same bits
-    truths = [ls.ground_truth_window_relatives(seq.relatives, config.window)
-              for seq in data.train] if min(config.alphas) < 1.0 else None
+    truths, val_truths = ([ls.ground_truth_window_relatives(seq.relatives, config.window)
+                           for seq in seqs] if min(config.alphas) < 1.0 else None
+                          for seqs in (data.train, data.val))
     runlog = RunLog()
     progress = cur.StageProgress()
     epoch = 0
@@ -327,19 +338,11 @@ def train(config: RunConfig, data: PreparedData | None = None) -> tuple[ad.Param
                 ad.adam_step(store, lr=config.learning_rate)
                 batch_losses.append(value / length)
         train_loss = float(np.mean(batch_losses))
-        val_loss = validation_loss(store, model_cfg, data.val, weights)
+        val_loss = validation_loss(store, model_cfg, data.val, weights, val_truths)
         if not math.isfinite(val_loss):
             raise NonFiniteLossError(epoch, progress.stage_index, "validation", val_loss)
-        runlog.records.append(
-            EpochRecord(
-                epoch=epoch,
-                stage=progress.stage_index,
-                alpha=weights.alpha,
-                train_loss=train_loss,
-                val_loss=val_loss,
-                wall_time=time.perf_counter() - started,
-            )
-        )
+        runlog.records.append(EpochRecord(epoch, progress.stage_index, weights.alpha, train_loss,
+                                          val_loss, wall_time=time.perf_counter() - started))
         progress, moved = cur.advance(progress, val_loss, schedule)
         if moved:  # the epoch just logged ended its stage
             runlog.stage_params.append(store.params_copy())
@@ -381,11 +384,7 @@ class AblationReport:
     rows: list[AblationRow] = field(default_factory=list)
 
     def modes(self):
-        seen = []
-        for row in self.rows:
-            if row.mode not in seen:
-                seen.append(row.mode)
-        return seen
+        return list(dict.fromkeys(row.mode for row in self.rows))  # in first-seen order
 
     def rows_for(self, mode: str):
         return [row for row in self.rows if row.mode == mode]
@@ -417,7 +416,7 @@ def check_ablation(config: RunConfig, seeds) -> None:
 
 def holdout_sequences(config: RunConfig, stats: sd.FeatureStats, count: int) -> list[sd.Sequence]:
     """Extra sequences never seen in training, normalized like test data."""
-    return [sd.apply_feature_stats(seq, stats) for seq in _synthesize(config, count, 3)]
+    return [sd.apply_feature_stats(seq, stats) for seq in synthesize(config.data_spec(), count, 3)]
 
 
 def _segment_metrics(store, model_cfg, holdouts, lengths) -> tuple[float, float]:
@@ -473,12 +472,8 @@ def write_ablation_csv(report: AblationReport, path) -> None:
         path,
         ("mode", "seed", "stage", "val_relative_loss", "segment_trans_pct",
          "segment_rot_deg_per_m"),
-        (
-            (row.mode, row.seed, sm.stage, sm.val_relative_loss, sm.segment_trans_pct,
-             sm.segment_rot_deg_per_m)
-            for row in report.rows
-            for sm in row.stages
-        ),
+        ((row.mode, row.seed, sm.stage, sm.val_relative_loss, sm.segment_trans_pct,
+          sm.segment_rot_deg_per_m) for row in report.rows for sm in row.stages),
     )
 
 
@@ -524,18 +519,8 @@ def alpha_sweep(config: RunConfig, alphas=SWEEP_ALPHAS, epochs: int = 10) -> Swe
         raw.append(relative_pose_errors(store, model_cfg, data.val))
     max_trans = max(r[0] for r in raw) or 1.0
     max_rot = max(r[1] for r in raw) or 1.0
-    return SweepReport(
-        rows=[
-            SweepRow(
-                alpha=alpha,
-                trans_err_m=trans,
-                rot_err_deg=rot,
-                trans_norm=trans / max_trans,
-                rot_norm=rot / max_rot,
-            )
-            for alpha, (trans, rot) in zip(alphas, raw)
-        ]
-    )
+    return SweepReport(rows=[SweepRow(alpha, trans, rot, trans / max_trans, rot / max_rot)
+                             for alpha, (trans, rot) in zip(alphas, raw)])
 
 
 def write_sweep_csv(report: SweepReport, path) -> None:

@@ -10,7 +10,10 @@ vectorized draws bit for bit, so it builds the sequence from its motion
 through the library's own geometry and feature code. ``per_layer_predict`` is
 the regressor's forward as it ran before the layers shared one wavefront loop:
 each layer over all T steps, then the next, which pins the wavefront's rows bit
-for bit.
+for bit. ``euler_quat``, ``quat_to_euler`` and ``accumulate_scan`` are the
+one-row-at-a-time conversions and trajectory scan that pin geometry's row
+kernels bit for bit, and ``reference_generate`` uses them in place of those
+kernels.
 """
 
 import math
@@ -87,6 +90,52 @@ def gradients_close(analytic, numeric, rtol=1e-5):
     return np.linalg.norm(analytic - numeric) <= rtol * scale
 
 
+def euler_quat(roll, pitch, yaw):
+    """Quaternion (w, x, y, z) of Rz(yaw) Ry(pitch) Rx(roll), one row on plain floats."""
+    cr, sr = math.cos(roll / 2), math.sin(roll / 2)
+    cp, sp = math.cos(pitch / 2), math.sin(pitch / 2)
+    cy, sy = math.cos(yaw / 2), math.sin(yaw / 2)
+    return (
+        cy * cp * cr + sy * sp * sr,
+        cy * cp * sr - sy * sp * cr,
+        cy * sp * cr + sy * cp * sr,
+        sy * cp * cr - cy * sp * sr,
+    )
+
+
+def quat_to_euler(w, x, y, z):
+    """(roll, pitch, yaw) of a unit quaternion on plain floats; GimbalLockError when
+    pitch is within the package's guard of +-pi/2."""
+    sin_pitch = -2.0 * (x * z - w * y)
+    pitch = math.asin(max(-1.0, min(1.0, sin_pitch)))
+    if math.pi / 2 - abs(pitch) <= geo._GIMBAL_GUARD:
+        raise geo.GimbalLockError(f"pitch {pitch:.9f} is within {geo._GIMBAL_GUARD} of +-pi/2")
+    roll = math.atan2(2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y))
+    yaw = math.atan2(2.0 * (x * y + w * z), 1.0 - 2.0 * (y * y + z * z))
+    return roll, pitch, yaw
+
+
+def accumulate_scan(rows):
+    """The trajectory of (N, 6) vector rows (t, r) from the identity, one step at a time
+    on plain floats: t += R(P) t_k, then P = P x q_k renormalized; rows (t, P) as
+    ``Trajectory`` canonicalizes them."""
+    tx = ty = tz = x = y = z = 0.0
+    w = 1.0
+    out = [(tx, ty, tz, w, x, y, z)]
+    for vx, vy, vz, *angles in np.asarray(rows, dtype=float).reshape(-1, 6).tolist():
+        tx += (1 - 2 * (y * y + z * z)) * vx + 2 * (x * y - w * z) * vy + 2 * (x * z + w * y) * vz
+        ty += 2 * (x * y + w * z) * vx + (1 - 2 * (x * x + z * z)) * vy + 2 * (y * z - w * x) * vz
+        tz += 2 * (x * z - w * y) * vx + 2 * (y * z + w * x) * vy + (1 - 2 * (x * x + y * y)) * vz
+        a, b, c, d = euler_quat(*angles)
+        w, x, y, z = (w * a - x * b - y * c - z * d, w * b + x * a + y * d - z * c,
+                      w * c - x * d + y * a + z * b, w * d + x * c - y * b + z * a)
+        norm = math.sqrt(w * w + x * x + y * y + z * z)
+        w, x, y, z = w / norm, x / norm, y / norm, z / norm
+        out.append((tx, ty, tz, w, x, y, z))
+    out = np.array(out)
+    return out[:, :3], geo._normalize_quat(out[:, 3:])
+
+
 def _ou_step(process, x, dt, rng):
     """One exact conditional update of a mean-reverting process, one draw if noisy."""
     decay = math.exp(-process.reversion * dt)
@@ -121,11 +170,13 @@ def reference_generate(motion, feature_model, length, seed):
         yaw = yaw + swept_rate * dt
         angles.append((roll, pitch, yaw))
 
-    quaternions = np.array([(1.0, 0.0, 0.0, 0.0)] + [geo._euler_quat(*a) for a in angles])
+    quaternions = np.array([(1.0, 0.0, 0.0, 0.0)] + [euler_quat(*a) for a in angles])
     headings = geo._normalize_quat(quaternions[:-1])
     positions = np.cumsum(np.vstack([np.zeros(3), geo._rotate(headings, advances)]), axis=0)
     trajectory = geo.Trajectory(positions, quaternions)
-    relatives = geo._step_vectors(trajectory)
+    t, q = trajectory.positions, trajectory.quaternions
+    rel_t, rel_q = geo._between(t[:-1], q[:-1], t[1:], q[1:])
+    relatives = np.hstack([rel_t, [quat_to_euler(*row) for row in geo._normalize_quat(rel_q).tolist()]])
     features = relatives @ feature_model.encoding.T
     if feature_model.noise_sigma > 0 or feature_model.bias_sigma > 0:
         features = features + feature_model._observation_noise(length, rng)

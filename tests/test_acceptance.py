@@ -49,13 +49,16 @@ def test_01_sequence_loss_gradients_match_finite_differences():
             zeta=float(rng.uniform(0.5, 5.0)), window=window,
         )
 
+        # the truth rows never change, so their windows are built once, as train does
+        truth = ls.ground_truth_window_relatives(gt, window)
+
         def total():
             nonlocal passes
             passes += 1
-            return ls.sequence_loss_value(md.predict(features, config, store), gt, weights)
+            return ls.sequence_loss_value(md.predict(features, config, store), gt, weights, truth)
 
         passes += 1  # the analytic gradient's forward pass
-        tr.span_gradients(store, config, features, gt, weights)
+        tr.span_gradients(store, config, features, gt, weights, truth)
         analytic = {name: store.grads[name].copy() for name in store.names()}
         store.zero_grads()
 

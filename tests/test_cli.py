@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import fields
 
 import numpy as np
@@ -109,15 +110,36 @@ class TestGenData:
             "--noise-sigma", "0.05", "--out", str(tmp_path),
         ]) == 0
         written, meta = sd.load_dataset(tmp_path)
-        expected = tr.generate_sequences(tr.RunConfig(
-            preset="vehicle", n_sequences=3, seq_length=25, seed=4,
-            feature_dim=7, nuisance_dim=1, noise_sigma=0.05,
-        ))
+        expected = tr.synthesize(tr.RunConfig(
+            preset="vehicle", seq_length=25, seed=4, feature_dim=7, nuisance_dim=1,
+            noise_sigma=0.05,
+        ).data_spec(), 3)
         assert len(written) == len(expected)
         for index, (got, want) in enumerate(zip(written, expected)):
             assert int(meta[f"seed_{index:02d}"]) == want.seed
             assert np.array_equal(got.features, want.features)
             assert np.array_equal(got.relatives, want.relatives)
+
+    def test_short_length_keeps_its_bytes_and_needs_no_span_setting(self, tmp_path):
+        # shorter than the default spans (subseq_max = 20), which gen-data never draws
+        assert cli.main(["gen-data", "--length", "5", "--sequences", "2", "--seed", "3",
+                         "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256()
+        for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+            if path.name != "manifest.txt":
+                digest.update(str(path.relative_to(tmp_path)).encode())
+                digest.update(path.read_bytes())
+        # the files as gen-data wrote them before it stopped building a RunConfig
+        assert digest.hexdigest() == (
+            "1be8e24e1f88d4abf951dac31053e76eca224c8d7e14eb2c128a057bb8ce6fdc")
+        written, _ = sd.load_dataset(tmp_path)
+        for count, low, high in ((10, 1, 5), (7, 2, 3)):
+            expected = tr.synthesize(tr.RunConfig(
+                seq_length=5, seed=3, subseq_count=count, subseq_min=low, subseq_max=high,
+            ).data_spec(), 2)
+            for got, want in zip(written, expected, strict=True):
+                assert np.array_equal(got.features, want.features)
+                assert np.array_equal(got.relatives, want.relatives)
 
     def test_walker_turns_more_than_vehicle(self, tmp_path):
         for preset in ("walker", "vehicle"):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from curvo import geometry as geo
-from oracles import euler_matrix, pose_matrix, random_pose_matrix
+from oracles import (accumulate_scan, euler_matrix, euler_quat, pose_matrix, quat_to_euler,
+                     random_pose_matrix)
 
 
 def random_pose(rng, **kwargs):
@@ -163,6 +164,67 @@ class TestEulerConversions:
             geo.pose_to_euler(geo.euler_to_pose([0, 0, 0], [0.3, math.pi / 2, 0.2]))
         with pytest.raises(geo.GimbalLockError):
             geo.pose_to_euler(geo.euler_to_pose([0, 0, 0], [0, -math.pi / 2 + 5e-7, 0]))
+
+
+class TestRowKernels:
+    """The Euler/quaternion row-kernel pair and the trajectory scan, bit for bit against
+    the one-row-at-a-time references in ``oracles``."""
+
+    @staticmethod
+    def guard_pitches():
+        """Pitches on both sides of the gimbal guard, at both poles."""
+        near = np.linspace(0.5 * geo._GIMBAL_GUARD, 2.0 * geo._GIMBAL_GUARD, 41)
+        return np.concatenate([math.pi / 2 - near, near - math.pi / 2])
+
+    def test_euler_quats_equal_scalar_reference(self):
+        rng = np.random.default_rng(31)
+        angles = -rng.uniform(-math.pi, math.pi, size=(100_000, 3))  # (-pi, pi]
+        angles[:82, 1] = self.guard_pitches()
+        angles[82:86] = [[math.pi] * 3, [0.0] * 3, [-0.0] * 3, [math.pi, -math.pi / 2, 1e-300]]
+        expected = np.array([euler_quat(*row) for row in angles.tolist()])
+        assert geo._euler_quats(angles).tobytes() == expected.tobytes()
+
+    def test_quats_to_euler_equal_scalar_reference(self):
+        rng = np.random.default_rng(32)
+        quats = geo._normalize_quat(rng.normal(size=(100_000, 4)))
+        at_guard = np.zeros((82, 3))
+        at_guard[:, 1] = self.guard_pitches()
+        at_guard[:, 2] = rng.uniform(-math.pi, math.pi, size=82)
+        quats = np.vstack([quats, geo._normalize_quat(geo._euler_quats(at_guard))])
+        passing, locked = [], 0
+        for row in quats.tolist():
+            try:
+                passing.append((row, quat_to_euler(*row)))
+            except geo.GimbalLockError as exc:
+                locked += 1
+                with pytest.raises(geo.GimbalLockError) as raised:
+                    geo._quats_to_euler(np.array([row]))
+                assert str(raised.value) == str(exc)
+        assert 0 < locked < 82 and len(passing) > 100_000 - 82
+        rows = np.array([row for row, _ in passing])
+        expected = np.array([euler for _, euler in passing])
+        assert geo._quats_to_euler(rows).tobytes() == expected.tobytes()
+
+    def test_gimbal_error_names_the_first_offending_row(self):
+        angles = [[0.1, 0.2, 0.3], [0.3, math.pi / 2, 0.2], [0.0, 0.1, 0.0],
+                  [0.2, -math.pi / 2 + 5e-7, 0.1]]
+        quats = geo._euler_quats(angles)
+        with pytest.raises(geo.GimbalLockError) as raised:
+            geo._quats_to_euler(quats)
+        with pytest.raises(geo.GimbalLockError) as first:
+            quat_to_euler(*quats[1])
+        assert str(raised.value) == str(first.value)
+        assert str(raised.value) == f"pitch {math.pi / 2:.9f} is within 1e-06 of +-pi/2"
+
+    @pytest.mark.parametrize("steps", [1, 2, 200])
+    def test_accumulate_vectors_equals_per_step_scan(self, steps):
+        rng = np.random.default_rng(steps)
+        rows = np.hstack([rng.uniform(-2.0, 2.0, size=(steps, 3)),
+                          rng.uniform(-math.pi, math.pi, size=(steps, 3))])
+        positions, quaternions = accumulate_scan(rows)
+        traj = geo.accumulate_vectors(rows)
+        assert traj.positions.tobytes() == positions.tobytes()
+        assert traj.quaternions.tobytes() == quaternions.tobytes()
 
 
 class TestAccumulate:

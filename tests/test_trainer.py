@@ -90,11 +90,11 @@ class TestPrepareData:
 
     def test_validation_needs_two_sequences(self):
         with pytest.raises(ValueError):
-            tr.prepare_data(tiny_config(), sequences=tr.generate_sequences(tiny_config(), 1))
+            tr.prepare_data(tiny_config(), sequences=tr.synthesize(tiny_config().data_spec(), 1))
 
     def test_injected_sequences_used(self):
         cfg = tiny_config()
-        sequences = tr.generate_sequences(cfg)
+        sequences = tr.synthesize(cfg.data_spec(), cfg.n_sequences)
         data = tr.prepare_data(cfg, sequences=sequences)
         assert len(data.train) + len(data.val) == len(sequences)
 
@@ -280,9 +280,11 @@ class TestTrain:
         monkeypatch.setattr(ls, "ground_truth_window_relatives", spy)
         _, runlog = tr.train(config, data=data)
         trained = [k for gt in calls for k, seq in enumerate(data.train) if gt is seq.relatives]
-        validated = [gt for gt in calls if any(gt is seq.relatives for seq in data.val)]
+        validated = [k for gt in calls for k, seq in enumerate(data.val) if gt is seq.relatives]
         assert trained == list(range(len(data.train)))
-        assert len(validated) == len(data.val) * sum(r.alpha < 1.0 for r in runlog.records) > 0
+        # the validation sequences' windows too, although several epochs have alpha < 1
+        assert validated == list(range(len(data.val)))
+        assert sum(r.alpha < 1.0 for r in runlog.records) > 1
         assert len(calls) == len(trained) + len(validated)
 
         calls.clear()
@@ -454,3 +456,5 @@ class TestPredictionHelpers:
         weights = ls.LossWeights(alpha=0.5, delta=1.0, zeta=10.0, window=3)
         taped = tr.span_gradients(store, model_cfg, seq.features, seq.relatives, weights)
         assert tr.validation_loss(store, model_cfg, [seq], weights) == taped / len(seq)
+        truths = [ls.ground_truth_window_relatives(seq.relatives, weights.window)]
+        assert tr.validation_loss(store, model_cfg, [seq], weights, truths) == taped / len(seq)
