@@ -35,8 +35,10 @@ print("ground-truth window relative:   ", np.round(truth_t[0], 4), np.round(trut
 
 
 def geodesic_angle(q_truth, q_est):
-    w, *v = geo.quat_mul(q_truth * [1.0, -1.0, -1.0, -1.0], q_est)
-    return 2.0 * math.atan2(float(np.linalg.norm(v)), abs(w))  # the short way round
+    """Rotation angle of R_truth^T R_est, from its skew and trace parts: the short way round."""
+    m = geo.quat_to_matrix(q_truth).T @ geo.quat_to_matrix(q_est)
+    skew = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+    return math.atan2(float(np.linalg.norm(skew)) / 2.0, (np.trace(m) - 1.0) / 2.0)
 
 
 # The composite only contributes where its raw value rises vs the previous

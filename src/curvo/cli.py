@@ -95,9 +95,13 @@ CONFIG_SCHEMA = {
 
 
 def load_run_config(path, overrides=None) -> tr.RunConfig:
-    """Parse a config file into a RunConfig, reporting every offending key."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    """Parse a config file into a RunConfig, reporting every offending key. A ``%`` in
+    a value is literal, and a file that does not parse is a usage error."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise UsageError(f"config errors in {path}:\n  {exc}") from None
     if not read:
         raise UsageError(f"config file not found: {path}")
     errors = []

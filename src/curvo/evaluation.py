@@ -68,14 +68,14 @@ def _check_aligned(gt: geo.Trajectory, est: geo.Trajectory) -> None:
 
 
 def _relatives(traj: geo.Trajectory, start: np.ndarray, end: np.ndarray):
-    """relative_between(pose[start], pose[end]) per index pair."""
+    """The relative pose inv(T_start) T_end per index pair, as ``geometry._between`` rows."""
     positions, quaternions = traj.positions, traj.quaternions
     return geo._between(positions[start], quaternions[start], positions[end], quaternions[end])
 
 
 def _mismatch(gt_rel, est_rel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row of relative_between(gt_rel, est_rel): its translation norm and
-    geodesic angle 2 atan2(|v|, |w|) (radians), plus the norm of the gt_rel translation."""
+    """Per row of the mismatch inv(gt_rel) est_rel: its translation norm and geodesic
+    angle 2 atan2(|v|, |w|) (radians), plus the norm of the gt_rel translation."""
     t, q = geo._between(*gt_rel, *est_rel)
     angle = 2.0 * np.arctan2(np.linalg.norm(q[:, 1:], axis=1), np.abs(q[:, 0]))
     return np.linalg.norm(t, axis=1), angle, np.linalg.norm(gt_rel[0], axis=1)

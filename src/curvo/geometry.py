@@ -1,27 +1,27 @@
-"""Rigid-body poses on SE(3): composition, inversion, conversions, file I/O.
+"""Rigid-body poses on SE(3) as rows of arrays: relative poses, trajectories,
+Euler/quaternion conversions, file I/O.
 
 Conventions, fixed once for the whole package:
 
 - Rotations are stored as unit quaternions ``(w, x, y, z)``, normalized and
-  canonicalized to ``w >= 0`` by one kernel after every public operation.
+  canonicalized to ``w >= 0`` by one kernel, ``_normalize_quat``.
 - The 6-DoF parameter vector of a pose is ``(tx, ty, tz, roll, pitch, yaw)``
   with Euler angles applied as ``R = Rz(yaw) @ Ry(pitch) @ Rx(roll)``.
-- ``compose(parent, child)`` is the homogeneous matrix product
-  ``T_parent @ T_child``: the child transform expressed in the parent frame.
+- A child pose applied in its parent's frame is the homogeneous matrix product
+  ``T_parent @ T_child``; the relative pose from A to B is ``inv(T_A) @ T_B``.
 - Absolute poses live in the world frame; relative poses are parent-frame.
 
-``Pose`` is the type at the API boundary; a ``Trajectory`` is two arrays of
-canonical rows, which its producers fill without building a Pose per row.
-``_qmul`` (Hamilton product) and ``_qrot`` (rotation of a 3-vector) run on
+A ``Trajectory`` is two arrays of canonical rows, and every kernel here works on
+rows. ``_qmul`` (Hamilton product) and ``_qrot`` (rotation of a 3-vector) run on
 floats or on columns: on floats in the trajectory's heading scan here and, in
 ``loss``, in the window chain and its reverse scan; on columns where the
 trajectory rotates all its steps at once. ``_between`` is the one relative-pose
 kernel, and its rotation half ``_qrel`` is also the loss's log-map argument.
+``_accumulate`` is the one composition scan, behind ``accumulate_vectors``.
 ``_euler_quats`` and ``_quats_to_euler`` are the one pair of Euler/quaternion
-row kernels; every conversion goes through them, a Pose's as the one-row case.
-No derivatives live here: the objective differentiates its chain in
-quaternions, so Euler extraction, and with it ``GimbalLockError``, happens only
-in generated step relatives and at this module's Pose/Euler boundary.
+row kernels; every conversion goes through them. No derivatives live here: the
+objective differentiates its chain in quaternions, so Euler extraction, and with
+it ``GimbalLockError``, happens only in generated step relatives.
 
 All functions are pure and operate on float64 throughout.
 """
@@ -29,13 +29,14 @@ All functions are pure and operate on float64 throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 _QUAT_NORM_TOL = 1e-12
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 _GIMBAL_GUARD = 1e-6
+_ROTATION_TOL = 1e-4  # a pose file's rotation blocks; admits 7 significant digits
 # _euler_quats' picks, 0 for cos and 1 for sin: the (yaw, pitch) pair and the roll of
 # each component's two terms, and the sign that joins them
 _EULER_PAIRS = (np.array([[0, 0, 0, 1], [1, 1, 1, 0]]), np.array([[0, 0, 1, 0], [1, 1, 0, 1]]))
@@ -65,11 +66,6 @@ def _normalize_quat(q: np.ndarray) -> np.ndarray:
         raise ValueError("quaternion norm is numerically zero or not finite")
     q = q / norm
     return np.where(q[:, :1] < 0.0, -q, q)  # double-cover canonicalization
-
-
-def quat_mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    """Hamilton product of two (w, x, y, z) quaternions, not normalized."""
-    return np.array(_qmul(q1, q2))
 
 
 def _qmul(q1, q2) -> tuple:
@@ -136,40 +132,10 @@ def matrix_to_quat(m: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Pose:
-    """A rigid transform: translation (meters) plus unit quaternion rotation.
-
-    The quaternion is renormalized and sign-canonicalized (w >= 0) on
-    construction, so every Pose in circulation satisfies the invariants.
-    The stored arrays are marked read-only.
-    """
-
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    quaternion: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
-
-    def __post_init__(self):
-        t = np.array(self.translation, dtype=np.float64).reshape(3)
-        q = _normalize_quat(np.asarray(self.quaternion, dtype=np.float64).reshape(1, 4))[0]
-        t.flags.writeable = q.flags.writeable = False
-        self.__dict__.update(translation=t, quaternion=q)  # frozen: bypass __setattr__
-
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose()
-
-    def rotation_matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.quaternion)
-
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "Pose":
-        return Pose(m[:3, 3], matrix_to_quat(m[:3, :3]))
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Time-ordered absolute poses: read-only (N, 3) positions, (N, 4) quaternions.
-    Row k holds the bits of ``Pose(positions[k], quaternions[k])``: the
-    constructor canonicalizes the quaternions with the kernel Pose uses."""
+    The constructor canonicalizes the quaternions with ``_normalize_quat``, row by
+    row, so row k holds the bits of normalizing quaternion k alone."""
 
     positions: np.ndarray
     quaternions: np.ndarray
@@ -185,62 +151,25 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.positions)
 
-    @property
-    def poses(self) -> tuple[Pose, ...]:
-        """Poses over the rows, which are canonical already and not normalized again."""
-        poses = tuple(object.__new__(Pose) for _ in range(len(self)))
-        for pose, t, q in zip(poses, self.positions, self.quaternions):
-            pose.__dict__.update(translation=t, quaternion=q)
-        return poses
-
-
-def compose(parent: Pose, child: Pose) -> Pose:
-    """Apply ``child`` in ``parent``'s frame: T_parent @ T_child."""
-    q = quat_mul(parent.quaternion, child.quaternion)
-    t = parent.translation + quat_to_matrix(parent.quaternion) @ child.translation
-    return Pose(t, q)
-
-
-def inverse(p: Pose) -> Pose:
-    """The transform undoing ``p``: compose(p, inverse(p)) == identity."""
-    return relative_between(p, _IDENTITY)
-
-
-def relative_between(a: Pose, b: Pose) -> Pose:
-    """The transform taking frame ``a`` to frame ``b``: inverse(a) o b."""
-    t, q = _between(a.translation[None], a.quaternion[None],
-                    b.translation[None], b.quaternion[None])
-    return Pose(t[0], q[0])
-
 
 def _between(ta, qa, tb, qb) -> tuple[np.ndarray, np.ndarray]:
-    """The one relative-pose kernel, rows relative_between(a[k], b[k]) of (N, 3) positions
-    and (N, 4) quaternions: R(qa)^T (tb - ta) and qa* x qb, not normalized. Row-wise, so
+    """The one relative-pose kernel, rows inv(A_k) B_k of (N, 3) positions and (N, 4)
+    quaternions: R(qa)^T (tb - ta) and qa* x qb, not normalized. Row-wise, so
     a row's bits do not depend on its company, and exactly zero for equal poses."""
     return _rotate(qa * _CONJUGATE, tb - ta), np.array(_qrel(qa.T, qb.T)).T
 
 
-_IDENTITY = Pose()
-
-
-def accumulate(relatives, initial: Pose | None = None) -> Trajectory:
-    """The absolute trajectory pose[0] = ``initial`` (identity by default),
-    pose[k+1] = compose(pose[k], relatives[k])."""
-    t = np.array([p.translation for p in relatives]).reshape(-1, 3)
-    q = np.array([p.quaternion for p in relatives]).reshape(-1, 4)
-    return _accumulate(t, q, initial if initial is not None else _IDENTITY)
-
-
 def accumulate_vectors(rows) -> Trajectory:
-    """``accumulate`` of (N, 6) vector rows (t, r), without a Pose per row."""
-    return _accumulate(*_vector_arrays(rows), _IDENTITY)
+    """The absolute trajectory of (N, 6) vector rows (t, r) from the identity:
+    pose[k+1] = pose[k] @ step[k] as homogeneous matrices."""
+    return _accumulate(*_vector_arrays(rows))
 
 
-def _accumulate(t: np.ndarray, q: np.ndarray, initial: Pose) -> Trajectory:
-    """The scan behind both over (N, 3) steps ``t`` and (N, 4) turns ``q``: only the
-    heading P_(k+1) = P_k x q_k, renormalized as ``compose`` into a Pose does, runs per
-    step; all steps are then rotated at once and summed from the initial position."""
-    w, x, y, z = initial.quaternion.tolist()
+def _accumulate(t: np.ndarray, q: np.ndarray) -> Trajectory:
+    """The scan over (N, 3) steps ``t`` and (N, 4) turns ``q`` from the identity: only
+    the heading P_(k+1) = P_k x q_k, renormalized, runs per step; all steps are then
+    rotated at once and summed from the origin."""
+    w, x, y, z = 1.0, 0.0, 0.0, 0.0
     headings = [(w, x, y, z)]
     for step in q.tolist():
         w, x, y, z = _qmul((w, x, y, z), step)
@@ -249,19 +178,8 @@ def _accumulate(t: np.ndarray, q: np.ndarray, initial: Pose) -> Trajectory:
         headings.append((w, x, y, z))
     headings = np.array(headings)
     moves = np.array(_qrot(headings[:-1].T, t.T)).T
-    positions = np.add.accumulate(np.vstack([initial.translation, moves]), axis=0)
+    positions = np.add.accumulate(np.vstack([np.zeros(3), moves]), axis=0)
     return Trajectory(positions, headings)
-
-
-def euler_to_pose(t, r) -> Pose:
-    """Pose from translation and (roll, pitch, yaw); R = Rz(yaw) Ry(pitch) Rx(roll)."""
-    return Pose(np.asarray(t, dtype=np.float64), _euler_quats(r)[0])
-
-
-def pose_to_euler(p: Pose) -> tuple[np.ndarray, np.ndarray]:
-    """Translation and (roll, pitch, yaw) of a pose; GimbalLockError if |pitch| is
-    within 1e-6 of pi/2, where the decomposition degenerates."""
-    return p.translation.copy(), _quats_to_euler(p.quaternion)[0]
 
 
 def _euler_quats(angles) -> np.ndarray:
@@ -290,20 +208,9 @@ def _quats_to_euler(q) -> np.ndarray:
     return np.stack([list(roll), pitch, list(yaw)], axis=1)
 
 
-def pose_to_vector(p: Pose) -> np.ndarray:
-    """6-vector (t, r) view of a pose."""
-    t, r = pose_to_euler(p)
-    return np.concatenate([t, r])
-
-
-def vector_to_pose(v) -> Pose:
-    """Pose from a 6-vector (t, r)."""
-    v = np.asarray(v, dtype=np.float64).reshape(6)
-    return euler_to_pose(v[:3], v[3:])
-
-
 def _step_vectors(trajectory: Trajectory) -> np.ndarray:
-    """Rows pose_to_vector(relative_between(poses[k], poses[k+1])), bit for bit."""
+    """(N - 1, 6) rows (t, r) of the step from each pose to the next: ``_between`` of
+    consecutive rows, its quaternion normalized, then ``_quats_to_euler``."""
     t, q = trajectory.positions, trajectory.quaternions
     rel_t, rel_q = _between(t[:-1], q[:-1], t[1:], q[1:])
     return np.hstack([rel_t, _quats_to_euler(_normalize_quat(rel_q))])
@@ -336,7 +243,9 @@ def save_trajectory_kitti(trajectory: Trajectory, path) -> None:
 
 
 def load_trajectory_kitti(path) -> Trajectory:
-    """Read a pose-per-line 3x4 file; raises KittiParseError with line number."""
+    """Read a pose-per-line 3x4 file. KittiParseError names the first line that does not
+    hold 12 finite values, or whose 3x3 block is not a rotation: max|R^T R - I| above
+    ``_ROTATION_TOL``, or det R < 0."""
     positions, quaternions = [], []
     with open(path) as f:
         for line_number, line in enumerate(f, start=1):
@@ -352,10 +261,12 @@ def load_trajectory_kitti(path) -> Trajectory:
             except ValueError as exc:
                 raise KittiParseError(str(exc), line_number) from None
             m = np.array(values).reshape(3, 4)
-            try:
-                quaternions.append(matrix_to_quat(m[:, :3]))
-            except ValueError as exc:
-                raise KittiParseError(f"invalid rotation block: {exc}", line_number) from None
+            rotation = m[:, :3]
+            error, det = np.abs(rotation.T @ rotation - np.eye(3)).max(), np.linalg.det(rotation)
+            if error > _ROTATION_TOL or det < 0:
+                raise KittiParseError(f"3x3 block is not a rotation: max |R^T R - I| = "
+                                      f"{error:.3g}, det R = {det:.3g}", line_number)
+            quaternions.append(matrix_to_quat(rotation))
             positions.append(m[:, 3])
     if not positions:
         raise KittiParseError("file contains no poses", 1)

@@ -142,11 +142,6 @@ class FeatureModel:
             bias_sigma=bias_sigma,
         )
 
-    @staticmethod
-    def identity(extra_rows=0, noise_sigma=0.0, nuisance_dim=0, nuisance_sigma=1.0):
-        enc = np.vstack([np.eye(6), np.zeros((extra_rows, 6))])
-        return FeatureModel(enc, noise_sigma, nuisance_dim, nuisance_sigma)
-
     def _observation_noise(self, length: int, rng: np.random.Generator) -> np.ndarray:
         """AR(1) noise with stationary std noise_sigma, plus the sequence bias."""
         width = self.encoding.shape[0]

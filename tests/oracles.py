@@ -3,17 +3,18 @@
 Everything here deliberately avoids the library's own conversion and
 composition code: rotations go through scipy or explicit axis matrices,
 composition through plain 4x4 homogeneous numpy products, and derivatives
-through central finite differences. The one exception is
-``reference_generate``: the generator's per-step motion loop, one scalar
-draw and one OU update per process and step, which pins the generator's
-vectorized draws bit for bit, so it builds the sequence from its motion
-through the library's own geometry and feature code. ``per_layer_predict`` is
-the regressor's forward as it ran before the layers shared one wavefront loop:
-each layer over all T steps, then the next, which pins the wavefront's rows bit
-for bit. ``euler_quat``, ``quat_to_euler`` and ``accumulate_scan`` are the
-one-row-at-a-time conversions and trajectory scan that pin geometry's row
-kernels bit for bit, and ``reference_generate`` uses them in place of those
-kernels.
+through central finite differences. ``chain_trajectory`` builds a test
+trajectory from step rows that way, so fixtures need none of the library's
+scan. The one exception is ``reference_generate``: the generator's per-step
+motion loop, one scalar draw and one OU update per process and step, which
+pins the generator's vectorized draws bit for bit, so it builds the sequence
+from its motion through the library's own geometry and feature code.
+``per_layer_predict`` is the regressor's forward as it ran before the layers
+shared one wavefront loop: each layer over all T steps, then the next, which
+pins the wavefront's rows bit for bit. ``euler_quat``, ``quat_to_euler`` and
+``accumulate_scan`` are the one-row-at-a-time conversions and trajectory scan
+that pin geometry's row kernels bit for bit, and ``reference_generate`` uses
+them in place of those kernels.
 """
 
 import math
@@ -58,9 +59,32 @@ def homogeneous(t, rotation):
     return m
 
 
-def pose_matrix(pose):
-    """4x4 matrix of a Pose, built through scipy instead of the library."""
-    return homogeneous(pose.translation, quat_wxyz_to_matrix(pose.quaternion))
+def pose_matrix(t, q):
+    """4x4 matrix of translation ``t`` and quaternion ``q``, built through scipy instead
+    of the library."""
+    return homogeneous(t, quat_wxyz_to_matrix(q))
+
+
+def vector_matrix(row):
+    """4x4 matrix of a 6-vector (t, r) in the package's Euler convention."""
+    return homogeneous(row[:3], euler_matrix(*row[3:]))
+
+
+def trajectory_matrices(traj):
+    """The 4x4 matrix of each pose of a ``Trajectory``."""
+    return [pose_matrix(t, q) for t, q in zip(traj.positions, traj.quaternions)]
+
+
+def chain_trajectory(rows):
+    """The ``Trajectory`` of (N, 6) vector rows (t, r) from the identity, chained by 4x4
+    products: pose[k+1] = pose[k] @ step[k], each rotation turned into a quaternion
+    by scipy."""
+    poses = [np.eye(4)]
+    for row in np.asarray(rows, dtype=float).reshape(-1, 6):
+        poses.append(poses[-1] @ vector_matrix(row))
+    poses = np.array(poses)
+    x, y, z, w = Rotation.from_matrix(poses[:, :3, :3]).as_quat().T
+    return geo.Trajectory(poses[:, :3, 3], np.stack([w, x, y, z], axis=1))
 
 
 def random_pose_matrix(rng, angle_scale=0.8, trans_scale=2.0):

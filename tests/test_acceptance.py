@@ -18,7 +18,7 @@ from curvo import geometry as geo
 from curvo import loss as ls
 from curvo import model as md
 from curvo import trainer as tr
-from oracles import gradients_close, pose_matrix
+from oracles import chain_trajectory, gradients_close, trajectory_matrices
 
 from test_model import run_cell, scalar_lstm_reference
 
@@ -88,25 +88,25 @@ def test_01_sequence_loss_gradients_match_finite_differences():
 def test_02_geometry_matches_homogeneous_matrix_oracle():
     from oracles import pose_matrix, random_pose_matrix
 
+    def row(m):
+        return m[:3, 3][None], geo.matrix_to_quat(m[:3, :3])[None]
+
     started = time.perf_counter()
     rng = np.random.default_rng(77)
     for case in range(1000):
         m_a = random_pose_matrix(rng)
         m_b = random_pose_matrix(rng)
-        a, b = geo.Pose.from_matrix(m_a), geo.Pose.from_matrix(m_b)
-        np.testing.assert_allclose(pose_matrix(geo.compose(a, b)), m_a @ m_b, atol=1e-9)
-        np.testing.assert_allclose(pose_matrix(geo.inverse(a)), np.linalg.inv(m_a), atol=1e-9)
-        np.testing.assert_allclose(
-            pose_matrix(geo.relative_between(a, b)), np.linalg.inv(m_a) @ m_b, atol=1e-9
-        )
+        t, q = geo._between(*row(m_a), *row(m_b))
+        np.testing.assert_allclose(pose_matrix(t[0], q[0]), np.linalg.inv(m_a) @ m_b, atol=1e-9)
         if case % 10 == 0:
-            rels = [geo.Pose.from_matrix(random_pose_matrix(rng, angle_scale=0.5))
-                    for _ in range(5)]
-            traj = geo.accumulate(rels, initial=a)
-            expected = m_a.copy()
-            for rel in rels:
-                expected = expected @ pose_matrix(rel)
-            np.testing.assert_allclose(pose_matrix(traj.poses[-1]), expected, atol=1e-9)
+            steps = [random_pose_matrix(rng, angle_scale=0.5) for _ in range(5)]
+            t, q = (np.vstack(part) for part in zip(*map(row, [m_a, *steps])))
+            traj = geo._accumulate(t, q)
+            expected = np.eye(4)  # the chain from the identity, through A first
+            for k, m in enumerate([m_a, *steps], start=1):
+                expected = expected @ m
+                np.testing.assert_allclose(
+                    pose_matrix(traj.positions[k], traj.quaternions[k]), expected, atol=1e-9)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"geometry oracle check took {elapsed:.2f}s"
     report(f"2 geometry oracle equivalence (1000 cases, {elapsed:.2f}s)")
@@ -203,7 +203,7 @@ def test_04_lstm_cell_conformance():
 
 def test_06_evaluation_fixtures():
     n = 61
-    gt = geo.accumulate([geo.Pose(translation=[1.0, 0, 0])] * (n - 1))
+    gt = chain_trajectory([[1.0, 0, 0, 0, 0, 0]] * (n - 1))
     est = geo.Trajectory(gt.positions * 0.9, gt.quaternions)
     lengths = (5.0, 10.0, 20.0, 40.0)
     segment = ev.segment_errors(gt, est, lengths)
@@ -220,17 +220,16 @@ def test_06_evaluation_fixtures():
     assert zero_ate.rmse == 0.0
 
     rng = np.random.default_rng(13)
-    rels_gt = [geo.euler_to_pose(rng.uniform(0.2, 1.0, 3), rng.uniform(-0.2, 0.2, 3))
-               for _ in range(30)]
-    rels_est = [geo.euler_to_pose(rng.uniform(0.2, 1.0, 3), rng.uniform(-0.2, 0.2, 3))
-                for _ in range(30)]
-    gt_r = geo.accumulate(rels_gt)
-    est_r = geo.accumulate(rels_est)
+    rels_gt, rels_est = ([np.concatenate([rng.uniform(0.2, 1.0, 3), rng.uniform(-0.2, 0.2, 3)])
+                          for _ in range(30)] for _ in range(2))
+    gt_r = chain_trajectory(rels_gt)
+    est_r = chain_trajectory(rels_est)
     report_rpe = ev.rpe(gt_r, est_r)
+    gt_m, est_m = trajectory_matrices(gt_r), trajectory_matrices(est_r)
     trans_terms, rot_terms = [], []
     for k in range(30):
-        g = np.linalg.inv(pose_matrix(gt_r.poses[k])) @ pose_matrix(gt_r.poses[k + 1])
-        e = np.linalg.inv(pose_matrix(est_r.poses[k])) @ pose_matrix(est_r.poses[k + 1])
+        g = np.linalg.inv(gt_m[k]) @ gt_m[k + 1]
+        e = np.linalg.inv(est_m[k]) @ est_m[k + 1]
         d = np.linalg.inv(g) @ e
         rot_terms.append(math.degrees(
             math.acos(max(-1.0, min(1.0, (np.trace(d[:3, :3]) - 1.0) / 2.0)))))

@@ -8,6 +8,7 @@ from curvo import cli
 from curvo import geometry as geo
 from curvo import synthdata as sd
 from curvo import trainer as tr
+from oracles import chain_trajectory
 
 
 CONFIG_TEXT = """\
@@ -45,7 +46,7 @@ def config_file(tmp_path):
 
 
 def write_line_fixture(tmp_path, n=40, scale=1.0):
-    gt = geo.accumulate([geo.Pose(translation=[1.0, 0, 0])] * (n - 1))
+    gt = chain_trajectory([[1.0, 0, 0, 0, 0, 0]] * (n - 1))
     est = geo.Trajectory(gt.positions * scale, gt.quaternions)
     gt_path, est_path = tmp_path / "gt.txt", tmp_path / "est.txt"
     geo.save_trajectory_kitti(gt, gt_path)
@@ -151,11 +152,7 @@ class TestGenData:
         rates = {}
         for preset in ("walker", "vehicle"):
             traj = geo.load_trajectory_kitti(tmp_path / preset / "poses" / "00.txt")
-            yaws = []
-            for k in range(len(traj) - 1):
-                rel = geo.relative_between(traj.poses[k], traj.poses[k + 1])
-                yaws.append(abs(geo.pose_to_euler(rel)[1][2]))
-            rates[preset] = np.mean(yaws)
+            rates[preset] = np.mean(np.abs(geo._step_vectors(traj)[:, 5]))
         assert rates["walker"] > rates["vehicle"]
 
 
@@ -208,6 +205,51 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 1
         assert "config errors" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[data]\npreset = walker\npreset = vehicle\n",
+    "[data]\npreset = walker\n[data]\nlength = 60\n",
+    "preset = walker\n",
+], ids=["duplicate-key", "duplicate-section", "no-section-header"])
+def test_config_syntax_error_is_config_error(tmp_path, capsys, text):
+    config = tmp_path / "bad.ini"
+    config.write_text(text)
+    for command in (["train"], ["ablate", "--seeds", "0,1"]):
+        out = tmp_path / command[0]
+        assert cli.main([*command, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config errors" in err and str(config) in err
+        assert not out.exists()
+
+
+def test_percent_in_a_config_value_is_literal(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text("[data]\ndataset_dir = /no/such/100%\n")
+    assert cli.load_run_config(config).dataset_dir == "/no/such/100%"
+    config.write_text("[data]\ndataset_dir = /no/such/100%(x)s\n")
+    assert cli.load_run_config(config).dataset_dir == "/no/such/100%(x)s"
+
+
+def test_train_on_a_gen_data_directory_equals_train_on_generated_data(config_file, tmp_path):
+    # CONFIG_TEXT's data settings as gen-data flags; the directory name holds a literal %
+    data = tmp_path / "data 100%"
+    assert cli.main(["gen-data", "--preset", "walker", "--sequences", "3", "--length", "60",
+                     "--seed", "3", "--feature-dim", "6", "--nuisance-dim", "0",
+                     "--noise-sigma", "0.0", "--out", str(data)]) == 0
+    loaded = tmp_path / "loaded.ini"
+    loaded.write_text(CONFIG_TEXT.replace("[data]\n", f"[data]\ndataset_dir = {data}\n"))
+    for config, out in ((config_file, "generated"), (loaded, "loaded")):
+        assert cli.main(["train", "--config", str(config), "--seed", "3",
+                         "--out", str(tmp_path / out)]) == 0
+    names = ["checkpoint_final.txt", "checkpoint_stage0.txt", "checkpoint_stage1.txt",
+             "checkpoint_stage2.txt", "manifest.txt", "runlog.csv", "transitions.csv"]
+    for out in ("generated", "loaded"):
+        assert sorted(p.name for p in (tmp_path / out).iterdir()) == names
+    for name in names:
+        if name != "manifest.txt":  # the manifests differ in dataset_dir
+            assert (tmp_path / "generated" / name).read_bytes() == (
+                tmp_path / "loaded" / name).read_bytes(), name
 
 
 def test_generated_run_needs_two_sequences(config_file, tmp_path, capsys):
@@ -406,7 +448,7 @@ class TestEvalCommand:
         gt_path, _ = write_line_fixture(tmp_path, n=10)
         short_path, _ = write_line_fixture(tmp_path / "sub", n=8) if False else (None, None)
         # build a shorter estimate file
-        est = geo.accumulate([geo.Pose(translation=[1.0, 0, 0])] * 5)
+        est = chain_trajectory([[1.0, 0, 0, 0, 0, 0]] * 5)
         est_path = tmp_path / "short.txt"
         geo.save_trajectory_kitti(est, est_path)
         code = cli.main(["eval", "--gt", str(gt_path), "--est", str(est_path),

@@ -5,11 +5,11 @@ import pytest
 
 from curvo import evaluation as ev
 from curvo import geometry as geo
-from oracles import pose_matrix
+from oracles import chain_trajectory, quat_wxyz_to_matrix, trajectory_matrices
 
 
 def straight_line(n, step=1.0):
-    return geo.accumulate([geo.Pose(translation=[step, 0, 0])] * (n - 1))
+    return chain_trajectory([[step, 0, 0, 0, 0, 0]] * (n - 1))
 
 
 def scaled(traj, factor):
@@ -20,9 +20,8 @@ def random_trajectory(rng, n, angle=0.2, step=0.5):
     rels = []
     for _ in range(n - 1):
         t = rng.uniform(0.1, step, size=3) * np.array([1.0, 0.3, 0.1])
-        r = rng.uniform(-angle, angle, size=3)
-        rels.append(geo.euler_to_pose(t, r))
-    return geo.accumulate(rels)
+        rels.append(np.concatenate([t, rng.uniform(-angle, angle, size=3)]))
+    return chain_trajectory(rels)
 
 
 def trajectory_with_stops(rng, n, angle=0.3):
@@ -30,14 +29,15 @@ def trajectory_with_stops(rng, n, angle=0.3):
     rels = []
     for k in range(n - 1):
         t = rng.uniform(0.1, 0.5, size=3) * np.array([1.0, 0.3, 0.1]) if k % 4 else np.zeros(3)
-        rels.append(geo.euler_to_pose(t, rng.uniform(-angle, angle, size=3)))
-    return geo.accumulate(rels)
+        rels.append(np.concatenate([t, rng.uniform(-angle, angle, size=3)]))
+    return chain_trajectory(rels)
 
 
 def mismatch_matrix(gt, est, start, end):
-    """The 4x4 matrices of the gt relative and of its mismatch with est's."""
-    g = np.linalg.inv(pose_matrix(gt.poses[start])) @ pose_matrix(gt.poses[end])
-    e = np.linalg.inv(pose_matrix(est.poses[start])) @ pose_matrix(est.poses[end])
+    """The 4x4 matrices of the gt relative and of its mismatch with est's, from the lists
+    of 4x4 pose matrices ``gt`` and ``est``."""
+    g = np.linalg.inv(gt[start]) @ gt[end]
+    e = np.linalg.inv(est[start]) @ est[end]
     return g, np.linalg.inv(g) @ e
 
 
@@ -47,7 +47,8 @@ def angle_deg(m):
 
 def brute_force_segments(gt, est, lengths):
     """Segment errors by linear search over the path and 4x4 matrix products."""
-    positions = [pose_matrix(p)[:3, 3] for p in gt.poses]
+    gt, est = trajectory_matrices(gt), trajectory_matrices(est)
+    positions = [m[:3, 3] for m in gt]
     distances = [0.0]
     for a, b in zip(positions, positions[1:]):
         distances.append(distances[-1] + float(np.linalg.norm(b - a)))
@@ -68,9 +69,10 @@ def brute_force_segments(gt, est, lengths):
 
 
 def transform_trajectory(traj, rigid):
-    """compose(rigid, pose) for every pose of traj, on its arrays."""
-    positions = rigid.translation + traj.positions @ rigid.rotation_matrix().T
-    return geo.Trajectory(positions, geo.quat_mul(rigid.quaternion, traj.quaternions.T).T)
+    """rigid @ pose for every pose of traj, with ``rigid`` a (t, r) 6-vector."""
+    moved = chain_trajectory([rigid])
+    positions = moved.positions[1] + traj.positions @ quat_wxyz_to_matrix(moved.quaternions[1]).T
+    return geo.Trajectory(positions, np.array(geo._qmul(moved.quaternions[1], traj.quaternions.T)).T)
 
 
 class TestSegmentErrors:
@@ -95,7 +97,7 @@ class TestSegmentErrors:
         n, step = 80, 1.0
         gt = straight_line(n, step)
         yaw_step = math.radians(bias_deg_per_m) * step
-        est = geo.accumulate([geo.euler_to_pose([step, 0, 0], [0, 0, yaw_step])] * (n - 1))
+        est = chain_trajectory([[step, 0, 0, 0, 0, yaw_step]] * (n - 1))
         report = ev.segment_errors(gt, est, [5, 10, 20])
         for err in report.rot_err_deg_per_m:
             assert abs(err - bias_deg_per_m) < 0.02
@@ -139,7 +141,7 @@ class TestSegmentErrors:
         rng = np.random.default_rng(2)
         gt = random_trajectory(rng, 40)
         est = random_trajectory(rng, 40)
-        rigid = geo.euler_to_pose([5.0, -2.0, 1.0], [0.2, 0.1, -0.4])
+        rigid = [5.0, -2.0, 1.0, 0.2, 0.1, -0.4]
         base = ev.segment_errors(gt, est, [2, 5])
         moved = ev.segment_errors(
             transform_trajectory(gt, rigid), transform_trajectory(est, rigid), [2, 5]
@@ -184,10 +186,9 @@ class TestRpe:
         for _ in range(20):
             t = rng.uniform(0.2, 1.0, size=3)
             r = rng.uniform(-0.2, 0.2, size=3)
-            rels.append(geo.euler_to_pose(t, r))
-        gt = geo.accumulate(rels)
-        doubled = [geo.Pose(rel.translation * 2.0, rel.quaternion) for rel in rels]
-        est = geo.accumulate(doubled)
+            rels.append(np.concatenate([t, r]))
+        gt = chain_trajectory(rels)
+        est = chain_trajectory([np.concatenate([rel[:3] * 2.0, rel[3:]]) for rel in rels])
         report = ev.rpe(gt, est)
         assert abs(report.trans_err_pct - 100.0) < 1e-9
         assert report.rot_err_deg < 1e-9
@@ -197,13 +198,12 @@ class TestRpe:
         gt = random_trajectory(rng, 25)
         est = random_trajectory(rng, 25)
         report = ev.rpe(gt, est)
+        gt, est = trajectory_matrices(gt), trajectory_matrices(est)
 
         # brute force via homogeneous matrices
         trans_terms, rot_terms = [], []
         for k in range(24):
-            g = np.linalg.inv(pose_matrix(gt.poses[k])) @ pose_matrix(gt.poses[k + 1])
-            e = np.linalg.inv(pose_matrix(est.poses[k])) @ pose_matrix(est.poses[k + 1])
-            d = np.linalg.inv(g) @ e
+            g, d = mismatch_matrix(gt, est, k, k + 1)
             angle = math.degrees(
                 math.acos(max(-1.0, min(1.0, (np.trace(d[:3, :3]) - 1.0) / 2.0)))
             )
@@ -218,6 +218,7 @@ class TestRpe:
         gt = trajectory_with_stops(rng, 60)
         est = random_trajectory(rng, 60, angle=0.3)
         report = ev.rpe(gt, est)
+        gt, est = trajectory_matrices(gt), trajectory_matrices(est)
         trans_terms, rot_terms, skipped = [], [], 0
         for k in range(59):
             g, d = mismatch_matrix(gt, est, k, k + 1)
@@ -251,8 +252,8 @@ class TestRpe:
         gt = random_trajectory(rng, 20)
         est = random_trajectory(rng, 20)
         base = ev.rpe(gt, est)
-        rigid_a = geo.euler_to_pose([1, 2, 3], [0.3, -0.2, 0.5])
-        rigid_b = geo.euler_to_pose([-4, 0, 2], [0.1, 0.2, -0.3])
+        rigid_a = [1, 2, 3, 0.3, -0.2, 0.5]
+        rigid_b = [-4, 0, 2, 0.1, 0.2, -0.3]
         moved = ev.rpe(transform_trajectory(gt, rigid_a), transform_trajectory(est, rigid_b))
         assert abs(base.trans_err_pct - moved.trans_err_pct) < 1e-9
         assert abs(base.rot_err_deg - moved.rot_err_deg) < 1e-9

@@ -5,15 +5,16 @@ import pytest
 
 from curvo import geometry as geo
 from curvo import synthdata as sd
-from oracles import reference_generate
+from oracles import quat_to_euler, reference_generate
+
+IDENTITY_FEATURES = sd.FeatureModel(np.eye(6))  # features equal the relatives
 
 
 def check_consistency(seq, tol=1e-9):
-    rebuilt = geo.accumulate([geo.vector_to_pose(r) for r in seq.relatives])
+    rebuilt = geo.accumulate_vectors(seq.relatives)
     assert len(rebuilt) == len(seq.trajectory)
-    for a, b in zip(rebuilt.poses, seq.trajectory.poses):
-        np.testing.assert_allclose(a.translation, b.translation, atol=tol)
-        np.testing.assert_allclose(a.quaternion, b.quaternion, atol=tol)
+    np.testing.assert_allclose(rebuilt.positions, seq.trajectory.positions, atol=tol)
+    np.testing.assert_allclose(rebuilt.quaternions, seq.trajectory.quaternions, atol=tol)
 
 
 def assert_generate_equals_per_step_loop(motion, feature_model, length, seed):
@@ -52,7 +53,7 @@ class TestGenerateEqualsPerStepLoop:
 class TestGenerate:
     def test_identity_encoding_features_equal_relatives(self):
         motion = sd.walker_motion()
-        fm = sd.FeatureModel.identity()
+        fm = IDENTITY_FEATURES
         seq = sd.generate(motion, fm, length=40, seed=3)
         np.testing.assert_array_equal(seq.features, seq.relatives)
 
@@ -66,7 +67,7 @@ class TestGenerate:
 
     def test_different_seeds_differ(self):
         motion = sd.walker_motion()
-        fm = sd.FeatureModel.identity()
+        fm = IDENTITY_FEATURES
         a = sd.generate(motion, fm, length=30, seed=1)
         b = sd.generate(motion, fm, length=30, seed=2)
         assert not np.array_equal(a.relatives, b.relatives)
@@ -79,7 +80,7 @@ class TestGenerate:
             pitch_rate=sd.OuParams(sigma=0.0),
             yaw_rate=sd.OuParams(sigma=0.0),
         )
-        seq = sd.generate(motion, sd.FeatureModel.identity(), length=10, seed=0)
+        seq = sd.generate(motion, IDENTITY_FEATURES, length=10, seed=0)
         expected = np.zeros((10, 6))
         expected[:, 0] = 0.2
         np.testing.assert_allclose(seq.relatives, expected, atol=1e-12)
@@ -92,27 +93,29 @@ class TestGenerate:
             check_consistency(seq)
 
     def test_relatives_are_the_pose_path_bits(self):
+        # row k is the one-row relative pose of frames k and k + 1, in scalar Euler angles
         fm = sd.FeatureModel.seeded(8, seed=1, noise_sigma=0.02, nuisance_dim=2)
         for preset in (sd.vehicle_motion(), sd.walker_motion()):
             seq = sd.generate(preset, fm, length=120, seed=11)
-            poses = seq.trajectory.poses
+            t, q = seq.trajectory.positions, seq.trajectory.quaternions
             for k, row in enumerate(seq.relatives):
-                rel = geo.relative_between(poses[k], poses[k + 1])
-                assert (row == geo.pose_to_vector(rel)).all()
+                rel_t, rel_q = geo._between(t[k : k + 1], q[k : k + 1], t[k + 1 : k + 2],
+                                            q[k + 1 : k + 2])
+                euler = quat_to_euler(*geo._normalize_quat(rel_q)[0].tolist())
+                assert (row == np.concatenate([rel_t[0], euler])).all()
 
     def test_pitch_stays_clamped(self):
         motion = sd.MotionModel(pitch_rate=sd.OuParams(mean=0.5, reversion=0.1, sigma=0.3))
-        seq = sd.generate(motion, sd.FeatureModel.identity(), length=300, seed=5)
-        for pose in seq.trajectory.poses:
-            _, r = geo.pose_to_euler(pose)
-            assert abs(r[1]) <= motion.pitch_clamp + 1e-9
+        seq = sd.generate(motion, IDENTITY_FEATURES, length=300, seed=5)
+        pitch = geo._quats_to_euler(seq.trajectory.quaternions)[:, 1]
+        assert (np.abs(pitch) <= motion.pitch_clamp + 1e-9).all()
 
     def test_length_validation(self):
         with pytest.raises(ValueError):
-            sd.generate(sd.walker_motion(), sd.FeatureModel.identity(), length=1, seed=0)
+            sd.generate(sd.walker_motion(), IDENTITY_FEATURES, length=1, seed=0)
 
     def test_walker_yaw_exceeds_vehicle(self):
-        fm = sd.FeatureModel.identity()
+        fm = IDENTITY_FEATURES
         walker = sd.generate(sd.walker_motion(), fm, length=200, seed=9)
         vehicle = sd.generate(sd.vehicle_motion(), fm, length=200, seed=9)
         walker_yaw = np.abs(walker.relatives[:, 5]).mean() / sd.walker_motion().dt
@@ -230,7 +233,7 @@ class TestDatasetIo:
             check_consistency(back)
 
     def test_layout(self, tmp_path):
-        fm = sd.FeatureModel.identity()
+        fm = IDENTITY_FEATURES
         sequences = [
             sd.generate(sd.walker_motion(), fm, length=10, seed=s) for s in (1, 2, 3)
         ]
@@ -249,7 +252,7 @@ class TestDatasetIo:
         assert header.startswith("feat_0,")
 
     def test_save_is_idempotent(self, tmp_path):
-        fm = sd.FeatureModel.identity()
+        fm = IDENTITY_FEATURES
         sequences = [sd.generate(sd.walker_motion(), fm, length=10, seed=1)]
         sd.save_dataset(tmp_path / "a", sequences, {"k": "v"})
         sd.save_dataset(tmp_path / "b", sequences, {"k": "v"})

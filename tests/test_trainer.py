@@ -423,30 +423,6 @@ class TestPredictionHelpers:
         traj = tr.predicted_trajectory(store, model_cfg, seq)
         assert len(traj) == len(seq) + 1
 
-    def test_train_and_read_path_build_no_pose(self, monkeypatch):
-        counts = {"Pose.__post_init__": 0, "Trajectory.poses": 0}
-        post_init, poses = geo.Pose.__post_init__, geo.Trajectory.poses
-
-        def counted_post_init(pose):
-            counts["Pose.__post_init__"] += 1
-            post_init(pose)
-
-        def counted_poses(traj):
-            counts["Trajectory.poses"] += 1
-            return poses.fget(traj)
-
-        monkeypatch.setattr(geo.Pose, "__post_init__", counted_post_init)
-        monkeypatch.setattr(geo.Trajectory, "poses", property(counted_poses))
-        config = tiny_config()
-        data = tr.prepare_data(config)
-        store, _ = tr.train(config, data=data)
-        seq = data.val[0]
-        est = tr.predicted_trajectory(store, config.regressor_config(data.input_dim), seq)
-        ev.segment_errors(seq.trajectory, est, (1.0, 2.0))
-        ev.rpe(seq.trajectory, est)
-        ev.ate(seq.trajectory, est)
-        assert counts == {"Pose.__post_init__": 0, "Trajectory.poses": 0}
-
     def test_validation_loss_equals_the_taped_objective(self):
         config = tiny_config()
         data = tr.prepare_data(config)
