@@ -19,7 +19,7 @@ features = sd.FeatureModel.seeded(8, seed=0, noise_sigma=0.03, nuisance_dim=2)
 
 paths = []
 for name in ("walker", "vehicle"):
-    seq = sd.generate(sd.MOTION_PRESETS[name](), features, length=400, seed=7)
+    seq = sd.generate(sd.MOTION_PRESETS[name](), features, length=400, seeds=[7])[0]
     positions = seq.trajectory.positions
     paths.append((name, positions[:, :2]))
     yaw_rate = np.abs(seq.relatives[:, 5]).mean() / sd.MOTION_PRESETS[name]().dt
@@ -33,7 +33,7 @@ svgplot.save_plot(
 print(f"\nwrote {out_dir / 'presets.svg'}")
 
 # Each training step takes a random contiguous span of a sequence's steps.
-seq = sd.generate(sd.MOTION_PRESETS["walker"](), features, length=200, seed=1)
+seq = sd.generate(sd.MOTION_PRESETS["walker"](), features, length=200, seeds=[1])[0]
 spans = sd.subsequence_spans(len(seq), count=3, min_len=20, max_len=50, seed=2)
 print("\nthree random spans of a 200-step walker sequence:")
 for k, (start, length) in enumerate(spans):
@@ -42,10 +42,7 @@ for k, (start, length) in enumerate(spans):
 
 # Datasets persist as KITTI-style pose files plus feature CSVs.
 dataset_dir = out_dir / "walker_dataset"
-sequences = [
-    sd.generate(sd.MOTION_PRESETS["walker"](), features, length=100, seed=s)
-    for s in (10, 11, 12)
-]
+sequences = sd.generate(sd.MOTION_PRESETS["walker"](), features, length=100, seeds=(10, 11, 12))
 sd.save_dataset(dataset_dir, sequences, {"preset": "walker"})
 loaded, meta = sd.load_dataset(dataset_dir)
 rebuilt = geo.accumulate_vectors(loaded[0].relatives)

@@ -130,6 +130,13 @@ def load_run_config(path, overrides=None) -> tr.RunConfig:
         raise UsageError(f"config errors:\n  {exc}") from None
 
 
+def check_dataset(config: tr.RunConfig) -> None:
+    """A config error unless the config's dataset directory, if it names one, holds the
+    ``meta.txt`` that loading it reads first; checked before anything is written."""
+    if config.dataset_dir is not None and not (Path(config.dataset_dir) / "meta.txt").is_file():
+        raise UsageError(f"config errors:\n  dataset_dir {config.dataset_dir} has no meta.txt")
+
+
 def write_manifest(out_dir: Path, command: str, config: tr.RunConfig | None, extra=None, omit=()):
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"tool = curvo {__version__}", f"command = {command}"]
@@ -174,6 +181,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_run_config(args.config, overrides={"seed": args.seed, "out_dir": str(args.out)})
+    check_dataset(config)
     out = Path(args.out)
     write_manifest(out, "train", config)
     store, runlog = tr.train(config)
@@ -208,6 +216,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_alpha_sweep(args) -> int:
     config = load_run_config(args.config, overrides={"seed": args.seed})
+    check_dataset(config)
     alphas = _list_flag(args, "alphas", _parse_float_tuple)
     try:
         tr.sweep_configs(config, alphas, args.epochs)

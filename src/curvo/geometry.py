@@ -208,12 +208,16 @@ def _quats_to_euler(q) -> np.ndarray:
     return np.stack([list(roll), pitch, list(yaw)], axis=1)
 
 
-def _step_vectors(trajectory: Trajectory) -> np.ndarray:
-    """(N - 1, 6) rows (t, r) of the step from each pose to the next: ``_between`` of
-    consecutive rows, its quaternion normalized, then ``_quats_to_euler``."""
-    t, q = trajectory.positions, trajectory.quaternions
-    rel_t, rel_q = _between(t[:-1], q[:-1], t[1:], q[1:])
-    return np.hstack([rel_t, _quats_to_euler(_normalize_quat(rel_q))])
+def _step_vectors(positions: np.ndarray, quaternions: np.ndarray) -> np.ndarray:
+    """(..., N - 1, 6) rows (t, r) of the step from each pose to the next along the
+    pose axis of (..., N, 3) positions and (..., N, 4) quaternions, so a stack of
+    trajectories pairs only its own rows: ``_between`` of consecutive rows, its
+    quaternion normalized, then ``_quats_to_euler``."""
+    t, q = positions, quaternions
+    rel_t, rel_q = _between(t[..., :-1, :].reshape(-1, 3), q[..., :-1, :].reshape(-1, 4),
+                            t[..., 1:, :].reshape(-1, 3), q[..., 1:, :].reshape(-1, 4))
+    steps = np.hstack([rel_t, _quats_to_euler(_normalize_quat(rel_q))])
+    return steps.reshape(*t.shape[:-2], t.shape[-2] - 1, 6)
 
 
 def _rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:

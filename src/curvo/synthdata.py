@@ -116,12 +116,8 @@ class FeatureModel:
             raise ValueError("encoding must have full column rank")
         enc.flags.writeable = False
         object.__setattr__(self, "encoding", enc)
-        if self.noise_sigma < 0 or self.nuisance_sigma < 0 or self.nuisance_dim < 0:
-            raise ValueError("noise parameters must be non-negative")
-        if not 0.0 <= self.noise_rho < 1.0:
-            raise ValueError("noise_rho must be in [0, 1)")
-        if self.bias_sigma < 0:
-            raise ValueError("bias_sigma must be non-negative")
+        check_feature_settings(len(enc), self.noise_sigma, self.nuisance_dim,
+                               self.nuisance_sigma, self.noise_rho, self.bias_sigma)
 
     @property
     def feature_dim(self) -> int:
@@ -130,8 +126,8 @@ class FeatureModel:
     @staticmethod
     def seeded(feature_dim: int, seed: int, noise_sigma=0.0, nuisance_dim=0,
                nuisance_sigma=1.0, noise_rho=0.0, bias_sigma=0.0):
-        if feature_dim < 6:
-            raise ValueError("feature_dim must be >= 6 for a full-rank encoding")
+        check_feature_settings(feature_dim, noise_sigma, nuisance_dim, nuisance_sigma,
+                               noise_rho, bias_sigma)
         rng = np.random.default_rng(seed)
         return FeatureModel(
             rng.normal(size=(feature_dim, 6)),
@@ -151,6 +147,20 @@ class FeatureModel:
         if self.bias_sigma > 0:
             noise = noise + self.bias_sigma * rng.normal(size=width)
         return noise
+
+
+def check_feature_settings(feature_dim, noise_sigma=0.0, nuisance_dim=0, nuisance_sigma=1.0,
+                           noise_rho=0.0, bias_sigma=0.0) -> None:
+    """The rules on a feature model's settings, checked without drawing an encoding:
+    a seeded encoding of at least 6 rows has full column rank."""
+    if feature_dim < 6:
+        raise ValueError("feature_dim must be >= 6 for a full-rank encoding")
+    if noise_sigma < 0 or nuisance_sigma < 0 or nuisance_dim < 0:
+        raise ValueError("noise parameters must be non-negative")
+    if not 0.0 <= noise_rho < 1.0:
+        raise ValueError("noise_rho must be in [0, 1)")
+    if bias_sigma < 0:
+        raise ValueError("bias_sigma must be non-negative")
 
 
 def _ar1(innovations: np.ndarray, rho: float) -> np.ndarray:
@@ -206,52 +216,71 @@ def check_length(length: int) -> None:
         raise ValueError(f"length must be >= 2, got {length}")
 
 
-def generate(
-    motion: MotionModel, feature_model: FeatureModel, length: int, seed: int
-) -> Sequence:
-    """Simulate ``length`` relative steps (length+1 absolute poses)."""
+def generate(motion: MotionModel, feature_model: FeatureModel, length: int,
+             seeds) -> list[Sequence]:
+    """One sequence of ``length`` relative steps (length+1 absolute poses) per seed, in
+    order. Only the seeded work runs per sequence: the generator's draws and the scalar
+    OU and clamp scans. The rest are row kernels over all sequences' rows at once, so
+    each sequence holds the bits it would hold alone."""
     check_length(length)
-    rng = np.random.default_rng(seed)
-    dt = motion.dt
+    seeds = list(seeds)
+    if not seeds:
+        return []
+    count, dt = len(seeds), motion.dt
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     # exact OU updates x' = x decay + mean (1 - decay) + std z, each process its own
-    # scalar scan; column j of the innovations holds the z of the j-th process with
-    # sigma != 0, in the order of ``processes``
+    # scalar scan; column j of a sequence's innovations holds the z of the j-th process
+    # with sigma != 0, in the order of ``processes``
     processes = (motion.speed, motion.roll_rate, motion.pitch_rate, motion.yaw_rate)
-    innovations = iter(rng.normal(
-        size=(length, sum(p.sigma != 0.0 for p in processes))).T.tolist())
-    speed, roll_rate, pitch_rate, yaw_rate = (
-        _ou_scan(p, start, dt, next(innovations) if p.sigma != 0.0 else None, length)
-        for p, start in zip(processes, (motion.speed.mean, 0.0, 0.0, 0.0)))
+    rates = np.empty((4, count, length))  # speed, roll, pitch and yaw rates
+    angles = np.empty((count, length, 3))  # (roll, pitch, yaw) of poses 1 .. length
+    for k, rng in enumerate(rngs):
+        innovations = iter(rng.normal(
+            size=(length, sum(p.sigma != 0.0 for p in processes))).T.tolist())
+        for j, (p, start) in enumerate(zip(processes, (motion.speed.mean, 0.0, 0.0, 0.0))):
+            rates[j, k] = _ou_scan(p, start, dt, next(innovations) if p.sigma != 0.0 else None,
+                                   length)
+        angles[k, :, 0] = _clamp_scan(rates[1, k] * dt, motion.roll_clamp)
+        angles[k, :, 1] = _clamp_scan(rates[2, k] * dt, motion.pitch_clamp)
+    speed, _, _, yaw_rate = rates
 
-    advances = np.zeros((length, 3))  # body-frame step of each k, taken at pose k's heading
-    advances[:, 0] = speed * dt
-    swept_rate = yaw_rate
-    if motion.yaw_oscillation_amp != 0.0:
+    advances = np.zeros((count, length, 3))  # body-frame step of each k, at pose k's heading
+    advances[..., 0] = speed * dt
+    if motion.yaw_oscillation_amp != 0.0:  # the sweep is the same for every sequence
         phases = 2.0 * math.pi * (np.arange(length) * dt) / motion.yaw_oscillation_period
-        swept_rate = swept_rate + motion.yaw_oscillation_amp * np.array(
+        yaw_rate = yaw_rate + motion.yaw_oscillation_amp * np.array(
             list(map(math.sin, phases.tolist())))
-    # (roll, pitch, yaw) of poses 1 .. length; the sums add step by step from 0.0
-    angles = np.stack([_clamp_scan(roll_rate * dt, motion.roll_clamp),
-                       _clamp_scan(pitch_rate * dt, motion.pitch_clamp),
-                       np.add.accumulate(np.append(0.0, swept_rate * dt))[1:]], axis=1)
+    # the yaw sums add step by step from 0.0, as the clamp scans do
+    angles[..., 2] = np.add.accumulate(
+        np.hstack([np.zeros((count, 1)), yaw_rate * dt]), axis=1)[:, 1:]
 
-    quaternions = np.vstack([(1.0, 0.0, 0.0, 0.0), geo._euler_quats(angles)])
-    headings = geo._normalize_quat(quaternions[:-1])
+    quaternions = np.zeros((count, length + 1, 4))
+    quaternions[:, 0, 0] = 1.0
+    quaternions[:, 1:] = geo._euler_quats(angles).reshape(count, length, 4)
+    headings = geo._normalize_quat(quaternions[:, :-1])
+    moves = np.zeros((count, length + 1, 3))
+    moves[:, 1:] = geo._rotate(headings, advances.reshape(-1, 3)).reshape(count, length, 3)
     # cumsum adds step by step from the zero origin, as `position + step` would
-    positions = np.cumsum(np.vstack([np.zeros(3), geo._rotate(headings, advances)]), axis=0)
-    trajectory = geo.Trajectory(positions, quaternions)
-    relatives = geo._step_vectors(trajectory)
-
-    features = relatives @ feature_model.encoding.T
-    if feature_model.noise_sigma > 0 or feature_model.bias_sigma > 0:
-        features = features + feature_model._observation_noise(length, rng)
-    if feature_model.nuisance_dim > 0:
-        # nuisance channels share the front end's temporal correlation
-        noise = feature_model.nuisance_sigma * rng.normal(
-            size=(length, feature_model.nuisance_dim)
-        )
-        features = np.hstack([features, _ar1(noise, feature_model.noise_rho)])
-    return Sequence(trajectory=trajectory, relatives=relatives, features=features, seed=seed)
+    positions = np.cumsum(moves, axis=1)
+    # each Trajectory normalizes its own raw quaternions, which is not idempotent
+    trajectories = [geo.Trajectory(t, q) for t, q in zip(positions, quaternions)]
+    relatives = geo._step_vectors(np.stack([traj.positions for traj in trajectories]),
+                                  np.stack([traj.quaternions for traj in trajectories]))
+    sequences = []
+    for trajectory, rel, rng, seed in zip(trajectories, relatives, rngs, seeds):
+        # the feature noise draws follow the motion's on the sequence's own generator
+        features = rel @ feature_model.encoding.T
+        if feature_model.noise_sigma > 0 or feature_model.bias_sigma > 0:
+            features = features + feature_model._observation_noise(length, rng)
+        if feature_model.nuisance_dim > 0:
+            # nuisance channels share the front end's temporal correlation
+            noise = feature_model.nuisance_sigma * rng.normal(
+                size=(length, feature_model.nuisance_dim)
+            )
+            features = np.hstack([features, _ar1(noise, feature_model.noise_rho)])
+        sequences.append(Sequence(trajectory=trajectory, relatives=rel, features=features,
+                                  seed=seed))
+    return sequences
 
 
 def subsequence_spans(

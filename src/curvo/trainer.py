@@ -60,7 +60,7 @@ class NonFiniteLossError(RuntimeError):
 @dataclass(frozen=True)
 class DataSpec:
     """What generated data depends on: ``gen-data``'s settings, named as in RunConfig.
-    Building one runs ``generate``'s and the feature model's checks."""
+    Building one runs ``generate``'s and the feature model's checks, without a model."""
 
     preset: str
     seq_length: int
@@ -75,7 +75,13 @@ class DataSpec:
         if self.preset not in sd.MOTION_PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
         sd.check_length(self.seq_length)
-        build_feature_model(self, np.random.default_rng(0))
+        sd.check_feature_settings(self.feature_dim, **self.noise_settings())
+
+    def noise_settings(self) -> dict:
+        """The feature model's noise settings: nuisance channels at five times the noise."""
+        return dict(noise_sigma=self.noise_sigma, nuisance_dim=self.nuisance_dim,
+                    nuisance_sigma=self.noise_sigma * 5.0, noise_rho=self.noise_rho,
+                    bias_sigma=self.bias_sigma)
 
 
 @dataclass(frozen=True)
@@ -199,25 +205,21 @@ def _seed_streams(master_seed: int):
     return tuple(np.random.default_rng(child) for child in children)
 
 
-def build_feature_model(spec: DataSpec, data_rng) -> sd.FeatureModel:
-    return sd.FeatureModel.seeded(
-        spec.feature_dim, seed=int(data_rng.integers(2**31)), noise_sigma=spec.noise_sigma,
-        nuisance_dim=spec.nuisance_dim, nuisance_sigma=spec.noise_sigma * 5.0,
-        noise_rho=spec.noise_rho, bias_sigma=spec.bias_sigma)
-
-
 def synthesize(spec: DataSpec, count: int, stream: int = 0) -> list[sd.Sequence]:
-    """``count`` sequences seeded from ``_seed_streams(spec.seed)[stream]``: the one
-    generation path, behind ``train``'s data, the held-out sequences and ``gen-data``.
+    """``count`` sequences seeded from ``_seed_streams(spec.seed)[stream]``, made by
+    one ``generate`` call: the one generation path, behind ``train``'s data, the
+    held-out sequences and ``gen-data``. A count below 1 builds no feature model.
 
     The feature model always takes the first draw of the data stream, so the
     training and held-out sequences share one feature encoding.
     """
+    if count < 1:
+        return []
     streams = _seed_streams(spec.seed)
-    motion = sd.MOTION_PRESETS[spec.preset]()
-    feature_model = build_feature_model(spec, streams[0])
+    feature_model = sd.FeatureModel.seeded(
+        spec.feature_dim, seed=int(streams[0].integers(2**31)), **spec.noise_settings())
     seeds = [int(streams[stream].integers(2**31)) for _ in range(count)]
-    return [sd.generate(motion, feature_model, length=spec.seq_length, seed=s) for s in seeds]
+    return sd.generate(sd.MOTION_PRESETS[spec.preset](), feature_model, spec.seq_length, seeds)
 
 
 def prepare_data(config: RunConfig, sequences: list[sd.Sequence] | None = None) -> PreparedData:

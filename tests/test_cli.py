@@ -152,7 +152,8 @@ class TestGenData:
         rates = {}
         for preset in ("walker", "vehicle"):
             traj = geo.load_trajectory_kitti(tmp_path / preset / "poses" / "00.txt")
-            rates[preset] = np.mean(np.abs(geo._step_vectors(traj)[:, 5]))
+            steps = geo._step_vectors(traj.positions, traj.quaternions)
+            rates[preset] = np.mean(np.abs(steps[:, 5]))
         assert rates["walker"] > rates["vehicle"]
 
 
@@ -257,6 +258,18 @@ def test_generated_run_needs_two_sequences(config_file, tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(config_file), "--out", str(out)]) == 1
     assert "config errors" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["train"], ["alpha-sweep"]], ids=["train", "alpha-sweep"])
+def test_dataset_without_meta_is_config_error(config_file, tmp_path, capsys, command):
+    data = tmp_path / "data"  # exists, but holds no meta.txt
+    data.mkdir()
+    config_file.write_text(CONFIG_TEXT.replace("[data]\n", f"[data]\ndataset_dir = {data}\n"))
+    out = tmp_path / command[0]
+    assert cli.main([*command, "--config", str(config_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config errors" in err and "meta.txt" in err
     assert not out.exists()
 
 

@@ -172,7 +172,8 @@ class TestEulerConversions:
         for _ in range(200):
             t = rng.uniform(-3, 3, size=3)
             r = rng.uniform(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, size=3)
-            row = geo._step_vectors(geo.accumulate_vectors(np.concatenate([t, r])))[0]
+            traj = geo.accumulate_vectors(np.concatenate([t, r]))
+            row = geo._step_vectors(traj.positions, traj.quaternions)[0]
             np.testing.assert_allclose(row[:3], t, atol=1e-9)
             np.testing.assert_allclose(row[3:], r, atol=1e-9)
 

@@ -17,14 +17,22 @@ def check_consistency(seq, tol=1e-9):
     np.testing.assert_allclose(rebuilt.quaternions, seq.trajectory.quaternions, atol=tol)
 
 
-def assert_generate_equals_per_step_loop(motion, feature_model, length, seed):
-    """generate's arrays equal the per-step reference loop's bit for bit."""
-    seq = sd.generate(motion, feature_model, length=length, seed=seed)
-    ref = reference_generate(motion, feature_model, length, seed)
-    for got, want in ((seq.trajectory.positions, ref.trajectory.positions),
-                      (seq.trajectory.quaternions, ref.trajectory.quaternions),
-                      (seq.relatives, ref.relatives), (seq.features, ref.features)):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+def assert_same_arrays(got, want):
+    for a, b in ((got.trajectory.positions, want.trajectory.positions),
+                 (got.trajectory.quaternions, want.trajectory.quaternions),
+                 (got.relatives, want.relatives), (got.features, want.features)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_generate_equals_per_step_loop(motion, feature_model, length, seeds):
+    """Batches of the first 1, 2 and 5 ``seeds``: each sequence's arrays equal the
+    per-step reference loop's bit for bit."""
+    refs = [reference_generate(motion, feature_model, length, seed) for seed in seeds]
+    for size in (1, 2, 5):
+        batch = sd.generate(motion, feature_model, length=length, seeds=seeds[:size])
+        assert [seq.seed for seq in batch] == list(seeds[:size])
+        for seq, ref in zip(batch, refs):
+            assert_same_arrays(seq, ref)
 
 
 class TestGenerateEqualsPerStepLoop:
@@ -32,44 +40,56 @@ class TestGenerateEqualsPerStepLoop:
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_presets(self, preset, seed):
         fm = sd.FeatureModel.seeded(8, seed=1, noise_sigma=0.02, nuisance_dim=2)
-        assert_generate_equals_per_step_loop(sd.MOTION_PRESETS[preset](), fm, 200, seed)
+        assert_generate_equals_per_step_loop(sd.MOTION_PRESETS[preset](), fm, 200,
+                                             list(range(seed, seed + 5)))
 
     def test_silent_process_without_yaw_sweep(self):
         # roll has no noise, so each step draws three innovations, not four
         motion = sd.MotionModel(roll_rate=sd.OuParams(mean=0.2, reversion=2.0, sigma=0.0),
                                 yaw_oscillation_amp=0.0)
         fm = sd.FeatureModel.seeded(7, seed=4, noise_sigma=0.05, nuisance_dim=1)
-        for seed in (3, 11):
-            assert_generate_equals_per_step_loop(motion, fm, 60, seed)
+        assert_generate_equals_per_step_loop(motion, fm, 60, [3, 11, 12, 13, 14])
 
     def test_correlated_biased_features(self):
         # the feature noise draws follow the motion's on the same generator
         fm = sd.FeatureModel.seeded(8, seed=5, noise_sigma=0.03, nuisance_dim=2,
                                     noise_rho=0.7, bias_sigma=0.1)
         for preset in sd.MOTION_PRESETS.values():
-            assert_generate_equals_per_step_loop(preset(), fm, 80, 9)
+            assert_generate_equals_per_step_loop(preset(), fm, 80, [9, 10, 11, 12, 13])
+
+    def test_batch_equals_one_seed_per_call(self):
+        fm = sd.FeatureModel.seeded(8, seed=5, noise_sigma=0.03, nuisance_dim=2,
+                                    noise_rho=0.7, bias_sigma=0.1)
+        seeds = [4, 4, 17, 0, 2**31 - 1]
+        for preset in sd.MOTION_PRESETS.values():
+            batch = sd.generate(preset(), fm, length=50, seeds=seeds)
+            assert len(batch) == len(seeds)
+            for seq, seed in zip(batch, seeds):
+                alone = sd.generate(preset(), fm, length=50, seeds=[seed])[0]
+                assert seq.seed == alone.seed
+                assert_same_arrays(seq, alone)
 
 
 class TestGenerate:
     def test_identity_encoding_features_equal_relatives(self):
         motion = sd.walker_motion()
         fm = IDENTITY_FEATURES
-        seq = sd.generate(motion, fm, length=40, seed=3)
+        seq = sd.generate(motion, fm, length=40, seeds=[3])[0]
         np.testing.assert_array_equal(seq.features, seq.relatives)
 
     def test_same_seed_bit_identical(self):
         motion = sd.walker_motion()
         fm = sd.FeatureModel.seeded(8, seed=0, noise_sigma=0.05, nuisance_dim=2)
-        a = sd.generate(motion, fm, length=30, seed=7)
-        b = sd.generate(motion, fm, length=30, seed=7)
+        a = sd.generate(motion, fm, length=30, seeds=[7])[0]
+        b = sd.generate(motion, fm, length=30, seeds=[7])[0]
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.relatives, b.relatives)
 
     def test_different_seeds_differ(self):
         motion = sd.walker_motion()
         fm = IDENTITY_FEATURES
-        a = sd.generate(motion, fm, length=30, seed=1)
-        b = sd.generate(motion, fm, length=30, seed=2)
+        a = sd.generate(motion, fm, length=30, seeds=[1])[0]
+        b = sd.generate(motion, fm, length=30, seeds=[2])[0]
         assert not np.array_equal(a.relatives, b.relatives)
 
     def test_zero_noise_constant_speed_straight_line(self):
@@ -80,7 +100,7 @@ class TestGenerate:
             pitch_rate=sd.OuParams(sigma=0.0),
             yaw_rate=sd.OuParams(sigma=0.0),
         )
-        seq = sd.generate(motion, IDENTITY_FEATURES, length=10, seed=0)
+        seq = sd.generate(motion, IDENTITY_FEATURES, length=10, seeds=[0])[0]
         expected = np.zeros((10, 6))
         expected[:, 0] = 0.2
         np.testing.assert_allclose(seq.relatives, expected, atol=1e-12)
@@ -89,14 +109,14 @@ class TestGenerate:
     def test_trajectory_consistency_invariant(self):
         for preset in (sd.vehicle_motion(), sd.walker_motion()):
             fm = sd.FeatureModel.seeded(8, seed=1, noise_sigma=0.02, nuisance_dim=2)
-            seq = sd.generate(preset, fm, length=120, seed=11)
+            seq = sd.generate(preset, fm, length=120, seeds=[11])[0]
             check_consistency(seq)
 
     def test_relatives_are_the_pose_path_bits(self):
         # row k is the one-row relative pose of frames k and k + 1, in scalar Euler angles
         fm = sd.FeatureModel.seeded(8, seed=1, noise_sigma=0.02, nuisance_dim=2)
         for preset in (sd.vehicle_motion(), sd.walker_motion()):
-            seq = sd.generate(preset, fm, length=120, seed=11)
+            seq = sd.generate(preset, fm, length=120, seeds=[11])[0]
             t, q = seq.trajectory.positions, seq.trajectory.quaternions
             for k, row in enumerate(seq.relatives):
                 rel_t, rel_q = geo._between(t[k : k + 1], q[k : k + 1], t[k + 1 : k + 2],
@@ -106,25 +126,25 @@ class TestGenerate:
 
     def test_pitch_stays_clamped(self):
         motion = sd.MotionModel(pitch_rate=sd.OuParams(mean=0.5, reversion=0.1, sigma=0.3))
-        seq = sd.generate(motion, IDENTITY_FEATURES, length=300, seed=5)
+        seq = sd.generate(motion, IDENTITY_FEATURES, length=300, seeds=[5])[0]
         pitch = geo._quats_to_euler(seq.trajectory.quaternions)[:, 1]
         assert (np.abs(pitch) <= motion.pitch_clamp + 1e-9).all()
 
     def test_length_validation(self):
         with pytest.raises(ValueError):
-            sd.generate(sd.walker_motion(), IDENTITY_FEATURES, length=1, seed=0)
+            sd.generate(sd.walker_motion(), IDENTITY_FEATURES, length=1, seeds=[0])
 
     def test_walker_yaw_exceeds_vehicle(self):
         fm = IDENTITY_FEATURES
-        walker = sd.generate(sd.walker_motion(), fm, length=200, seed=9)
-        vehicle = sd.generate(sd.vehicle_motion(), fm, length=200, seed=9)
+        walker = sd.generate(sd.walker_motion(), fm, length=200, seeds=[9])[0]
+        vehicle = sd.generate(sd.vehicle_motion(), fm, length=200, seeds=[9])[0]
         walker_yaw = np.abs(walker.relatives[:, 5]).mean() / sd.walker_motion().dt
         vehicle_yaw = np.abs(vehicle.relatives[:, 5]).mean() / sd.vehicle_motion().dt
         assert walker_yaw > vehicle_yaw
 
     def test_zero_noise_least_squares_decode(self):
         fm = sd.FeatureModel.seeded(8, seed=2)
-        seq = sd.generate(sd.walker_motion(), fm, length=100, seed=13)
+        seq = sd.generate(sd.walker_motion(), fm, length=100, seeds=[13])[0]
         decode, *_ = np.linalg.lstsq(seq.features, seq.relatives, rcond=None)
         residual = np.linalg.norm(seq.features @ decode - seq.relatives)
         assert residual < 1e-9
@@ -180,9 +200,7 @@ class TestSubsequenceSpans:
 class TestNormalizeFeatures:
     def _dataset(self, noise=0.05):
         fm = sd.FeatureModel.seeded(8, seed=5, noise_sigma=noise, nuisance_dim=1)
-        return [
-            sd.generate(sd.walker_motion(), fm, length=50, seed=s) for s in (1, 2, 3)
-        ]
+        return sd.generate(sd.walker_motion(), fm, length=50, seeds=(1, 2, 3))
 
     def test_zero_mean_after_normalization(self):
         normalized, stats = sd.normalize_features(self._dataset())
@@ -219,9 +237,7 @@ class TestNormalizeFeatures:
 class TestDatasetIo:
     def test_round_trip(self, tmp_path):
         fm = sd.FeatureModel.seeded(8, seed=6, noise_sigma=0.01, nuisance_dim=1)
-        sequences = [
-            sd.generate(sd.walker_motion(), fm, length=25, seed=s) for s in (4, 5)
-        ]
+        sequences = sd.generate(sd.walker_motion(), fm, length=25, seeds=(4, 5))
         sd.save_dataset(tmp_path / "data", sequences, {"preset": "walker"})
         loaded, meta = sd.load_dataset(tmp_path / "data")
         assert meta["preset"] == "walker"
@@ -234,9 +250,7 @@ class TestDatasetIo:
 
     def test_layout(self, tmp_path):
         fm = IDENTITY_FEATURES
-        sequences = [
-            sd.generate(sd.walker_motion(), fm, length=10, seed=s) for s in (1, 2, 3)
-        ]
+        sequences = sd.generate(sd.walker_motion(), fm, length=10, seeds=(1, 2, 3))
         sd.save_dataset(tmp_path / "d", sequences, {})
         assert sorted(p.name for p in (tmp_path / "d" / "poses").iterdir()) == [
             "00.txt",
@@ -253,7 +267,7 @@ class TestDatasetIo:
 
     def test_save_is_idempotent(self, tmp_path):
         fm = IDENTITY_FEATURES
-        sequences = [sd.generate(sd.walker_motion(), fm, length=10, seed=1)]
+        sequences = sd.generate(sd.walker_motion(), fm, length=10, seeds=[1])
         sd.save_dataset(tmp_path / "a", sequences, {"k": "v"})
         sd.save_dataset(tmp_path / "b", sequences, {"k": "v"})
         for rel in ("poses/00.txt", "features/00.csv", "meta.txt"):

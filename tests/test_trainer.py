@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -97,6 +98,26 @@ class TestPrepareData:
         sequences = tr.synthesize(cfg.data_spec(), cfg.n_sequences)
         data = tr.prepare_data(cfg, sequences=sequences)
         assert len(data.train) + len(data.val) == len(sequences)
+
+    def test_no_sequences_build_no_feature_model(self, monkeypatch):
+        # the data spec checks its settings without a model, too
+        monkeypatch.setattr(sd.FeatureModel, "seeded", None)
+        assert tr.synthesize(tiny_config().data_spec(), 0) == []
+
+    @pytest.mark.parametrize("settings", [
+        dict(feature_dim=5), dict(noise_sigma=-0.1), dict(nuisance_dim=-1),
+        dict(noise_rho=1.0), dict(bias_sigma=-1.0),
+    ], ids=["feature-dim", "noise", "nuisance", "rho", "bias"])
+    def test_data_spec_rejects_what_the_feature_model_rejects(self, settings):
+        bad = dict(feature_dim=6, noise_sigma=0.0, nuisance_dim=0, noise_rho=0.0,
+                   bias_sigma=0.0) | settings  # tiny_config's data settings, one changed
+        with pytest.raises(ValueError) as built:
+            sd.FeatureModel.seeded(bad["feature_dim"], seed=0, noise_sigma=bad["noise_sigma"],
+                                   nuisance_dim=bad["nuisance_dim"],
+                                   nuisance_sigma=bad["noise_sigma"] * 5.0,
+                                   noise_rho=bad["noise_rho"], bias_sigma=bad["bias_sigma"])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(built.value))}$"):
+            replace(tiny_config().data_spec(), **settings)
 
 
 SPAN_WEIGHTS = ls.LossWeights(alpha=0.5, delta=1.0, zeta=3.0, window=2)
