@@ -28,7 +28,7 @@ config = tr.RunConfig(
 
 print("alpha sweep (first stage only, shared data and init):")
 sweep = tr.alpha_sweep(config, alphas=(0.0, 0.25, 0.5, 0.75, 1.0), epochs=8)
-for row in sweep.rows:
+for row in sweep:
     print(f"  alpha {row.alpha:4.2f}: translation {row.trans_err_m:.4f} m "
           f"(normalized {row.trans_norm:.3f})  rotation {row.rot_err_deg:.4f} deg "
           f"(normalized {row.rot_norm:.3f})")
@@ -36,14 +36,11 @@ tr.write_sweep_csv(sweep, out_dir / "sweep.csv")
 svgplot.save_plot(cli.plot_csv(out_dir / "sweep.csv"), out_dir / "sweep.svg")
 
 print("\nfour-way ablation over 2 seeds (staged vs reversed vs fixed):")
-report = tr.ablate(config, seeds=(0, 1), holdout_count=3)
-tr.write_ablation_csv(report, out_dir / "ablation.csv")
-for mode in report.modes():
-    rows = report.rows_for(mode)
-    per_stage = []
-    for stage in range(3):
-        values = [row.stages[stage].segment_trans_pct for row in rows]
-        per_stage.append(float(np.mean(values)))
+rows = tr.ablate(config, seeds=(0, 1), holdout_count=3)
+tr.write_ablation_csv(rows, out_dir / "ablation.csv")
+for mode in dict.fromkeys(row.mode for row in rows):
+    per_stage = [np.mean([row.segment_trans_pct for row in rows
+                          if row.mode == mode and row.stage == stage]) for stage in range(3)]
     trace = " -> ".join(f"{v:.1f}%" for v in per_stage)
     print(f"  {mode:17s} held-out segment translation by stage: {trace}")
 

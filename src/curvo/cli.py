@@ -201,15 +201,15 @@ def cmd_ablate(args) -> int:
     out = Path(args.out)
     # each run's seed comes from --seeds, so the config's own seed is left out
     write_manifest(out, "ablate", config, extra={"seeds": args.seeds}, omit=("seed",))
-    report = tr.ablate(config, seeds=seeds)
-    tr.write_ablation_csv(report, out / "ablation.csv")
+    rows = tr.ablate(config, seeds=seeds)
+    tr.write_ablation_csv(rows, out / "ablation.csv")
     for metric, path in (("trans", "ablation_translation.svg"), ("rot", "ablation_rotation.svg")):
         svgplot.save_plot(plot_csv(out / "ablation.csv", metric), out / path)
-    for mode in report.modes():
-        rows = report.rows_for(mode)
-        finals = [row.final().segment_trans_pct for row in rows]
+    last = len(config.alphas) - 1  # every mode runs the config's stage count
+    for mode in dict.fromkeys(row.mode for row in rows):
+        finals = [row.segment_trans_pct for row in rows if row.mode == mode and row.stage == last]
         print(f"{mode:18s} final segment translation: {np.mean(finals):7.2f}% "
-              f"(over {len(rows)} seeds)")
+              f"(over {len(finals)} seeds)")
     print(f"artifacts in {out}")
     return 0
 
@@ -225,10 +225,10 @@ def cmd_alpha_sweep(args) -> int:
     out = Path(args.out)
     write_manifest(out, "alpha-sweep", config,
                    extra={"alphas": args.alphas, "epochs": args.epochs})
-    report = tr.alpha_sweep(config, alphas=alphas, epochs=args.epochs)
-    tr.write_sweep_csv(report, out / "sweep.csv")
+    rows = tr.alpha_sweep(config, alphas=alphas, epochs=args.epochs)
+    tr.write_sweep_csv(rows, out / "sweep.csv")
     svgplot.save_plot(plot_csv(out / "sweep.csv"), out / "sweep.svg")
-    for row in report.rows:
+    for row in rows:
         print(f"alpha {row.alpha:4.2f}: normalized trans {row.trans_norm:.3f} "
               f"rot {row.rot_norm:.3f}")
     print(f"artifacts in {out}")
@@ -278,89 +278,59 @@ def cmd_plot(args) -> int:
     return 0
 
 
+# the exact header of each report CSV -> (x column, ((legend label, y column), ...),
+# title, x label, y label); a y label of None marks the ablation report, drawn per mode
+PLOTS = {
+    "epoch,stage,alpha,train_loss,val_loss": (
+        "epoch", (("train loss", "train_loss"), ("validation loss", "val_loss")),
+        "training curve", "epoch", "loss (per step)"),
+    "length_m,translation_error_pct,rotation_error_deg_per_m,segments": (
+        "length_m", (("translation [% of length]", "translation_error_pct"),
+                     ("rotation [deg/m]", "rotation_error_deg_per_m")),
+        "segment errors vs path length", "segment length [m]", "error"),
+    "error_m,fraction": (
+        "error_m", (("absolute position error", "fraction"),),
+        "CDF of absolute position errors", "error [m]", "fraction of frames"),
+    "frame,position_error_m": (
+        "frame", (("absolute position error", "position_error_m"),),
+        "absolute position error per frame", "frame", "error [m]"),
+    "mode,seed,stage,val_relative_loss,segment_trans_pct,segment_rot_deg_per_m": (
+        "stage", (("segment translation error [%]", "segment_trans_pct"),
+                  ("segment rotation error [deg/m]", "segment_rot_deg_per_m")),
+        "objective schedules compared", "training stage", None),
+    "alpha,trans_err_m,rot_err_deg,trans_norm,rot_norm": (
+        "alpha", (("translation (normalized)", "trans_norm"),
+                  ("rotation (normalized)", "rot_norm")),
+        "first-stage error vs alpha", "alpha", "normalized error"),
+}
+
+
 def plot_csv(source, metric="trans") -> str:
-    """The SVG of a report CSV, chosen by its header; ``metric`` picks the
-    series of an ablation report."""
+    """The SVG of a report CSV, looked up in ``PLOTS`` by its exact header. An
+    ablation report draws, per mode, the mean over seeds of each stage's ``metric``
+    (its first y column for "trans", its second for "rot")."""
     header, rows = geo.read_csv(source)
     if not rows:
         raise ValueError(f"{source}: no data rows to plot")
-    columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
-
-    def floats(name):
-        return [float(v) for v in columns[name]]
-
     kind = ",".join(header)
-    if kind.startswith("epoch,stage,alpha,train_loss,val_loss"):
-        epochs = [int(v) for v in columns["epoch"]]
-        return svgplot.line_plot(
-            [
-                ("train loss", epochs, floats("train_loss")),
-                ("validation loss", epochs, floats("val_loss")),
-            ],
-            title="training curve",
-            xlabel="epoch",
-            ylabel="loss (per step)",
-        )
-    if kind.startswith("length_m,"):
-        lengths = floats("length_m")
-        return svgplot.line_plot(
-            [
-                ("translation [% of length]", lengths, floats("translation_error_pct")),
-                ("rotation [deg/m]", lengths, floats("rotation_error_deg_per_m")),
-            ],
-            title="segment errors vs path length",
-            xlabel="segment length [m]",
-            ylabel="error",
-        )
-    if kind.startswith("error_m,fraction"):
-        return svgplot.line_plot(
-            [("absolute position error", floats("error_m"), floats("fraction"))],
-            title="CDF of absolute position errors",
-            xlabel="error [m]",
-            ylabel="fraction of frames",
-        )
-    if kind.startswith("frame,position_error_m"):
-        return svgplot.line_plot(
-            [("absolute position error", [int(v) for v in columns["frame"]],
-              floats("position_error_m"))],
-            title="absolute position error per frame",
-            xlabel="frame",
-            ylabel="error [m]",
-        )
-    if kind.startswith("mode,seed,stage,"):
-        return _ablation_svg(columns, metric)
-    if kind.startswith("alpha,"):
-        alphas = floats("alpha")
-        return svgplot.line_plot(
-            [
-                ("translation (normalized)", alphas, floats("trans_norm")),
-                ("rotation (normalized)", alphas, floats("rot_norm")),
-            ],
-            title="first-stage error vs alpha",
-            xlabel="alpha",
-            ylabel="normalized error",
-        )
-    raise ValueError(f"unrecognized report header: {kind}")
-
-
-def _ablation_svg(columns, metric: str) -> str:
-    """Per mode, the mean over seeds of each stage's ``metric``."""
-    label, name = {
-        "trans": ("segment translation error [%]", "segment_trans_pct"),
-        "rot": ("segment rotation error [deg/m]", "segment_rot_deg_per_m"),
-    }[metric]
-    series = []
-    for mode in dict.fromkeys(columns["mode"]):
-        by_stage: dict[int, list[float]] = {}
-        for row_mode, stage, value in zip(columns["mode"], columns["stage"], columns[name]):
-            if row_mode == mode:
-                by_stage.setdefault(int(stage), []).append(float(value))
-        stages = sorted(by_stage)
-        series.append((mode, [s + 1 for s in stages],
-                       [float(np.mean(by_stage[s])) for s in stages]))
-    return svgplot.line_plot(
-        series, title="objective schedules compared", xlabel="training stage", ylabel=label
-    )
+    if kind not in PLOTS:
+        raise ValueError(f"unrecognized report header: {kind}")
+    x_name, ys, title, xlabel, ylabel = PLOTS[kind]
+    # each column's text fields, which a Series reads as floats; a ragged row is an error
+    columns = dict(zip(header, zip(*rows, strict=True)))
+    if ylabel is not None:
+        series = [(label, columns[x_name], columns[name]) for label, name in ys]
+    else:
+        ylabel, name = ys[("trans", "rot").index(metric)]
+        series = []
+        for mode in dict.fromkeys(columns["mode"]):
+            by_stage: dict[float, list[float]] = {}
+            for row_mode, stage, value in zip(columns["mode"], columns[x_name], columns[name]):
+                if row_mode == mode:
+                    by_stage.setdefault(float(stage) + 1, []).append(float(value))
+            stages = sorted(by_stage)
+            series.append((mode, stages, [np.mean(by_stage[s]) for s in stages]))
+    return svgplot.line_plot(series, title=title, xlabel=xlabel, ylabel=ylabel)
 
 
 # --- argument parsing ------------------------------------------------------------

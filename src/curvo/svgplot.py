@@ -51,8 +51,8 @@ def _ticks(lo, hi, count=5):
 
 
 def line_plot(series, *, title="", xlabel="", ylabel="", equal_aspect=False) -> str:
-    """Render series as polylines; returns the SVG document as a string."""
-    series = [s if isinstance(s, Series) else Series(*s) for s in series]
+    """Render (label, xs, ys) series as polylines; returns the SVG document as a string."""
+    series = [Series(*s) for s in series]
     if not series:
         raise ValueError("nothing to plot")
     x_lo, x_hi = _bounds([x for s in series for x in s.xs])
@@ -166,8 +166,5 @@ def save_plot(svg_text: str, path) -> None:
 
 def trajectory_plot(named_paths, *, title="trajectory (top-down)") -> str:
     """Equal-aspect x/y view; ``named_paths`` is [(label, (N, >=2) array)]."""
-    series = [
-        Series(label, tuple(p[0] for p in path), tuple(p[1] for p in path))
-        for label, path in named_paths
-    ]
+    series = [(label, [p[0] for p in path], [p[1] for p in path]) for label, path in named_paths]
     return line_plot(series, title=title, xlabel="x [m]", ylabel="y [m]", equal_aspect=True)

@@ -216,18 +216,12 @@ def check_length(length: int) -> None:
         raise ValueError(f"length must be >= 2, got {length}")
 
 
-def generate(motion: MotionModel, feature_model: FeatureModel, length: int,
-             seeds) -> list[Sequence]:
-    """One sequence of ``length`` relative steps (length+1 absolute poses) per seed, in
-    order. Only the seeded work runs per sequence: the generator's draws and the scalar
-    OU and clamp scans. The rest are row kernels over all sequences' rows at once, so
-    each sequence holds the bits it would hold alone."""
-    check_length(length)
-    seeds = list(seeds)
-    if not seeds:
-        return []
-    count, dt = len(seeds), motion.dt
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+def _motion(motion: MotionModel, rngs, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The raw (K, length+1, 3) positions and (K, length+1, 4) quaternions of one
+    trajectory per generator, each drawn in order from its own generator. Only the
+    draws and the scalar OU and clamp scans run per sequence; the rest are row kernels
+    over all sequences' rows at once. Its working arrays are freed on return."""
+    count, dt = len(rngs), motion.dt
     # exact OU updates x' = x decay + mean (1 - decay) + std z, each process its own
     # scalar scan; column j of a sequence's innovations holds the z of the j-th process
     # with sigma != 0, in the order of ``processes``
@@ -244,8 +238,6 @@ def generate(motion: MotionModel, feature_model: FeatureModel, length: int,
         angles[k, :, 1] = _clamp_scan(rates[2, k] * dt, motion.pitch_clamp)
     speed, _, _, yaw_rate = rates
 
-    advances = np.zeros((count, length, 3))  # body-frame step of each k, at pose k's heading
-    advances[..., 0] = speed * dt
     if motion.yaw_oscillation_amp != 0.0:  # the sweep is the same for every sequence
         phases = 2.0 * math.pi * (np.arange(length) * dt) / motion.yaw_oscillation_period
         yaw_rate = yaw_rate + motion.yaw_oscillation_amp * np.array(
@@ -257,13 +249,28 @@ def generate(motion: MotionModel, feature_model: FeatureModel, length: int,
     quaternions = np.zeros((count, length + 1, 4))
     quaternions[:, 0, 0] = 1.0
     quaternions[:, 1:] = geo._euler_quats(angles).reshape(count, length, 4)
+    advances = np.zeros((count, length, 3))  # body-frame step of each k, at pose k's heading
+    advances[..., 0] = speed * dt
     headings = geo._normalize_quat(quaternions[:, :-1])
     moves = np.zeros((count, length + 1, 3))
     moves[:, 1:] = geo._rotate(headings, advances.reshape(-1, 3)).reshape(count, length, 3)
     # cumsum adds step by step from the zero origin, as `position + step` would
-    positions = np.cumsum(moves, axis=1)
-    # each Trajectory normalizes its own raw quaternions, which is not idempotent
-    trajectories = [geo.Trajectory(t, q) for t, q in zip(positions, quaternions)]
+    return np.cumsum(moves, axis=1), quaternions
+
+
+def generate(motion: MotionModel, feature_model: FeatureModel, length: int,
+             seeds) -> list[Sequence]:
+    """One sequence of ``length`` relative steps (length+1 absolute poses) per seed, in
+    order. The motion comes from ``_motion`` and the step relatives from one row kernel
+    over all sequences, so each sequence holds the bits it would hold alone."""
+    check_length(length)
+    seeds = list(seeds)
+    if not seeds:
+        return []
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # each Trajectory copies its own raw rows and normalizes its quaternions, which is
+    # not idempotent; the raw arrays are freed before the relatives are formed
+    trajectories = [geo.Trajectory(t, q) for t, q in zip(*_motion(motion, rngs, length))]
     relatives = geo._step_vectors(np.stack([traj.positions for traj in trajectories]),
                                   np.stack([traj.quaternions for traj in trajectories]))
     sequences = []

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -245,18 +245,13 @@ def prepare_data(config: RunConfig, sequences: list[sd.Sequence] | None = None) 
     )
 
 
-def sequence_objective(store: ad.ParamStore, model_cfg: md.RegressorConfig, sequence: sd.Sequence,
-                       weights: ls.LossWeights, truth_windows=None) -> float:
-    """Per-step objective of one sequence, from the no-grad forward and loss."""
-    rows = predict_relatives(store, model_cfg, sequence)
-    return ls.sequence_loss_value(rows, sequence.relatives, weights, truth_windows) / len(sequence)
-
-
 def validation_loss(store, model_cfg, sequences, weights, truths=None) -> float:
-    """Mean per-step objective; ``truths`` holds each sequence's truth windows, if given."""
+    """Mean per-step objective, from the no-grad forward and loss; ``truths`` holds
+    each sequence's truth windows, if given."""
     truths = truths or [None] * len(sequences)
-    return float(np.mean([sequence_objective(store, model_cfg, s, weights, t)
-                          for s, t in zip(sequences, truths)]))
+    return float(np.mean([ls.sequence_loss_value(md.predict(seq.features, model_cfg, store),
+                                                 seq.relatives, weights, windows) / len(seq)
+                          for seq, windows in zip(sequences, truths)]))
 
 
 def relative_validation_loss(store, model_cfg, config: RunConfig, sequences) -> float:
@@ -265,20 +260,16 @@ def relative_validation_loss(store, model_cfg, config: RunConfig, sequences) -> 
     return validation_loss(store, model_cfg, sequences, weights)
 
 
-def predict_relatives(store, model_cfg, sequence: sd.Sequence) -> np.ndarray:
-    return md.predict(sequence.features, model_cfg, store)
-
-
 def relative_pose_errors(store, model_cfg, sequences) -> tuple[float, float]:
     """Mean per-frame translation error (m) and rotation error (deg)."""
     truth = np.vstack([seq.relatives for seq in sequences])
-    predicted = np.vstack([predict_relatives(store, model_cfg, seq) for seq in sequences])
+    predicted = np.vstack([md.predict(seq.features, model_cfg, store) for seq in sequences])
     trans, angle, _ = ev._mismatch(geo._vector_arrays(truth), geo._vector_arrays(predicted))
     return float(np.mean(trans)), float(np.mean(np.degrees(angle)))
 
 
 def predicted_trajectory(store, model_cfg, sequence: sd.Sequence) -> geo.Trajectory:
-    return geo.accumulate_vectors(predict_relatives(store, model_cfg, sequence))
+    return geo.accumulate_vectors(md.predict(sequence.features, model_cfg, store))
 
 
 def span_gradients(store: ad.ParamStore, model_cfg: md.RegressorConfig, features, gt, weights,
@@ -365,31 +356,14 @@ def train(config: RunConfig, data: PreparedData | None = None) -> tuple[ad.Param
 
 @dataclass(frozen=True)
 class StageMetrics:
+    """One ``ablation.csv`` line: one mode's held-out scores at the end of one stage."""
+
+    mode: str
+    seed: int
     stage: int
     val_relative_loss: float
     segment_trans_pct: float
     segment_rot_deg_per_m: float
-
-
-@dataclass(frozen=True)
-class AblationRow:
-    mode: str
-    seed: int
-    stages: tuple[StageMetrics, ...]
-
-    def final(self) -> StageMetrics:
-        return self.stages[-1]
-
-
-@dataclass
-class AblationReport:
-    rows: list[AblationRow] = field(default_factory=list)
-
-    def modes(self):
-        return list(dict.fromkeys(row.mode for row in self.rows))  # in first-seen order
-
-    def rows_for(self, mode: str):
-        return [row for row in self.rows if row.mode == mode]
 
 
 def _mode_config(config: RunConfig, mode: str) -> RunConfig:
@@ -437,8 +411,9 @@ def ablate(
     modes=ABLATION_MODES,
     segment_lengths=None,
     holdout_count: int = 3,
-) -> AblationReport:
-    """Train every mode on identical data and init per seed; compare per stage.
+) -> list[StageMetrics]:
+    """Train every mode on identical data and init per seed; one row per stage of each
+    run, by seed, then mode, then stage.
 
     Modes share the full stage structure (fixed baselines repeat their single
     weight setting across the same number of stages), so every run gets the
@@ -451,7 +426,7 @@ def ablate(
         segment_lengths = (
             ev.WALKER_SEGMENT_LENGTHS if config.preset == "walker" else ev.VEHICLE_SEGMENT_LENGTHS
         )
-    report = AblationReport()
+    rows = []
     for seed in seeds:
         base = replace(config, seed=int(seed), out_dir=None)
         data = prepare_data(base)
@@ -460,37 +435,27 @@ def ablate(
             mode_cfg = _mode_config(base, mode)
             model_cfg = mode_cfg.regressor_config(data.input_dim)
             _, runlog = train(mode_cfg, data=data)
-            stages = tuple(
-                StageMetrics(stage, relative_validation_loss(store, model_cfg, base, data.val),
+            rows.extend(
+                StageMetrics(mode, int(seed), stage,
+                             relative_validation_loss(store, model_cfg, base, data.val),
                              *_segment_metrics(store, model_cfg, holdouts, segment_lengths))
-                for stage, store in enumerate(runlog.stage_params)
-            )
-            report.rows.append(AblationRow(mode=mode, seed=int(seed), stages=stages))
-    return report
+                for stage, store in enumerate(runlog.stage_params))
+    return rows
 
 
-def write_ablation_csv(report: AblationReport, path) -> None:
-    geo.write_csv(
-        path,
-        ("mode", "seed", "stage", "val_relative_loss", "segment_trans_pct",
-         "segment_rot_deg_per_m"),
-        ((row.mode, row.seed, sm.stage, sm.val_relative_loss, sm.segment_trans_pct,
-          sm.segment_rot_deg_per_m) for row in report.rows for sm in row.stages),
-    )
+def write_ablation_csv(rows: list[StageMetrics], path) -> None:
+    geo.write_csv(path, [f.name for f in fields(StageMetrics)], map(astuple, rows))
 
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One ``sweep.csv`` line: the validation errors of one alpha, raw and normalized."""
+
     alpha: float
     trans_err_m: float
     rot_err_deg: float
     trans_norm: float
     rot_norm: float
-
-
-@dataclass
-class SweepReport:
-    rows: list[SweepRow] = field(default_factory=list)
 
 
 def sweep_configs(config: RunConfig, alphas, epochs: int) -> list[RunConfig]:
@@ -505,7 +470,7 @@ def sweep_configs(config: RunConfig, alphas, epochs: int) -> list[RunConfig]:
     ]
 
 
-def alpha_sweep(config: RunConfig, alphas=SWEEP_ALPHAS, epochs: int = 10) -> SweepReport:
+def alpha_sweep(config: RunConfig, alphas=SWEEP_ALPHAS, epochs: int = 10) -> list[SweepRow]:
     """First-stage-only training at each fixed alpha, on shared data and init.
 
     Errors are measured on the validation sequences and normalized so the
@@ -521,13 +486,9 @@ def alpha_sweep(config: RunConfig, alphas=SWEEP_ALPHAS, epochs: int = 10) -> Swe
         raw.append(relative_pose_errors(store, model_cfg, data.val))
     max_trans = max(r[0] for r in raw) or 1.0
     max_rot = max(r[1] for r in raw) or 1.0
-    return SweepReport(rows=[SweepRow(alpha, trans, rot, trans / max_trans, rot / max_rot)
-                             for alpha, (trans, rot) in zip(alphas, raw)])
+    return [SweepRow(alpha, trans, rot, trans / max_trans, rot / max_rot)
+            for alpha, (trans, rot) in zip(alphas, raw)]
 
 
-def write_sweep_csv(report: SweepReport, path) -> None:
-    geo.write_csv(
-        path,
-        ("alpha", "trans_err_m", "rot_err_deg", "trans_norm", "rot_norm"),
-        ((r.alpha, r.trans_err_m, r.rot_err_deg, r.trans_norm, r.rot_norm) for r in report.rows),
-    )
+def write_sweep_csv(rows: list[SweepRow], path) -> None:
+    geo.write_csv(path, [f.name for f in fields(SweepRow)], map(astuple, rows))

@@ -1,5 +1,7 @@
+import configparser
 import hashlib
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from curvo import synthdata as sd
 from curvo import trainer as tr
 from oracles import chain_trajectory
 
+ROOT = Path(__file__).resolve().parent.parent
 
 CONFIG_TEXT = """\
 [data]
@@ -85,6 +88,19 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(cli.UsageError):
             cli.load_run_config(tmp_path / "absent.ini")
+
+    def test_readme_config_is_the_defaults_in_schema_order(self, tmp_path):
+        """README's annotated config, without its ``;`` comments, loads as RunConfig()
+        and names CONFIG_SCHEMA's sections and keys, in order."""
+        block = (ROOT / "README.md").read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text("".join(line.split(";", 1)[0].rstrip() + "\n"
+                                for line in block.splitlines()))
+        assert cli.load_run_config(path) == tr.RunConfig()
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(path)
+        assert [(section, list(parser[section])) for section in parser.sections()] == [
+            (section, list(keys)) for section, keys in cli.CONFIG_SCHEMA.items()]
 
     def test_overrides_win(self, config_file):
         config = cli.load_run_config(config_file, overrides={"seed": 7})
@@ -513,3 +529,11 @@ class TestPlotCommand:
         weird.write_text("a,b\n1,2\n")
         assert cli.main(["plot", "--report", str(weird),
                          "--out", str(tmp_path / "x.svg")]) == 2
+
+    def test_header_must_match_a_report_exactly(self, tmp_path, capsys):
+        longer = tmp_path / "longer.csv"
+        longer.write_text("error_m,fraction,extra\n0.1,0.5,3\n")
+        assert cli.main(["plot", "--report", str(longer),
+                         "--out", str(tmp_path / "x.svg")]) == 2
+        assert "unrecognized report header: error_m,fraction,extra" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()

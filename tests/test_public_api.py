@@ -13,6 +13,7 @@ import pytest
 
 from curvo import geometry as geo
 from curvo import synthdata as sd
+from curvo import trainer as tr
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "curvo").glob("*.py"))
@@ -44,3 +45,10 @@ def test_the_pose_object_layer_stays_gone():
     assert [name for name in gone if hasattr(geo, name)] == []
     assert not hasattr(geo.Trajectory, "poses")
     assert not hasattr(sd.FeatureModel, "identity")
+
+
+def test_the_report_wrappers_stay_gone():
+    """An ablation or sweep report is its list of rows; predictions come from ``md.predict``."""
+    gone = ("AblationRow", "AblationReport", "SweepReport", "predict_relatives",
+            "sequence_objective")
+    assert [name for name in gone if hasattr(tr, name)] == []

@@ -365,18 +365,18 @@ class TestTrain:
 class TestAblate:
     def test_report_structure_and_sharing(self):
         config = tiny_config(max_epochs_per_stage=2, patience=2, subseq_count=2)
-        report = tr.ablate(config, seeds=[0, 1], segment_lengths=(2.0, 4.0), holdout_count=1)
-        assert len(report.rows) == 8  # 4 modes x 2 seeds
-        assert report.modes() == list(tr.ABLATION_MODES)
-        for row in report.rows:
-            assert len(row.stages) == 3
+        rows = tr.ablate(config, seeds=[0, 1], segment_lengths=(2.0, 4.0), holdout_count=1)
+        # one row per stage of each run: by seed, then mode, then stage
+        assert [(r.seed, r.mode, r.stage) for r in rows] == [
+            (seed, mode, stage) for seed in (0, 1) for mode in tr.ABLATION_MODES
+            for stage in range(3)]
         # curriculum and fixed-relative share the alpha=1 first stage on the
         # same data and init, so their first-stage metrics coincide
         for seed in (0, 1):
-            by_mode = {r.mode: r for r in report.rows if r.seed == seed}
+            by_mode = {r.mode: r for r in rows if r.seed == seed and r.stage == 0}
             assert (
-                by_mode["curriculum"].stages[0].val_relative_loss
-                == by_mode["fixed-relative"].stages[0].val_relative_loss
+                by_mode["curriculum"].val_relative_loss
+                == by_mode["fixed-relative"].val_relative_loss
             )
 
     def test_needs_two_seeds(self):
@@ -386,8 +386,8 @@ class TestAblate:
     def test_stages_scored_from_the_stage_checkpoints(self, tmp_path):
         config = tiny_config(max_epochs_per_stage=2, patience=2, subseq_count=2)
         lengths = (2.0, 4.0)
-        report = tr.ablate(config, seeds=[0, 1], modes=("curriculum",),
-                           segment_lengths=lengths, holdout_count=1)
+        rows = tr.ablate(config, seeds=[0, 1], modes=("curriculum",),
+                         segment_lengths=lengths, holdout_count=1)
         tr.train(replace(config, out_dir=str(tmp_path)))
         data = tr.prepare_data(config)
         holdouts = tr.holdout_sequences(config, data.stats, 1)
@@ -399,19 +399,20 @@ class TestAblate:
                                           tr.predicted_trajectory(store, model_cfg, h), lengths)
                         for h in holdouts]
             recomputed.append(tr.StageMetrics(
+                mode="curriculum",
+                seed=0,
                 stage=k,
                 val_relative_loss=tr.relative_validation_loss(store, model_cfg, config, data.val),
                 segment_trans_pct=float(np.mean([s.mean_trans_pct() for s in segments])),
                 segment_rot_deg_per_m=float(np.mean([s.mean_rot_deg_per_m() for s in segments])),
             ))
-        assert report.rows[0].seed == 0
-        assert report.rows[0].stages == tuple(recomputed)
+        assert rows[:3] == recomputed
 
     def test_csv_round_trip_shape(self, tmp_path):
         config = tiny_config(max_epochs_per_stage=2, patience=2, subseq_count=2)
-        report = tr.ablate(config, seeds=[0, 1], segment_lengths=(2.0, 4.0), holdout_count=1)
+        rows = tr.ablate(config, seeds=[0, 1], segment_lengths=(2.0, 4.0), holdout_count=1)
         path = tmp_path / "ablation.csv"
-        tr.write_ablation_csv(report, path)
+        tr.write_ablation_csv(rows, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "mode,seed,stage,val_relative_loss,segment_trans_pct,segment_rot_deg_per_m"
         assert len(lines) == 1 + 8 * 3
@@ -420,11 +421,11 @@ class TestAblate:
 class TestAlphaSweep:
     def test_rows_and_normalization(self):
         config = tiny_config(subseq_count=2)
-        report = tr.alpha_sweep(config, alphas=(0.0, 0.5, 1.0), epochs=2)
-        assert [row.alpha for row in report.rows] == [0.0, 0.5, 1.0]
-        assert max(row.trans_norm for row in report.rows) == 1.0
-        assert max(row.rot_norm for row in report.rows) == 1.0
-        for row in report.rows:
+        rows = tr.alpha_sweep(config, alphas=(0.0, 0.5, 1.0), epochs=2)
+        assert [row.alpha for row in rows] == [0.0, 0.5, 1.0]
+        assert max(row.trans_norm for row in rows) == 1.0
+        assert max(row.rot_norm for row in rows) == 1.0
+        for row in rows:
             assert 0.0 <= row.trans_norm <= 1.0
 
     def test_alpha_bounds_checked(self):
@@ -439,7 +440,7 @@ class TestPredictionHelpers:
         store, _ = tr.train(config, data=data)
         model_cfg = config.regressor_config(data.input_dim)
         seq = data.val[0]
-        rows = tr.predict_relatives(store, model_cfg, seq)
+        rows = md.predict(seq.features, model_cfg, store)
         assert rows.shape == (len(seq), 6)
         traj = tr.predicted_trajectory(store, model_cfg, seq)
         assert len(traj) == len(seq) + 1
