@@ -211,7 +211,7 @@ class ParamStore:
             for name in self.params:
                 arr = self.params[name]
                 f.write(f"{name} {arr.shape[0]} {arr.shape[1]}\n")
-                f.write(" ".join(repr(float(v)) for v in arr.reshape(-1)))
+                f.write(" ".join(map(repr, arr.reshape(-1).tolist())))
                 f.write("\n")
 
     @classmethod

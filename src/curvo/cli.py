@@ -270,7 +270,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    source = Path(args.runlog if args.runlog else args.report)
+    source = Path(args.report)
     if not source.exists():
         raise UsageError(f"input file not found: {source}")
     svgplot.save_plot(plot_csv(source, metric=args.metric), args.out)
@@ -278,29 +278,32 @@ def cmd_plot(args) -> int:
     return 0
 
 
-# the exact header of each report CSV -> (x column, ((legend label, y column), ...),
-# title, x label, y label); a y label of None marks the ablation report, drawn per mode
+# the exact header of each report CSV -> (file name, x column, ((legend label, y column),
+# ...), title, x label, y label); a y label of None marks the ablation report, drawn per mode
 PLOTS = {
     "epoch,stage,alpha,train_loss,val_loss": (
-        "epoch", (("train loss", "train_loss"), ("validation loss", "val_loss")),
+        "runlog.csv", "epoch",
+        (("train loss", "train_loss"), ("validation loss", "val_loss")),
         "training curve", "epoch", "loss (per step)"),
     "length_m,translation_error_pct,rotation_error_deg_per_m,segments": (
-        "length_m", (("translation [% of length]", "translation_error_pct"),
-                     ("rotation [deg/m]", "rotation_error_deg_per_m")),
+        "segment_errors.csv", "length_m",
+        (("translation [% of length]", "translation_error_pct"),
+         ("rotation [deg/m]", "rotation_error_deg_per_m")),
         "segment errors vs path length", "segment length [m]", "error"),
     "error_m,fraction": (
-        "error_m", (("absolute position error", "fraction"),),
+        "ate_cdf.csv", "error_m", (("absolute position error", "fraction"),),
         "CDF of absolute position errors", "error [m]", "fraction of frames"),
     "frame,position_error_m": (
-        "frame", (("absolute position error", "position_error_m"),),
+        "ate.csv", "frame", (("absolute position error", "position_error_m"),),
         "absolute position error per frame", "frame", "error [m]"),
     "mode,seed,stage,val_relative_loss,segment_trans_pct,segment_rot_deg_per_m": (
-        "stage", (("segment translation error [%]", "segment_trans_pct"),
-                  ("segment rotation error [deg/m]", "segment_rot_deg_per_m")),
+        "ablation.csv", "stage",
+        (("segment translation error [%]", "segment_trans_pct"),
+         ("segment rotation error [deg/m]", "segment_rot_deg_per_m")),
         "objective schedules compared", "training stage", None),
     "alpha,trans_err_m,rot_err_deg,trans_norm,rot_norm": (
-        "alpha", (("translation (normalized)", "trans_norm"),
-                  ("rotation (normalized)", "rot_norm")),
+        "sweep.csv", "alpha",
+        (("translation (normalized)", "trans_norm"), ("rotation (normalized)", "rot_norm")),
         "first-stage error vs alpha", "alpha", "normalized error"),
 }
 
@@ -314,9 +317,10 @@ def plot_csv(source, metric="trans") -> str:
         raise ValueError(f"{source}: no data rows to plot")
     kind = ",".join(header)
     if kind not in PLOTS:
-        raise ValueError(f"unrecognized report header: {kind}")
-    x_name, ys, title, xlabel, ylabel = PLOTS[kind]
-    # each column's text fields, which a Series reads as floats; a ragged row is an error
+        raise ValueError(f"unrecognized report header: {kind}; curvo plot draws "
+                         + ", ".join(entry[0] for entry in PLOTS.values()))
+    _, x_name, ys, title, xlabel, ylabel = PLOTS[kind]
+    # each column's text fields, which line_plot reads as floats; a ragged row is an error
     columns = dict(zip(header, zip(*rows, strict=True)))
     if ylabel is not None:
         series = [(label, columns[x_name], columns[name]) for label, name in ys]
@@ -389,9 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("plot", help="render a report CSV as SVG")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--runlog")
-    group.add_argument("--report")
+    p.add_argument("--report", required=True)
     p.add_argument("--metric", choices=("trans", "rot"), default="trans",
                    help="series for ablation reports")
     p.add_argument("--out", required=True)

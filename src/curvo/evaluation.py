@@ -81,18 +81,17 @@ def _mismatch(gt_rel, est_rel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.linalg.norm(t, axis=1), angle, np.linalg.norm(gt_rel[0], axis=1)
 
 
-def segment_errors(gt: geo.Trajectory, est: geo.Trajectory, lengths) -> SegmentErrorReport:
-    """Average pose drift over all spans of each requested path length.
+def _segment_spans(gt: geo.Trajectory, lengths) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """(length, start frames, end frames) of each requested length that has a span.
 
     For each start frame the end frame is the first whose accumulated
     ground-truth path length reaches L. Requested lengths with no valid span
     are dropped; if none survives, SegmentTooLongError is raised.
     """
-    _check_aligned(gt, est)
     steps = np.linalg.norm(np.diff(gt.positions, axis=0), axis=1)
     distances = np.concatenate([[0.0], np.cumsum(steps)])
     starts = np.arange(len(gt))
-    spans = []  # (length, start frames, end frames) of each length that has a span
+    spans = []
     for length in lengths:
         if length <= 0:
             raise ValueError(f"segment length must be positive, got {length}")
@@ -105,6 +104,14 @@ def segment_errors(gt: geo.Trajectory, est: geo.Trajectory, lengths) -> SegmentE
         raise SegmentTooLongError(
             f"no segment of any requested length fits a path of {distances[-1]:.3f} m"
         )
+    return spans
+
+
+def segment_errors(gt: geo.Trajectory, est: geo.Trajectory, lengths) -> SegmentErrorReport:
+    """Average pose drift over all spans of each requested path length, as
+    ``_segment_spans`` finds them."""
+    _check_aligned(gt, est)
+    spans = _segment_spans(gt, lengths)
     # one call for the spans of every length: a row's bits do not depend on its company
     out_lengths, start, end = zip(*spans)
     start, end = np.concatenate(start), np.concatenate(end)

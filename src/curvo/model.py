@@ -211,7 +211,7 @@ def _bptt(g, params, cache) -> dict[str, np.ndarray]:
     for layer, ((_, d_gates, *_), (lo, _, hi)) in enumerate(zip(per_layer, columns)):
         real = slice(layer, layer + steps)
         sums[f"lstm{layer}.W"] = _descending_sum(
-            d_gates[real, :, None] * stacked[real, None, lo:hi])
+            np.einsum("ta,tb->tab", d_gates[real], stacked[real, lo:hi]))
         sums[f"lstm{layer}.b"] = _descending_sum(d_gates[real]).reshape(-1, 1)
     return sums
 

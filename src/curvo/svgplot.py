@@ -8,25 +8,10 @@ no timestamps), so identical inputs produce identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 160, 46, 56
-
-
-@dataclass(frozen=True)
-class Series:
-    label: str
-    xs: tuple
-    ys: tuple
-
-    def __post_init__(self):
-        if len(self.xs) != len(self.ys) or len(self.xs) == 0:
-            raise ValueError(f"series {self.label!r} needs matching, non-empty x/y data")
-        object.__setattr__(self, "xs", tuple(float(v) for v in self.xs))
-        object.__setattr__(self, "ys", tuple(float(v) for v in self.ys))
 
 
 def _fmt(value: float) -> str:
@@ -50,29 +35,42 @@ def _ticks(lo, hi, count=5):
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
+def _text(x, y, size, body, anchor="middle", extra="") -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{_escape(body)}</text>')
+
+
+def _line(x1, y1, x2, y2, stroke="#333333", extra="") -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}"{extra}/>'
+
+
 def line_plot(series, *, title="", xlabel="", ylabel="", equal_aspect=False) -> str:
     """Render (label, xs, ys) series as polylines; returns the SVG document as a string."""
-    series = [Series(*s) for s in series]
-    if not series:
+    plotted = []
+    for label, xs, ys in series:
+        if len(xs) != len(ys) or len(xs) == 0:
+            raise ValueError(f"series {label!r} needs matching, non-empty x/y data")
+        plotted.append((label, [float(v) for v in xs], [float(v) for v in ys]))
+    if not plotted:
         raise ValueError("nothing to plot")
-    x_lo, x_hi = _bounds([x for s in series for x in s.xs])
-    y_lo, y_hi = _bounds([y for s in series for y in s.ys])
+    x_lo, x_hi = _bounds([x for _, xs, _ in plotted for x in xs])
+    y_lo, y_hi = _bounds([y for _, _, ys in plotted for y in ys])
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
     if equal_aspect:
-        plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-        plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
         span = max((x_hi - x_lo) / plot_w, (y_hi - y_lo) / plot_h)
         x_mid, y_mid = (x_lo + x_hi) / 2, (y_lo + y_hi) / 2
         x_lo, x_hi = x_mid - span * plot_w / 2, x_mid + span * plot_w / 2
         y_lo, y_hi = y_mid - span * plot_h / 2, y_mid + span * plot_h / 2
 
     def sx(x):
-        return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_LEFT - MARGIN_RIGHT)
+        return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(y):
-        return HEIGHT - MARGIN_BOTTOM - (y - y_lo) / (y_hi - y_lo) * (
-            HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-        )
+        return HEIGHT - MARGIN_BOTTOM - (y - y_lo) / (y_hi - y_lo) * plot_h
 
+    bottom = HEIGHT - MARGIN_BOTTOM
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -80,71 +78,40 @@ def line_plot(series, *, title="", xlabel="", ylabel="", equal_aspect=False) -> 
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{_escape(title)}</text>'
-        )
-    # frame
-    parts.append(
-        f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" '
-        f'width="{WIDTH - MARGIN_LEFT - MARGIN_RIGHT}" '
-        f'height="{HEIGHT - MARGIN_TOP - MARGIN_BOTTOM}" '
+        parts.append(_text(WIDTH // 2, 24, 16, title))
+    parts.append(  # frame
+        f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333333" stroke-width="1"/>'
     )
     for tick in _ticks(x_lo, x_hi):
-        x = sx(tick)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{HEIGHT - MARGIN_BOTTOM}" '
-            f'x2="{_fmt(x)}" y2="{HEIGHT - MARGIN_BOTTOM + 5}" stroke="#333333"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{HEIGHT - MARGIN_BOTTOM + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(tick)}</text>'
-        )
+        x = _fmt(sx(tick))
+        parts.append(_line(x, bottom, x, bottom + 5))
+        parts.append(_text(x, bottom + 20, 11, _tick_label(tick)))
     for tick in _ticks(y_lo, y_hi):
         y = sy(tick)
-        parts.append(
-            f'<line x1="{MARGIN_LEFT - 5}" y1="{_fmt(y)}" '
-            f'x2="{MARGIN_LEFT}" y2="{_fmt(y)}" stroke="#333333"/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(tick)}</text>'
-        )
+        parts.append(_line(MARGIN_LEFT - 5, _fmt(y), MARGIN_LEFT, _fmt(y)))
+        parts.append(_text(MARGIN_LEFT - 8, _fmt(y + 4), 11, _tick_label(tick), "end"))
     if xlabel:
-        parts.append(
-            f'<text x="{(MARGIN_LEFT + WIDTH - MARGIN_RIGHT) / 2:.0f}" '
-            f'y="{HEIGHT - 14}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{_escape(xlabel)}</text>'
-        )
+        parts.append(_text((MARGIN_LEFT + WIDTH - MARGIN_RIGHT) // 2, HEIGHT - 14, 13, xlabel))
     if ylabel:
-        x, y = 18, (MARGIN_TOP + HEIGHT - MARGIN_BOTTOM) / 2
-        parts.append(
-            f'<text x="{x}" y="{y:.0f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 {x} {y:.0f})">{_escape(ylabel)}</text>'
-        )
-    for index, s in enumerate(series):
+        y = (MARGIN_TOP + bottom) // 2
+        parts.append(_text(18, y, 13, ylabel, extra=f' transform="rotate(-90 18 {y})"'))
+    for index, (label, xs, ys) in enumerate(plotted):
         color = PALETTE[index % len(PALETTE)]
-        points = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(s.xs, s.ys))
+        points = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.6"/>'
         )
-        if len(s.xs) <= 40:
-            for x, y in zip(s.xs, s.ys):
+        if len(xs) <= 40:
+            for x, y in zip(xs, ys):
                 parts.append(
                     f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="2.4" fill="{color}"/>'
                 )
         legend_y = MARGIN_TOP + 16 + index * 18
         legend_x = WIDTH - MARGIN_RIGHT + 12
-        parts.append(
-            f'<line x1="{legend_x}" y1="{legend_y - 4}" x2="{legend_x + 22}" '
-            f'y2="{legend_y - 4}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 28}" y="{legend_y}" font-family="sans-serif" '
-            f'font-size="12">{_escape(s.label)}</text>'
-        )
+        parts.append(_line(legend_x, legend_y - 4, legend_x + 22, legend_y - 4, color,
+                           ' stroke-width="2"'))
+        parts.append(_text(legend_x + 28, legend_y, 12, label, None))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

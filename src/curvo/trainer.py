@@ -418,7 +418,8 @@ def ablate(
     Modes share the full stage structure (fixed baselines repeat their single
     weight setting across the same number of stages), so every run gets the
     same epoch budget and plateau rule and only the objective differs.
-    Held-out metrics average over ``holdout_count`` fresh sequences.
+    Held-out metrics average over ``holdout_count`` fresh sequences. Every seed's
+    held-out paths must fit a segment, which is checked before any training.
     """
     seeds = list(seeds)
     check_ablation(config, seeds)
@@ -426,11 +427,20 @@ def ablate(
         segment_lengths = (
             ev.WALKER_SEGMENT_LENGTHS if config.preset == "walker" else ev.VEHICLE_SEGMENT_LENGTHS
         )
-    rows = []
+    runs = []
     for seed in seeds:
         base = replace(config, seed=int(seed), out_dir=None)
         data = prepare_data(base)
         holdouts = holdout_sequences(base, data.stats, holdout_count)
+        for index, holdout in enumerate(holdouts):
+            try:
+                ev._segment_spans(holdout.trajectory, segment_lengths)
+            except ev.SegmentTooLongError as exc:
+                raise ev.SegmentTooLongError(
+                    f"seed {seed}, held-out sequence {index}: {exc}") from None
+        runs.append((seed, base, data, holdouts))
+    rows = []
+    for seed, base, data, holdouts in runs:
         for mode in modes:
             mode_cfg = _mode_config(base, mode)
             model_cfg = mode_cfg.regressor_config(data.input_dim)

@@ -491,7 +491,7 @@ class TestPlotCommand:
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(config_file), "--out", str(out)]) == 0
         svg = tmp_path / "curve.svg"
-        assert cli.main(["plot", "--runlog", str(out / "runlog.csv"),
+        assert cli.main(["plot", "--report", str(out / "runlog.csv"),
                          "--out", str(svg)]) == 0
         text = svg.read_text()
         assert text.startswith("<?xml")
@@ -529,6 +529,28 @@ class TestPlotCommand:
         weird.write_text("a,b\n1,2\n")
         assert cli.main(["plot", "--report", str(weird),
                          "--out", str(tmp_path / "x.svg")]) == 2
+
+    def test_runlog_flag_is_gone(self, tmp_path):
+        runlog = tmp_path / "runlog.csv"
+        runlog.write_text("epoch,stage,alpha,train_loss,val_loss\n1,0,1.0,0.5,0.4\n")
+        assert cli.main(["plot", "--runlog", str(runlog), "--out", str(tmp_path / "x.svg")]) == 1
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_unplottable_reports_name_the_plottable_ones(self, config_file, tmp_path, capsys):
+        gt_path, est_path = write_line_fixture(tmp_path, scale=0.9)
+        assert cli.main(["eval", "--gt", str(gt_path), "--est", str(est_path),
+                         "--segments", "5,10", "--out", str(tmp_path / "report")]) == 0
+        assert cli.main(["train", "--config", str(config_file),
+                         "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        for source in (tmp_path / "report" / "rpe.csv", tmp_path / "run" / "transitions.csv"):
+            svg = tmp_path / f"{source.stem}.svg"
+            assert cli.main(["plot", "--report", str(source), "--out", str(svg)]) == 2
+            assert not svg.exists()
+            err = capsys.readouterr().err
+            assert "unrecognized report header" in err
+            assert ("runlog.csv, segment_errors.csv, ate_cdf.csv, ate.csv, ablation.csv, "
+                    "sweep.csv") in err
 
     def test_header_must_match_a_report_exactly(self, tmp_path, capsys):
         longer = tmp_path / "longer.csv"

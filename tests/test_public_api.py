@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from curvo import geometry as geo
+from curvo import svgplot
 from curvo import synthdata as sd
 from curvo import trainer as tr
 
@@ -52,3 +53,8 @@ def test_the_report_wrappers_stay_gone():
     gone = ("AblationRow", "AblationReport", "SweepReport", "predict_relatives",
             "sequence_objective")
     assert [name for name in gone if hasattr(tr, name)] == []
+
+
+def test_the_svg_series_wrapper_stays_gone():
+    """``svgplot.line_plot`` takes (label, xs, ys) tuples and checks them itself."""
+    assert not hasattr(svgplot, "Series")

@@ -383,6 +383,31 @@ class TestAblate:
         with pytest.raises(ValueError):
             tr.ablate(tiny_config(), seeds=[0])
 
+    def test_no_fitting_segment_raises_before_any_training(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tr, "train", lambda *args, **kwargs: calls.append(args))
+        # ~63 m vehicle paths against the 100-800 m vehicle segment lengths
+        with pytest.raises(ev.SegmentTooLongError, match=r"^seed 0, held-out sequence 0: no "):
+            tr.ablate(tiny_config(preset="vehicle"), seeds=[0, 1])
+        assert calls == []
+
+    def test_a_later_seed_that_does_not_fit_trains_nothing(self, monkeypatch):
+        config = tiny_config()
+        path_m = []
+        for seed in (0, 1):
+            base = replace(config, seed=seed)
+            gt = tr.holdout_sequences(base, tr.prepare_data(base).stats, 1)[0].trajectory
+            path_m.append(np.linalg.norm(np.diff(gt.positions, axis=0), axis=1).sum())
+        short = int(np.argmin(path_m))
+        calls = []
+        monkeypatch.setattr(tr, "train", lambda *args, **kwargs: calls.append(args))
+        seeds = [1 - short, short]  # the seed whose path is too short comes second
+        with pytest.raises(ev.SegmentTooLongError,
+                           match=rf"^seed {short}, held-out sequence 0: no "):
+            tr.ablate(config, seeds=seeds, segment_lengths=(sum(path_m) / 2,),
+                      holdout_count=1)
+        assert calls == []
+
     def test_stages_scored_from_the_stage_checkpoints(self, tmp_path):
         config = tiny_config(max_epochs_per_stage=2, patience=2, subseq_count=2)
         lengths = (2.0, 4.0)
