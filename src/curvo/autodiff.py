@@ -186,12 +186,8 @@ class ParamStore:
         self._grad_flat.fill(0.0)
 
     def grad_norm(self) -> float:
-        """Per-parameter sums of squares added in name order: the order sets the
-        last bit, and with it which steps are clipped."""
-        total = 0.0
-        for g in self.grads.values():
-            total += float(np.sum(g * g))
-        return float(np.sqrt(total))
+        """The Euclidean norm of every gradient entry: one dot of the flat vector."""
+        return float(np.sqrt(np.dot(self._grad_flat, self._grad_flat)))
 
     def scale_grads(self, factor: float) -> None:
         self._grad_flat *= factor

@@ -273,7 +273,9 @@ def cmd_plot(args) -> int:
     source = Path(args.report)
     if not source.exists():
         raise UsageError(f"input file not found: {source}")
-    svgplot.save_plot(plot_csv(source, metric=args.metric), args.out)
+    svg = plot_csv(source, metric=args.metric)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    svgplot.save_plot(svg, args.out)
     print(f"wrote {args.out}")
     return 0
 

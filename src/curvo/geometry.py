@@ -14,8 +14,9 @@ Conventions, fixed once for the whole package:
 A ``Trajectory`` is two arrays of canonical rows, and every kernel here works on
 rows. ``_qmul`` (Hamilton product) and ``_qrot`` (rotation of a 3-vector) run on
 floats or on columns: on floats in the trajectory's heading scan here and, in
-``loss``, in the window chain and its reverse scan; on columns where the
-trajectory rotates all its steps at once. ``_between`` is the one relative-pose
+``loss``, in the window chain and its reverse scan; ``_qrot`` on columns is
+``_rotate``, the one kernel that rotates rows of vectors, which the trajectory
+scan, ``_between`` and generation share. ``_between`` is the one relative-pose
 kernel, and its rotation half ``_qrel`` is also the loss's log-map argument.
 ``_accumulate`` is the one composition scan, behind ``accumulate_vectors``.
 ``_euler_quats`` and ``_quats_to_euler`` are the one pair of Euler/quaternion
@@ -58,10 +59,10 @@ class KittiParseError(ValueError):
 
 def _normalize_quat(q: np.ndarray) -> np.ndarray:
     """Unit, ``w >= 0`` rows of (N, 4) quaternions: the one normalization kernel. Each
-    norm is the BLAS dot of a contiguous row, as ``np.linalg.norm`` of a 4-vector
-    computes it; other sums round differently. Not idempotent."""
-    q = np.ascontiguousarray(q, dtype=np.float64).reshape(-1, 4)
-    norm = np.sqrt(np.matmul(q[:, None, :], q[:, :, None]).reshape(-1, 1))
+    row's norm is computed from that row alone, so a row keeps its bits in any
+    company. Not idempotent."""
+    q = np.asarray(q, dtype=np.float64).reshape(-1, 4)
+    norm = np.linalg.norm(q, axis=1, keepdims=True)
     if not (norm >= _QUAT_NORM_TOL).all() or not np.isfinite(norm).all():
         raise ValueError("quaternion norm is numerically zero or not finite")
     q = q / norm
@@ -177,7 +178,7 @@ def _accumulate(t: np.ndarray, q: np.ndarray) -> Trajectory:
         w, x, y, z = w / norm, x / norm, y / norm, z / norm
         headings.append((w, x, y, z))
     headings = np.array(headings)
-    moves = np.array(_qrot(headings[:-1].T, t.T)).T
+    moves = _rotate(headings[:-1], t)
     positions = np.add.accumulate(np.vstack([np.zeros(3), moves]), axis=0)
     return Trajectory(positions, headings)
 
@@ -221,11 +222,9 @@ def _step_vectors(positions: np.ndarray, quaternions: np.ndarray) -> np.ndarray:
 
 
 def _rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows quat_to_matrix(q[k]) @ v[k]. A stacked matmul over C-contiguous operands
-    runs the BLAS product of ``@`` on one matrix, so each row keeps its bits; a general
-    contraction, plain-float sums or a strided operand add the three terms in another order."""
-    rotations = np.ascontiguousarray(np.moveaxis(quat_to_matrix(q.T), -1, 0))
-    return np.matmul(rotations, np.ascontiguousarray(v)[:, :, None])[:, :, 0]
+    """Rows quat_to_matrix(q[k]) @ v[k] of (N, 4) quaternions and (N, 3) vectors:
+    ``_qrot`` on columns, elementwise, so each row keeps its bits in any company."""
+    return np.array(_qrot(q.T, v.T)).T
 
 
 def _vector_arrays(rows) -> tuple[np.ndarray, np.ndarray]:

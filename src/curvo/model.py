@@ -15,7 +15,8 @@ made once per call. The head's input is the top layer's outputs as (T, k, 1)
 columns. A sequence's outputs are (T, 6) rows, one pose per step, ordered
 (tx, ty, tz, roll, pitch, yaw). ``predict`` runs this with no tape, and
 ``forward_sequence`` records its rows as one tape node whose VJP is the
-hand-written BPTT, the same wavefront run backwards.
+hand-written BPTT, the same wavefront run backwards, whose gradient sums over
+the steps are one product each.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ def _wavefront(x, h, c, layers):
     as they stand before step k; the step writes every h' into row k + 1. Each layer's
     gemv output goes into the step's gate-major (i, f, o, g) x N block, so every other
     op runs once over all N units. A layer that has not started gets its initial (h, c)
-    back; steps after a layer's last are never read. Returns what the adjoint helpers
-    read: stacked, the (K + 1, N) cs from c on, the (K, N) (i, f, o, g) and tanh(c')."""
+    back; steps after a layer's last are never read. Returns what ``_bptt`` reads:
+    stacked, the (K + 1, N) cs from c on, the (K, N) (i, f, o, g) and tanh(c')."""
     (steps, m), depth = x.shape, len(layers)
     columns = _columns(m, [w.shape[0] // 4 for w, _ in layers])
     span, n = steps + depth - 1, len(h)
@@ -113,42 +114,16 @@ def _wavefront(x, h, c, layers):
 
 
 def _adjoint_factors(cache):
-    """Every step's recurrence-free factors at once: the (K, k, N) A, B, C blocks of
-    the chains ((x * A) * B) * C of ``_output_adjoint`` and ``_gate_adjoint``, then
-    f. A chain of two products has C = 1.0 (x * 1.0 == x); the gate blocks' o slot
-    is a placeholder."""
+    """Every step's recurrence-free factors at once, as the reverse steps read them:
+    the (K, 2, N) output block, tanh(c') * o * (1 - o) for the output gate and
+    o * (1 - tanh(c')^2) for c's share of h's adjoint; the (K, 4, N) gate block,
+    g * i * (1 - i), c * f * (1 - f), 0 for the output gate (its adjoint comes from
+    the output block) and i * (1 - g^2); then f."""
     _, cs, (i, f, o, g), tanh_c = cache
-    one = np.ones_like(i)
-    blocks = np.concatenate([tanh_c, o, o, 1.0 - tanh_c * tanh_c, 1.0 - o, one, g, cs[:-1], one, i,
-                             i, f, one, 1.0 - g * g, 1.0 - i, 1.0 - f, one, one], axis=1)
-    blocks, ends = blocks.reshape(len(i), 18, -1), (0, 2, 4, 6, 10, 14, 18)
-    return [blocks[:, a:b] for a, b in zip(ends, ends[1:])] + [f]
-
-
-def _output_adjoint(gh, a, b, c, out):
-    """Writes gh * tanh(c') * o * (1 - o), the output gate's adjoint, and c''s share
-    gh * o * (1 - tanh(c')^2) into ``out``'s two rows, from a step's h' adjoint gh."""
-    np.multiply(gh, a, out=out)
-    out *= b
-    out *= c
-
-
-def _gate_adjoint(gc, d_o, a, b, c, f, d4, d_c):
-    """Writes the gates' adjoint gc * g * i * (1 - i), gc * c_prev * f * (1 - f), d_o
-    and gc * i * (1 - g^2) into the (4, n) block ``d4`` and c's share gc * f into
-    ``d_c``, which may be ``gc``."""
-    np.multiply(gc, a, out=d4)
-    d4 *= b
-    d4 *= c
-    d4[2] = d_o
-    np.multiply(gc, f, out=d_c)
-
-
-def _descending_sum(parts):
-    """``parts[T-1] + parts[T-2] + ... + parts[0]``, added in that order: numpy's reduce
-    over the reversed axis adds in that order where a part has 2 or more elements, as
-    every parameter's parts do (a bias has at least 4 and the head's 6)."""
-    return np.add.reduce(parts[::-1], axis=0)
+    output = np.stack([tanh_c * o * (1.0 - o), o * (1.0 - tanh_c * tanh_c)], axis=1)
+    gates = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), np.zeros_like(o),
+                      i * (1.0 - g * g)], axis=1)
+    return output, gates, f
 
 
 def _checked_features(op: str, features, config: RegressorConfig) -> np.ndarray:
@@ -174,45 +149,41 @@ def _run(features, config: RegressorConfig, params):
 
 def _bptt(g, params, cache) -> dict[str, np.ndarray]:
     """Each parameter's gradient from the rows' (T, 6) adjoint ``g``: the head over
-    all T rows at once, then ``_wavefront`` backwards, each step one adjoint chain over
-    all N units and then each layer's ``w_t`` gemv on its gate adjoints, gathered into
-    a contiguous row. ``adj[p, k]`` holds what step k's layers of parity p pass back,
-    and the head's adjoint sits in the other parity's top columns, so each h adjoint is
-    one two-term sum: its own next step's plus the layer above's (or the head's). Each
-    parameter's parts over the layer's T real steps add in descending t, as
-    ``ad.backward`` adds them over a graph of one node per cell and per head product,
-    so the sums equal that graph's bit for bit."""
+    all T rows at once, then ``_wavefront`` backwards, each step one broadcast product
+    per adjoint chain over all N units and then each layer's ``w_t`` gemv on its gate
+    adjoints, gathered into a contiguous row. ``adj[p, k]`` holds what step k's layers
+    of parity p pass back, and the head's adjoint sits in the other parity's top
+    columns, so each h adjoint is one two-term sum: its own next step's plus the layer
+    above's (or the head's). Each weight gradient is one product over the layer's T
+    real steps, and each bias gradient one column sum."""
     stacked, _, (_, f, _, _), _ = cache
     (span, n), steps = f.shape, len(g)
     depth, m = span + 1 - steps, stacked.shape[1] - n
     ws = [params[f"lstm{layer}.W"] for layer in range(depth)]
     columns = _columns(m, [w.shape[0] // 4 for w in ws])
-    top = stacked[depth:, columns[-1][1] :, None]
-    d_rows = np.ascontiguousarray(g).reshape(-1, OUTPUT_DIM, 1)
-    sums = {"head.b": _descending_sum(d_rows),
-            "head.W": _descending_sum(d_rows * top.transpose(0, 2, 1))}
+    top = stacked[depth:, columns[-1][1] :]
+    sums = {"head.b": g.sum(axis=0).reshape(-1, 1), "head.W": g.T @ top}
     adj = np.zeros((2, span + 1, m + n))
-    adj[depth % 2, depth:, columns[-1][1] :] = np.matmul(params["head.W"].T, d_rows)[..., 0]
+    adj[depth % 2, depth:, columns[-1][1] :] = g @ params["head.W"]
     gh, d_c, out, d4 = np.empty(n), np.zeros(n), np.empty((2, n)), np.empty((4, n))
     d_o, c_share = out
     per_layer = [(w.T, d, d.reshape(span, 4, -1), d4[:, u - m : hi - m], adj[layer % 2, :, lo:hi])
                  for layer, (w, (lo, u, hi)) in enumerate(zip(ws, columns))
                  for d in [np.empty((span, 4 * (hi - u)))]]
     factors = (a[::-1] for a in _adjoint_factors(cache))
-    for k, even, odd, o_a, o_b, o_c, g_a, g_b, g_c, f_t in zip(
-            range(span - 1, -1, -1), *adj[:, :0:-1, m:], *factors):
-        np.add(even, odd, out=gh)
-        _output_adjoint(gh, o_a, o_b, o_c, out)
-        _gate_adjoint(np.add(d_c, c_share, out=d_c), d_o, g_a, g_b, g_c, f_t, d4, d_c)
+    for k, even, odd, out_t, gates_t, f_t in zip(range(span - 1, -1, -1), *adj[:, :0:-1, m:],
+                                                  *factors):
+        np.multiply(np.add(even, odd, out=gh), out_t, out=out)
+        np.multiply(np.add(d_c, c_share, out=d_c), gates_t, out=d4)
+        d4[2] = d_o
+        d_c *= f_t
         for w_t, d_gates, d_gates4, d4_l, d_operand in per_layer:
             d_gates4[k] = d4_l
             np.dot(w_t, d_gates[k], out=d_operand[k])
-    del o_a, o_b, o_c, g_a, g_b, g_c  # views that would keep the factors alive below
     for layer, ((_, d_gates, *_), (lo, _, hi)) in enumerate(zip(per_layer, columns)):
         real = slice(layer, layer + steps)
-        sums[f"lstm{layer}.W"] = _descending_sum(
-            np.einsum("ta,tb->tab", d_gates[real], stacked[real, lo:hi]))
-        sums[f"lstm{layer}.b"] = _descending_sum(d_gates[real]).reshape(-1, 1)
+        sums[f"lstm{layer}.W"] = d_gates[real].T @ stacked[real, lo:hi]
+        sums[f"lstm{layer}.b"] = d_gates[real].sum(axis=0).reshape(-1, 1)
     return sums
 
 

@@ -223,7 +223,8 @@ def synthesize(spec: DataSpec, count: int, stream: int = 0) -> list[sd.Sequence]
 
 
 def prepare_data(config: RunConfig, sequences: list[sd.Sequence] | None = None) -> PreparedData:
-    """Split at the sequence level and normalize with training-set statistics."""
+    """Split at the sequence level and normalize with training-set statistics;
+    ValueError names the first training sequence shorter than ``subseq_max``."""
     if sequences is None:
         if config.dataset_dir is not None:
             sequences, _ = sd.load_dataset(config.dataset_dir)
@@ -235,6 +236,10 @@ def prepare_data(config: RunConfig, sequences: list[sd.Sequence] | None = None) 
     n_val = min(n_val, len(sequences) - 1)
     train_seqs = sequences[: len(sequences) - n_val]
     val_seqs = sequences[len(sequences) - n_val :]
+    for index, seq in enumerate(train_seqs):  # every span is drawn from one sequence
+        if len(seq) < config.subseq_max:
+            raise ValueError(f"training sequence {index} has {len(seq)} steps, fewer than "
+                             f"subseq_max {config.subseq_max}")
     train_norm, stats = sd.normalize_features(train_seqs)
     val_norm = [sd.apply_feature_stats(s, stats) for s in val_seqs]
     return PreparedData(

@@ -11,10 +11,13 @@ pins the generator's vectorized draws bit for bit, so it builds the sequence
 from its motion through the library's own geometry and feature code.
 ``per_layer_predict`` is the regressor's forward as it ran before the layers
 shared one wavefront loop: each layer over all T steps, then the next, which
-pins the wavefront's rows bit for bit. ``euler_quat``, ``quat_to_euler`` and
-``accumulate_scan`` are the one-row-at-a-time conversions and trajectory scan
-that pin geometry's row kernels bit for bit, and ``reference_generate`` uses
-them in place of those kernels.
+pins the wavefront's rows bit for bit; its step is ``lstm_cell``, and
+``taped_cell`` records that step as three tape nodes, one per cell equation,
+each with the VJP of its own equation, so the BPTT's gradients are checked
+against a graph that shares no code with ``model``. ``euler_quat``,
+``quat_to_euler`` and ``accumulate_scan`` are the one-row-at-a-time
+conversions and trajectory scan that pin geometry's row kernels bit for bit,
+and ``reference_generate`` uses them in place of those kernels.
 """
 
 import math
@@ -22,6 +25,7 @@ import math
 import numpy as np
 from scipy.spatial.transform import Rotation
 
+from curvo import autodiff as ad
 from curvo import geometry as geo
 from curvo import synthdata as sd
 
@@ -212,25 +216,60 @@ def reference_generate(motion, feature_model, length, seed):
     return sd.Sequence(trajectory=trajectory, relatives=relatives, features=features, seed=seed)
 
 
+def lstm_cell(row, c, w, b):
+    """One LSTM step on the (m + n,) row (x, h) and the (n,) cell state ``c`` with the
+    ops of the wavefront loop: one gemv, the bias add, the logistic function as
+    1 / (1 + exp(-a)), tanh, c' and h'. Returns the (4n,) gates (i, f, o, g), c' and h'."""
+    n = len(c)
+    act = np.dot(w, row)
+    act += b.reshape(-1)
+    act[: 3 * n] = 1.0 / (1.0 + np.exp(-act[: 3 * n]))
+    act[3 * n :] = np.tanh(act[3 * n :])
+    i, f, o, g = act.reshape(4, n)
+    c = f * c + i * g
+    return act, c, o * np.tanh(c)
+
+
 def _lstm_layer(x, w, b):
-    """One LSTM layer over the (T, m) rows ``x`` from the zero state, one step at a time;
-    returns the (T, n) hs. Each step's ops are those of the wavefront loop: one gemv,
-    the bias add, the logistic function as 1 / (1 + exp(-a)), tanh, c' and h'."""
-    (steps, m), n = x.shape, w.shape[0] // 4
-    stacked = np.zeros((steps + 1, m + n))
-    stacked[:-1, :m] = x
-    c, hs = np.zeros(n), stacked[1:, m:]
-    act, e, one = np.empty(4 * n), np.empty(3 * n), np.ones(3 * n)
-    for row, h_t in zip(stacked, hs):
-        np.dot(w, row, out=act)
-        act += b.reshape(-1)
-        s, (i, f, o, g) = act[: 3 * n], act.reshape(4, n)
-        np.exp(np.negative(s, out=e), out=e)
-        np.divide(one, np.add(e, one, out=e), out=s)
-        np.tanh(g, out=g)
-        c = f * c + i * g
-        np.multiply(o, np.tanh(c), out=h_t)
+    """One LSTM layer over the (T, m) rows ``x`` from the zero state, one ``lstm_cell``
+    at a time; returns the (T, n) hs."""
+    n = w.shape[0] // 4
+    h, c, hs = np.zeros(n), np.zeros(n), np.empty((len(x), n))
+    for row, h_t in zip(x, hs):
+        _, c, h = lstm_cell(np.concatenate([row, h]), c, w, b)
+        h_t[...] = h
     return hs
+
+
+def taped_cell(x, state, weights, bias):
+    """One cell update as three tape nodes over (m, 1) and (n, 1) columns: the gates
+    (i, f, o, g) from (x, h, W, b), then c' = f c + i g, then h' = o tanh(c'). Each VJP
+    is the derivative of its own equation, so the tape adds the gates' two adjoints
+    and c''s. Returns (h', c')."""
+    h_prev, c_prev = state
+    row = np.concatenate([x.data, h_prev.data]).reshape(-1)
+    w, c0, m, n = weights.data, c_prev.data.reshape(-1), x.data.shape[0], c_prev.data.shape[0]
+    act, c, h = lstm_cell(row, c0, w, bias.data)
+    i, f, o, g = act.reshape(4, n)
+    slopes = np.concatenate([i * (1.0 - i), f * (1.0 - f), o * (1.0 - o), 1.0 - g * g])
+
+    def gates_vjp(d_act):
+        d_pre = d_act * slopes[:, None]
+        d_row = w.T @ d_pre
+        return d_row[:m], d_row[m:], d_pre @ row[None, :], d_pre
+
+    def c_vjp(gc):
+        gc = gc.reshape(-1)
+        return np.concatenate([gc * g, gc * c0, np.zeros(n), gc * i])[:, None], (gc * f)[:, None]
+
+    def h_vjp(gh):
+        gh, tanh_c = gh.reshape(-1), np.tanh(c)
+        d_act = np.concatenate([np.zeros(2 * n), gh * tanh_c, np.zeros(n)])[:, None]
+        return d_act, (gh * o * (1.0 - tanh_c * tanh_c))[:, None]
+
+    gates = ad.fused((x, h_prev, weights, bias), act[:, None], gates_vjp)
+    c_value = ad.fused((gates, c_prev), c[:, None], c_vjp)
+    return ad.fused((gates, c_value), h[:, None], h_vjp), c_value
 
 
 def per_layer_predict(features, sizes, params):

@@ -146,9 +146,9 @@ class TestGenData:
             if path.name != "manifest.txt":
                 digest.update(str(path.relative_to(tmp_path)).encode())
                 digest.update(path.read_bytes())
-        # the files as gen-data wrote them before it stopped building a RunConfig
+        # the files as gen-data writes them since its rotations share the one kernel
         assert digest.hexdigest() == (
-            "1be8e24e1f88d4abf951dac31053e76eca224c8d7e14eb2c128a057bb8ce6fdc")
+            "2aa6dc65438f39e651ef1b72803fa64ef6a79d9e1138e1e23370190b2fa3c5b8")
         written, _ = sd.load_dataset(tmp_path)
         for count, low, high in ((10, 1, 5), (7, 2, 3)):
             expected = tr.synthesize(tr.RunConfig(
@@ -267,6 +267,21 @@ def test_train_on_a_gen_data_directory_equals_train_on_generated_data(config_fil
         if name != "manifest.txt":  # the manifests differ in dataset_dir
             assert (tmp_path / "generated" / name).read_bytes() == (
                 tmp_path / "loaded" / name).read_bytes(), name
+
+
+def test_short_loaded_sequence_is_named_before_training(config_file, tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--sequences", "3", "--length", "30", "--seed", "3",
+                     "--feature-dim", "6", "--nuisance-dim", "0", "--out", str(data)]) == 0
+    config_file.write_text(CONFIG_TEXT.replace("[data]\n", f"[data]\ndataset_dir = {data}\n")
+                           .replace("subseq_min = 8", "subseq_min = 35")
+                           .replace("subseq_max = 12", "subseq_max = 40"))
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(config_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("curvo: ValueError: training sequence 0 has 30 steps, "
+                                       "fewer than subseq_max 40\n")
+    assert not list(out.glob("checkpoint_*")) and not (out / "runlog.csv").exists()
 
 
 def test_generated_run_needs_two_sequences(config_file, tmp_path, capsys):
@@ -506,6 +521,13 @@ class TestPlotCommand:
         assert cli.main(["plot", "--report", str(out / "segment_errors.csv"),
                          "--out", str(svg)]) == 0
         assert "translation" in svg.read_text()
+
+    def test_output_directory_is_made(self, tmp_path):
+        runlog = tmp_path / "runlog.csv"
+        runlog.write_text("epoch,stage,alpha,train_loss,val_loss\n1,0,1.0,0.5,0.4\n")
+        svg = tmp_path / "new" / "dir" / "x.svg"
+        assert cli.main(["plot", "--report", str(runlog), "--out", str(svg)]) == 0
+        assert svg.read_text().startswith("<?xml")
 
     def test_identical_inputs_identical_bytes(self, tmp_path):
         gt_path, est_path = write_line_fixture(tmp_path, scale=0.9)

@@ -234,6 +234,19 @@ class TestRowKernels:
         assert str(raised.value) == str(first.value)
         assert str(raised.value) == f"pitch {math.pi / 2:.9f} is within 1e-06 of +-pi/2"
 
+    def test_rotate_rows_keep_their_bits_and_match_the_matrix(self):
+        # generation and segment_errors rotate whole batches and rely on each row's
+        # bits not depending on its company
+        rng = np.random.default_rng(33)
+        q = geo._normalize_quat(rng.normal(size=(500, 4)))
+        v = rng.normal(size=(500, 3)) * np.exp(3.0 * rng.normal(size=(500, 1)))
+        rows = geo._rotate(q, v)
+        assert rows.shape == (500, 3)
+        for k in range(500):
+            assert geo._rotate(q[k : k + 1], v[k : k + 1]).tobytes() == rows[k].tobytes()
+            error = np.abs(rows[k] - geo.quat_to_matrix(q[k]) @ v[k]).max()
+            assert error <= 1e-14 * np.linalg.norm(v[k])
+
     @pytest.mark.parametrize("steps", [1, 2, 200])
     def test_accumulate_vectors_equals_per_step_scan(self, steps):
         rng = np.random.default_rng(steps)

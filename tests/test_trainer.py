@@ -104,6 +104,19 @@ class TestPrepareData:
         monkeypatch.setattr(sd.FeatureModel, "seeded", None)
         assert tr.synthesize(tiny_config().data_spec(), 0) == []
 
+    def test_short_training_sequence_named_before_any_step(self, tmp_path, monkeypatch):
+        # a loaded dataset may mix lengths; the spans of a sequence shorter than
+        # subseq_max cannot be drawn, so training stops before its first Adam step
+        long, short = (tr.synthesize(tiny_config(seq_length=n, subseq_min=5, subseq_max=n)
+                                     .data_spec(), 2) for n in (60, 10))
+        sd.save_dataset(tmp_path, [long[0], short[0], long[1]], {})
+        steps = []
+        monkeypatch.setattr(ad, "adam_step", lambda *args, **kwargs: steps.append(args))
+        with pytest.raises(ValueError, match="^training sequence 1 has 10 steps, fewer than "
+                                             "subseq_max 12$"):
+            tr.train(tiny_config(dataset_dir=str(tmp_path)))
+        assert steps == []
+
     @pytest.mark.parametrize("settings", [
         dict(feature_dim=5), dict(noise_sigma=-0.1), dict(nuisance_dim=-1),
         dict(noise_rho=1.0), dict(bias_sigma=-1.0),
