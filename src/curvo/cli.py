@@ -130,11 +130,17 @@ def load_run_config(path, overrides=None) -> tr.RunConfig:
         raise UsageError(f"config errors:\n  {exc}") from None
 
 
-def check_dataset(config: tr.RunConfig) -> None:
-    """A config error unless the config's dataset directory, if it names one, holds the
-    ``meta.txt`` that loading it reads first; checked before anything is written."""
+def checked_data(config: tr.RunConfig) -> tr.PreparedData:
+    """The config's data, loaded or generated and checked by ``prepare_data`` before
+    anything is written. A config error: a dataset directory without the ``meta.txt``
+    that loading it reads first, or data ``prepare_data`` rejects, such as a training
+    sequence shorter than ``subseq_max``."""
     if config.dataset_dir is not None and not (Path(config.dataset_dir) / "meta.txt").is_file():
         raise UsageError(f"config errors:\n  dataset_dir {config.dataset_dir} has no meta.txt")
+    try:
+        return tr.prepare_data(config)
+    except ValueError as exc:
+        raise UsageError(f"config errors:\n  {exc}") from None
 
 
 def write_manifest(out_dir: Path, command: str, config: tr.RunConfig | None, extra=None, omit=()):
@@ -181,10 +187,10 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_run_config(args.config, overrides={"seed": args.seed, "out_dir": str(args.out)})
-    check_dataset(config)
+    data = checked_data(config)
     out = Path(args.out)
     write_manifest(out, "train", config)
-    store, runlog = tr.train(config)
+    store, runlog = tr.train(config, data=data)
     last = runlog.records[-1]
     print(f"finished after {last.epoch} epochs; final validation loss {last.val_loss:.6g}")
     print(f"artifacts in {out}")
@@ -216,16 +222,16 @@ def cmd_ablate(args) -> int:
 
 def cmd_alpha_sweep(args) -> int:
     config = load_run_config(args.config, overrides={"seed": args.seed})
-    check_dataset(config)
     alphas = _list_flag(args, "alphas", _parse_float_tuple)
     try:
         tr.sweep_configs(config, alphas, args.epochs)
     except ValueError as exc:
         raise UsageError(f"config errors:\n  {exc}") from None
+    data = checked_data(config)
     out = Path(args.out)
     write_manifest(out, "alpha-sweep", config,
                    extra={"alphas": args.alphas, "epochs": args.epochs})
-    rows = tr.alpha_sweep(config, alphas=alphas, epochs=args.epochs)
+    rows = tr.alpha_sweep(config, alphas=alphas, epochs=args.epochs, data=data)
     tr.write_sweep_csv(rows, out / "sweep.csv")
     svgplot.save_plot(plot_csv(out / "sweep.csv"), out / "sweep.svg")
     for row in rows:

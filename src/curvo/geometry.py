@@ -188,8 +188,10 @@ def _euler_quats(angles) -> np.ndarray:
     (roll, pitch, yaw), half of the row-kernel pair: with (a, b, c, d) = (cy cp, sy sp,
     cy sp, sy cp), w = a cr + b sr, x = a sr - b cr, y = c cr + d sr, z = d cr - c sr in
     array ops. sin and cos come from ``math``, so no bit depends on numpy's SIMD dispatch."""
-    half = (np.asarray(angles, dtype=np.float64).reshape(-1, 3) / 2).ravel().tolist()
-    trig = np.array([list(map(math.cos, half)), list(map(math.sin, half))]).reshape(2, -1, 3)
+    # iterating a memoryview yields Python floats without a list of them
+    half = memoryview((np.asarray(angles, dtype=np.float64).reshape(-1, 3) / 2).ravel())
+    trig = np.stack([np.fromiter(map(math.cos, half), np.float64, len(half)),
+                     np.fromiter(map(math.sin, half), np.float64, len(half))]).reshape(2, -1, 3)
     roll, pitch, yaw = trig[..., 0], trig[..., 1], trig[..., 2]  # rows (cos, sin)
     terms = (yaw[:, None] * pitch)[_EULER_PAIRS] * roll[_EULER_ROLLS]  # (2 terms, 4, N)
     return (terms[0] + terms[1] * _EULER_SIGNS).T.copy()

@@ -1,22 +1,21 @@
 """Pose regressor: stacked LSTM layers plus one linear head.
 
-Each LSTM layer carries one stacked weight matrix of shape
-``4n x (n_prev + n)`` over the concatenated (input, previous hidden) column,
-with gate order (i, f, o, g): i/f/o through the logistic function, g through
-tanh, then ``c' = f*c + i*g`` and ``h' = o*tanh(c')``. A bias column is added
-on top of the stacked product (zero bias reproduces the bias-free cell
-exactly); the forget-gate slice is initialized to +1 for trainability.
+Each LSTM layer carries one stacked weight matrix ``4n x (n_prev + n)`` over the
+concatenated (input, previous hidden) column and a ``4n x 1`` bias, gate order
+(i, f, o, g): i/f/o through the logistic function 1/(1 + exp(-a)), g through tanh,
+then ``c' = f*c + i*g`` and ``h' = o*tanh(c')``; the forget-gate bias starts at +1.
 
-Every sequence starts from the zero state. The L layers run as one wavefront
-loop of T + L - 1 steps, layer l one step behind layer l - 1: at loop step k,
-layer l runs its step k - l. Each layer keeps its own ``np.dot`` on a contiguous
-row, and every other op of a step runs once over all layers' units, in buffers
-made once per call. The head's input is the top layer's outputs as (T, k, 1)
-columns. A sequence's outputs are (T, 6) rows, one pose per step, ordered
-(tx, ty, tz, roll, pitch, yaw). ``predict`` runs this with no tape, and
-``forward_sequence`` records its rows as one tape node whose VJP is the
-hand-written BPTT, the same wavefront run backwards, whose gradient sums over
-the steps are one product each.
+Every sequence starts from the zero state. The L layers run as one wavefront loop of
+K = T + L - 1 steps: at step k, layer l runs its step k - l. Each call builds one
+``4N x (m + N + 1)`` block over the stacked row (x, h_0, ..., h_{L-1}, 1), N units in
+all: each layer's W at its operand columns, its bias in the last column against the
+constant 1, zeros elsewhere. Its rows are gate-major (g, f, i, o) over all N units,
+f/i/o negated so that exp takes their product as it stands. A forward step is one gemv
+and eight ufunc calls, each over all units; a reverse step is one gemv with the
+block's transpose, which also sums each h's two adjoint shares, and five ufunc calls.
+The head maps the top layer's outputs to (T, 6) rows, one pose (tx, ty, tz, roll,
+pitch, yaw) per step. ``predict`` runs this with no tape, and ``forward_sequence``
+records its rows as one tape node whose VJP is the hand-written BPTT.
 """
 
 from __future__ import annotations
@@ -29,6 +28,9 @@ import numpy as np
 from . import autodiff as ad
 
 OUTPUT_DIM = 6
+_ORDER = [3, 1, 0, 2]  # the block's gates (g, f, i, o) from a layer's (i, f, o, g)
+_LAYER = [2, 1, 3, 0]  # a layer's gates (i, f, o, g) from the block's (g, f, i, o)
+_SIGN = np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]  # per block gate: f/i/o negated
 
 
 @dataclass(frozen=True)
@@ -67,63 +69,51 @@ def init_params(config: RegressorConfig, seed: int) -> ad.ParamStore:
 
 
 def _columns(m, sizes):
-    """Each layer's (lo, u, hi) in a row (x, h_0, ..., h_{L-1}) of ``stacked``: its
+    """Each layer's (lo, u, hi) in a row (x, h_0, ..., h_{L-1}, 1) of ``stacked``: its
     gemv operand, its input then its own h, is columns lo to hi, and its h u to hi."""
     ends = list(accumulate(sizes, initial=m))  # integer sums: no numpy call
     return list(zip([0, *ends[:-2]], ends[:-1], ends[1:]))
 
 
-def _wavefront(x, h, c, layers):
-    """The (W, b) ``layers``, bottom first, over the (T, m) input rows ``x`` from the
-    (N,) rows h and c of all layers' states, in K = T + L - 1 steps: at step k, layer l
-    runs its step k - l. Row k of the (K + 1, m + N) ``stacked`` is (x_k, h_0, ...)
-    as they stand before step k; the step writes every h' into row k + 1. Each layer's
-    gemv output goes into the step's gate-major (i, f, o, g) x N block, so every other
-    op runs once over all N units. A layer that has not started gets its initial (h, c)
-    back; steps after a layer's last are never read. Returns what ``_bptt`` reads:
-    stacked, the (K + 1, N) cs from c on, the (K, N) (i, f, o, g) and tanh(c')."""
-    (steps, m), depth = x.shape, len(layers)
-    columns = _columns(m, [w.shape[0] // 4 for w, _ in layers])
-    span, n = steps + depth - 1, len(h)
-    stacked, cs = np.zeros((span + 1, m + n)), np.empty((span + 1, n))
-    stacked[:steps, :m], stacked[0, m:], cs[0] = x, h, c  # x stays 0 past row T - 1, unread
-    act, tanh_c = np.empty((span, 4, n)), np.empty((span, n))
-    bias, z = np.concatenate([b.reshape(4, -1) for _, b in layers], axis=1), np.empty((4, n))
-    per_layer = [(w, stacked[:, lo:hi], buf, buf.reshape(4, -1), z[:, u - m : hi - m])
-                 for (w, _), (lo, u, hi) in zip(layers, columns) for buf in [np.empty(w.shape[0])]]
-    e, ig = np.empty(3 * n), np.empty(n)  # a step's work buffers
-    one = np.ones(3 * n)  # an array operand costs less than the scalar 1.0, with equal bits
+def _block(params, sizes, m):
+    """The (4N, m + N + 1) block of the layers ``lstm{l}.W``, ``lstm{l}.b`` of
+    ``sizes`` over m inputs: gate-major rows (g, f, i, o) with f/i/o negated, each
+    layer's W at its operand columns and its bias in the last column, zeros elsewhere."""
+    n = sum(sizes)
+    block = np.zeros((4, n, m + n + 1))
+    for layer, (lo, u, hi) in enumerate(_columns(m, sizes)):
+        rows = block[:, u - m : hi - m]
+        rows[:, :, lo:hi] = params[f"lstm{layer}.W"].reshape(4, hi - u, -1)[_ORDER] * _SIGN
+        rows[:, :, -1] = params[f"lstm{layer}.b"].reshape(4, -1)[_ORDER] * _SIGN[:, :, 0]
+    return block.reshape(4 * n, -1)
+
+
+def _wavefront(x, h, c, block, sizes):
+    """The layers of ``sizes`` in ``block`` over the (T, m) rows ``x`` from the (N,) rows
+    h and c of all layers' states. Row k of the (K + 1, m + N + 1) ``stacked`` is (x_k,
+    h_0, ..., h_{L-1}, 1) and row k of the (K + 1, 5N) ``act`` (c, g, f, i, o): h and c
+    before step k, then its gates; step k writes h' and c' into row k + 1. A layer that
+    has not started gets its initial (h, c) back; steps past a layer's last are unread."""
+    (steps, m), n, span = x.shape, len(h), len(x) + len(sizes) - 1
+    stacked, act = np.zeros((span + 1, m + n + 1)), np.empty((span + 1, 5 * n))
+    stacked[:steps, :m], stacked[0, m:-1], stacked[:, -1], act[0, :n] = x, h, 1.0, c
+    pair, tc, one = np.empty(2 * n), np.empty(n), np.ones(3 * n)  # a step's work buffers
+    fc, ig = pair[:n], pair[n:]
+    fresh = list(accumulate(sizes[:-1]))  # the first unit of layers k + 1 and up
     # each step's views come from iterating the arrays, which costs less than indexing
-    for k, (a, s, i_t, f_t, o_t, g_t, c_prev, c_t, tc, h_t) in enumerate(zip(
-            act, act.reshape(span, -1)[:, : 3 * n], *act.transpose(1, 0, 2), cs, cs[1:],
-            tanh_c, stacked[1:, m:])):
-        for w, operand, buf, buf4, z_l in per_layer:
-            np.dot(w, operand[k], out=buf)  # the gemv of ``w @ operand[k][:, None]``
-            np.copyto(z_l, buf4)
-        np.add(z, bias, out=a)
-        np.exp(np.negative(s, out=e), out=e)
-        np.divide(one, np.add(e, one, out=e), out=s)
+    for k, (row, pre, s, g_t, f_i, c_g, o_t, c_t, h_t) in enumerate(zip(
+            stacked, act[:, n:], act[:, 2 * n :], act[:, n : 2 * n], act[:, 2 * n : 4 * n],
+            act[:, : 2 * n], act[:, 4 * n :], act[1:, :n], stacked[1:, m:-1])):
+        np.dot(block, row, out=pre)  # the gemv of ``block @ row[:, None]``
+        np.exp(s, out=s)
+        np.divide(one, np.add(s, one, out=s), out=s)
         np.tanh(g_t, out=g_t)
-        np.multiply(f_t, c_prev, out=c_t)
-        c_t += np.multiply(i_t, g_t, out=ig)
+        np.multiply(f_i, c_g, out=pair)
+        np.add(fc, ig, out=c_t)
         np.multiply(o_t, np.tanh(c_t, out=tc), out=h_t)
-        if k + 1 < depth:  # layers k + 1 and up start later
-            fresh = columns[k + 1][1] - m
-            h_t[fresh:], c_t[fresh:] = h[fresh:], c[fresh:]
-    return stacked, cs, tuple(act.transpose(1, 0, 2)), tanh_c
-
-
-def _adjoint_factors(cache):
-    """Every step's recurrence-free factors at once, as the reverse steps read them:
-    the (K, 2, N) output block, tanh(c') * o * (1 - o) for the output gate and
-    o * (1 - tanh(c')^2) for c's share of h's adjoint; the (K, 4, N) gate block,
-    g * i * (1 - i), c * f * (1 - f), 0 for the output gate (its adjoint comes from
-    the output block) and i * (1 - g^2); then f."""
-    _, cs, (i, f, o, g), tanh_c = cache
-    output = np.stack([tanh_c * o * (1.0 - o), o * (1.0 - tanh_c * tanh_c)], axis=1)
-    gates = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), np.zeros_like(o),
-                      i * (1.0 - g * g)], axis=1)
-    return output, gates, f
+        if k < len(fresh):  # layers k + 1 and up start later
+            h_t[fresh[k] :], c_t[fresh[k] :] = h[fresh[k] :], c[fresh[k] :]
+    return stacked, act
 
 
 def _checked_features(op: str, features, config: RegressorConfig) -> np.ndarray:
@@ -137,53 +127,63 @@ def _checked_features(op: str, features, config: RegressorConfig) -> np.ndarray:
 
 
 def _run(features, config: RegressorConfig, params):
-    """The regressor from the zero state: ``_wavefront`` over every layer, then the
-    head over the top layer's outputs as (T, k, 1) columns. Returns the (T, 6) rows
-    and the wavefront's arrays, which ``_bptt`` reads."""
-    depth, n = len(config.lstm_sizes), sum(config.lstm_sizes)
-    cache = _wavefront(features, np.zeros(n), np.zeros(n), [
-        (params[f"lstm{layer}.W"], params[f"lstm{layer}.b"]) for layer in range(depth)])
-    x = cache[0][depth:, -config.lstm_sizes[-1] :, None]
-    return (np.matmul(params["head.W"], x) + params["head.b"]).reshape(-1, OUTPUT_DIM), cache
+    """The regressor from the zero state: ``_wavefront`` over one block of all layers,
+    then the head over the top layer's outputs as (T, k, 1) columns. Returns the (T, 6)
+    rows and (block, stacked, act), which ``_bptt`` reads."""
+    sizes, m = config.lstm_sizes, features.shape[1]
+    n, block = sum(sizes), _block(params, sizes, m)
+    stacked, act = _wavefront(features, np.zeros(n), np.zeros(n), block, sizes)
+    x = stacked[len(sizes) :, m + n - sizes[-1] : m + n, None]
+    rows = (np.matmul(params["head.W"], x) + params["head.b"]).reshape(-1, OUTPUT_DIM)
+    return rows, (block, stacked, act)
+
+
+def _gate_adjoints(head, cache):
+    """``_wavefront`` backwards from ``head``, the head's share of the top h's in rows 1
+    to K of stacked: the (K, 5, N) adjoints of each step's block rows (g, f, i, o), then
+    c's share of its h adjoint. The factors (-tanh(c') o (1 - o), o (1 - tanh(c')^2))
+    on h's adjoint and (i (1 - g^2), -c f (1 - f), -g i (1 - i)) on c's are multiplied
+    once over all steps. Steps after a layer's last get a zero adjoint; those of the
+    start-up triangle (k < l) pass theirs only to each other."""
+    block, stacked, act = cache
+    span, n, top = len(act) - 1, act.shape[1] // 5, head.shape[1]
+    c, g, f, i, o = act.reshape(span + 1, 5, n).transpose(1, 0, 2)
+    tanh_c, g, f, i, o = np.tanh(c[1:]), g[:-1], f[:-1], i[:-1], o[:-1]
+    output = np.stack([-tanh_c * o * (1.0 - o), o * (1.0 - tanh_c * tanh_c)], axis=1)
+    gates = np.stack([i * (1.0 - g * g), -c[:-1] * f * (1.0 - f), -g * i * (1.0 - i)], axis=1)
+    d_gates, d_row, d_c = np.empty((span, 5, n)), np.zeros(stacked.shape[1]), np.zeros(n)
+    d_h, d_top, block_t = d_row[-1 - n : -1], d_row[-1 - top : -1], block.T
+    for d_pre, d_out, c_share, d_gfi, out_t, gates_t, f_t, head_t in zip(
+            d_gates.reshape(span, -1)[::-1, : 4 * n], d_gates[::-1, 3:], d_gates[::-1, 4],
+            d_gates[::-1, :3], output[::-1], gates[::-1], f[::-1], head[::-1]):
+        np.add(d_top, head_t, out=d_top)
+        np.multiply(d_h, out_t, out=d_out)
+        np.add(d_c, c_share, out=d_c)
+        np.multiply(d_c, gates_t, out=d_gfi)
+        d_c *= f_t
+        np.dot(block_t, d_pre, out=d_row)
+    return d_gates
 
 
 def _bptt(g, params, cache) -> dict[str, np.ndarray]:
-    """Each parameter's gradient from the rows' (T, 6) adjoint ``g``: the head over
-    all T rows at once, then ``_wavefront`` backwards, each step one broadcast product
-    per adjoint chain over all N units and then each layer's ``w_t`` gemv on its gate
-    adjoints, gathered into a contiguous row. ``adj[p, k]`` holds what step k's layers
-    of parity p pass back, and the head's adjoint sits in the other parity's top
-    columns, so each h adjoint is one two-term sum: its own next step's plus the layer
-    above's (or the head's). Each weight gradient is one product over the layer's T
-    real steps, and each bias gradient one column sum."""
-    stacked, _, (_, f, _, _), _ = cache
-    (span, n), steps = f.shape, len(g)
-    depth, m = span + 1 - steps, stacked.shape[1] - n
-    ws = [params[f"lstm{layer}.W"] for layer in range(depth)]
-    columns = _columns(m, [w.shape[0] // 4 for w in ws])
-    top = stacked[depth:, columns[-1][1] :]
+    """Each parameter's gradient from the rows' (T, 6) adjoint ``g``: the head's over all
+    T rows at once, then each layer's as one product over its T real steps of
+    ``_gate_adjoints``, f/i/o negated back, and one column sum."""
+    _, stacked, act = cache
+    span, steps, n = len(act) - 1, len(g), act.shape[1] // 5
+    depth, m = span + 1 - steps, stacked.shape[1] - n - 1
+    sizes = [params[f"lstm{layer}.W"].shape[0] // 4 for layer in range(depth)]
+    top = stacked[depth:, m + n - sizes[-1] : m + n]
     sums = {"head.b": g.sum(axis=0).reshape(-1, 1), "head.W": g.T @ top}
-    adj = np.zeros((2, span + 1, m + n))
-    adj[depth % 2, depth:, columns[-1][1] :] = g @ params["head.W"]
-    gh, d_c, out, d4 = np.empty(n), np.zeros(n), np.empty((2, n)), np.empty((4, n))
-    d_o, c_share = out
-    per_layer = [(w.T, d, d.reshape(span, 4, -1), d4[:, u - m : hi - m], adj[layer % 2, :, lo:hi])
-                 for layer, (w, (lo, u, hi)) in enumerate(zip(ws, columns))
-                 for d in [np.empty((span, 4 * (hi - u)))]]
-    factors = (a[::-1] for a in _adjoint_factors(cache))
-    for k, even, odd, out_t, gates_t, f_t in zip(range(span - 1, -1, -1), *adj[:, :0:-1, m:],
-                                                  *factors):
-        np.multiply(np.add(even, odd, out=gh), out_t, out=out)
-        np.multiply(np.add(d_c, c_share, out=d_c), gates_t, out=d4)
-        d4[2] = d_o
-        d_c *= f_t
-        for w_t, d_gates, d_gates4, d4_l, d_operand in per_layer:
-            d_gates4[k] = d4_l
-            np.dot(w_t, d_gates[k], out=d_operand[k])
-    for layer, ((_, d_gates, *_), (lo, _, hi)) in enumerate(zip(per_layer, columns)):
-        real = slice(layer, layer + steps)
-        sums[f"lstm{layer}.W"] = d_gates[real].T @ stacked[real, lo:hi]
-        sums[f"lstm{layer}.b"] = d_gates[real].sum(axis=0).reshape(-1, 1)
+    head = np.zeros((span, sizes[-1]))
+    np.matmul(g, params["head.W"], out=head[depth - 1 :])
+    d_gates = _gate_adjoints(head, cache)
+    for layer, (lo, u, hi) in enumerate(_columns(m, sizes)):
+        real, rows = slice(layer, layer + steps), slice(u - m, hi - m)
+        d = d_gates[real, _LAYER, rows]  # (T, 4, n) in the layer's order (i, f, o, g)
+        d[:, :3] *= -1.0
+        sums[f"lstm{layer}.W"] = d.reshape(steps, -1).T @ stacked[real, lo:hi]
+        sums[f"lstm{layer}.b"] = d.reshape(steps, -1).sum(axis=0).reshape(-1, 1)
     return sums
 
 
@@ -202,8 +202,8 @@ def forward_sequence(tape: ad.Tape, features: np.ndarray, config: RegressorConfi
     names = store.names()
     leaves = [store.leaf(tape, name) for name in names]
     rows, cache = _run(features, config, store.params)
-    (stacked, cs, *_), (steps, m) = cache, features.shape
-    final = [(stacked[steps + layer, u:hi, None], cs[steps + layer, u - m : hi - m, None])
+    (_, stacked, act), (steps, m) = cache, features.shape
+    final = [(stacked[steps + layer, u:hi, None], act[steps + layer, u - m : hi - m, None])
              for layer, (_, u, hi) in enumerate(_columns(m, config.lstm_sizes))]
 
     def vjp(g):

@@ -485,15 +485,18 @@ def sweep_configs(config: RunConfig, alphas, epochs: int) -> list[RunConfig]:
     ]
 
 
-def alpha_sweep(config: RunConfig, alphas=SWEEP_ALPHAS, epochs: int = 10) -> list[SweepRow]:
-    """First-stage-only training at each fixed alpha, on shared data and init.
+def alpha_sweep(config: RunConfig, alphas=SWEEP_ALPHAS, epochs: int = 10,
+                data: PreparedData | None = None) -> list[SweepRow]:
+    """First-stage-only training at each fixed alpha, on shared data (``prepare_data``'s
+    of the config unless given) and init.
 
     Errors are measured on the validation sequences and normalized so the
     worst alpha in the sweep maps to 1.0.
     """
     alphas = [float(a) for a in alphas]
     configs = sweep_configs(config, alphas, epochs)
-    data = prepare_data(replace(config, out_dir=None))
+    if data is None:
+        data = prepare_data(config)
     raw = []
     for sweep_cfg in configs:
         store, _ = train(sweep_cfg, data=data)

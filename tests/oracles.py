@@ -11,8 +11,9 @@ pins the generator's vectorized draws bit for bit, so it builds the sequence
 from its motion through the library's own geometry and feature code.
 ``per_layer_predict`` is the regressor's forward as it ran before the layers
 shared one wavefront loop: each layer over all T steps, then the next, which
-pins the wavefront's rows bit for bit; its step is ``lstm_cell``, and
-``taped_cell`` records that step as three tape nodes, one per cell equation,
+pins the wavefront's rows bit for bit; its step is ``lstm_cell``, one gemv of the
+layer's rows of the same zero-padded block (``block_rows``) with the full stacked
+row, and ``taped_cell`` records that step as three tape nodes, one per cell equation,
 each with the VJP of its own equation, so the BPTT's gradients are checked
 against a graph that shares no code with ``model``. ``euler_quat``,
 ``quat_to_euler`` and ``accumulate_scan`` are the one-row-at-a-time
@@ -216,13 +217,26 @@ def reference_generate(motion, feature_model, length, seed):
     return sd.Sequence(trajectory=trajectory, relatives=relatives, features=features, seed=seed)
 
 
-def lstm_cell(row, c, w, b):
-    """One LSTM step on the (m + n,) row (x, h) and the (n,) cell state ``c`` with the
-    ops of the wavefront loop: one gemv, the bias add, the logistic function as
-    1 / (1 + exp(-a)), tanh, c' and h'. Returns the (4n,) gates (i, f, o, g), c' and h'."""
-    n = len(c)
-    act = np.dot(w, row)
-    act += b.reshape(-1)
+def block_rows(w, b, lo, width):
+    """A layer's rows of the regressor's zero-padded block, in the layer's own gate order
+    (i, f, o, g) and unnegated: W at the operand columns from ``lo``, the bias in the
+    last of ``width`` columns, zeros elsewhere."""
+    rows = np.zeros((w.shape[0], width))
+    rows[:, lo : lo + w.shape[1]] = w
+    rows[:, -1] = b.reshape(-1)
+    return rows
+
+
+def lstm_cell(operand, c, rows, lo):
+    """One LSTM step on the layer's (m + n,) operand (x, h) and the (n,) cell state ``c``
+    with the ops of the wavefront loop: one gemv of the layer's ``block_rows`` with the
+    full stacked row, the operand at columns from ``lo``, a 1 last and zeros elsewhere;
+    the logistic function as 1 / (1 + exp(-a)), tanh, c' and h'. A row subset of a gemv
+    keeps each row's bits, and negating a row negates its sum exactly, so this is the
+    wavefront's arithmetic. Returns the (4n,) gates (i, f, o, g), c' and h'."""
+    n, row = len(c), np.zeros(rows.shape[1])
+    row[lo : lo + len(operand)], row[-1] = operand, 1.0
+    act = np.dot(rows, row)
     act[: 3 * n] = 1.0 / (1.0 + np.exp(-act[: 3 * n]))
     act[3 * n :] = np.tanh(act[3 * n :])
     i, f, o, g = act.reshape(4, n)
@@ -230,26 +244,27 @@ def lstm_cell(row, c, w, b):
     return act, c, o * np.tanh(c)
 
 
-def _lstm_layer(x, w, b):
+def _lstm_layer(x, w, b, lo, width):
     """One LSTM layer over the (T, m) rows ``x`` from the zero state, one ``lstm_cell``
-    at a time; returns the (T, n) hs."""
-    n = w.shape[0] // 4
+    at a time on its block rows of ``width`` columns from ``lo``; returns the (T, n) hs."""
+    n, rows = w.shape[0] // 4, block_rows(w, b, lo, width)
     h, c, hs = np.zeros(n), np.zeros(n), np.empty((len(x), n))
     for row, h_t in zip(x, hs):
-        _, c, h = lstm_cell(np.concatenate([row, h]), c, w, b)
+        _, c, h = lstm_cell(np.concatenate([row, h]), c, rows, lo)
         h_t[...] = h
     return hs
 
 
-def taped_cell(x, state, weights, bias):
+def taped_cell(x, state, weights, bias, lo, width):
     """One cell update as three tape nodes over (m, 1) and (n, 1) columns: the gates
-    (i, f, o, g) from (x, h, W, b), then c' = f c + i g, then h' = o tanh(c'). Each VJP
-    is the derivative of its own equation, so the tape adds the gates' two adjoints
-    and c''s. Returns (h', c')."""
+    (i, f, o, g) from (x, h, W, b), then c' = f c + i g, then h' = o tanh(c'). The
+    forward is ``lstm_cell`` on the layer's block rows of ``width`` columns from ``lo``.
+    Each VJP is the derivative of its own equation, so the tape adds the gates' two
+    adjoints and c''s. Returns (h', c')."""
     h_prev, c_prev = state
     row = np.concatenate([x.data, h_prev.data]).reshape(-1)
     w, c0, m, n = weights.data, c_prev.data.reshape(-1), x.data.shape[0], c_prev.data.shape[0]
-    act, c, h = lstm_cell(row, c0, w, bias.data)
+    act, c, h = lstm_cell(row, c0, block_rows(w, bias.data, lo, width), lo)
     i, f, o, g = act.reshape(4, n)
     slopes = np.concatenate([i * (1.0 - i), f * (1.0 - f), o * (1.0 - o), 1.0 - g * g])
 
@@ -275,7 +290,10 @@ def taped_cell(x, state, weights, bias):
 def per_layer_predict(features, sizes, params):
     """The (T, 6) rows of the regressor with ``lstm_sizes`` ``sizes``: each layer over
     all T steps in turn, then the head over the top layer's hs as (T, k, 1) columns."""
-    x = np.asarray(features, dtype=float)
+    x, lo = np.asarray(features, dtype=float), 0
+    width = x.shape[1] + sum(sizes) + 1  # the block's columns: x, every layer's h, 1
     for layer in range(len(sizes)):
-        x = _lstm_layer(x, params[f"lstm{layer}.W"], params[f"lstm{layer}.b"])
+        w, b = params[f"lstm{layer}.W"], params[f"lstm{layer}.b"]
+        # layer l + 1's operand starts where layer l's input ends
+        x, lo = _lstm_layer(x, w, b, lo, width), lo + x.shape[1]
     return (np.matmul(params["head.W"], x[:, :, None]) + params["head.b"]).reshape(-1, 6)

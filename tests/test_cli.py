@@ -269,7 +269,8 @@ def test_train_on_a_gen_data_directory_equals_train_on_generated_data(config_fil
                 tmp_path / "loaded" / name).read_bytes(), name
 
 
-def test_short_loaded_sequence_is_named_before_training(config_file, tmp_path, capsys):
+@pytest.mark.parametrize("command", [["train"], ["alpha-sweep"]], ids=["train", "alpha-sweep"])
+def test_short_loaded_sequence_is_named_before_training(config_file, tmp_path, capsys, command):
     data = tmp_path / "data"
     assert cli.main(["gen-data", "--sequences", "3", "--length", "30", "--seed", "3",
                      "--feature-dim", "6", "--nuisance-dim", "0", "--out", str(data)]) == 0
@@ -278,10 +279,10 @@ def test_short_loaded_sequence_is_named_before_training(config_file, tmp_path, c
                            .replace("subseq_max = 12", "subseq_max = 40"))
     capsys.readouterr()
     out = tmp_path / "run"
-    assert cli.main(["train", "--config", str(config_file), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == ("curvo: ValueError: training sequence 0 has 30 steps, "
-                                       "fewer than subseq_max 40\n")
-    assert not list(out.glob("checkpoint_*")) and not (out / "runlog.csv").exists()
+    assert cli.main([*command, "--config", str(config_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("curvo: config errors:\n  training sequence 0 has 30 "
+                                       "steps, fewer than subseq_max 40\n")
+    assert not out.exists()
 
 
 def test_generated_run_needs_two_sequences(config_file, tmp_path, capsys):

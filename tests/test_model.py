@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -38,12 +39,13 @@ def scalar_lstm_reference(x, h_prev, c_prev, weights, bias):
 
 def run_cell(x, h, c, w, b):
     """The cell as ``model._wavefront`` at one layer and T = 1; returns (h', c') as 1-D rows."""
-    x = np.asarray(x, float)
-    stacked, cs, _, _ = model._wavefront(
-        x.reshape(1, -1), np.asarray(h, float).reshape(-1), np.asarray(c, float).reshape(-1),
-        [(np.asarray(w, float), np.asarray(b, float).reshape(-1, 1))],
-    )
-    return stacked[1, len(x):], cs[1]
+    x, w = np.asarray(x, float), np.asarray(w, float)
+    sizes = (w.shape[0] // 4,)
+    params = {"lstm0.W": w, "lstm0.b": np.asarray(b, float).reshape(-1, 1)}
+    block = model._block(params, sizes, len(x))
+    stacked, act = model._wavefront(x.reshape(1, -1), np.asarray(h, float).reshape(-1),
+                                    np.asarray(c, float).reshape(-1), block, sizes)
+    return stacked[1, len(x) : -1], act[1, : sizes[0]]
 
 
 def dense(w, b, x):
@@ -58,11 +60,15 @@ def per_step_graph(tape, features, cfg, store):
     signature."""
     leaf = {name: store.leaf(tape, name) for name in store.names()}
     layers = [(tape.leaf(np.zeros((n, 1))), tape.leaf(np.zeros((n, 1)))) for n in cfg.lstm_sizes]
+    # each layer's operand columns in the block's (x, h_0, ..., h_{L-1}, 1) rows
+    starts = [0, *accumulate(cfg.lstm_sizes, initial=cfg.input_dim)]
+    width = cfg.input_dim + sum(cfg.lstm_sizes) + 1
     rows = []
     for t in range(len(features)):
         x = tape.leaf(features[t].reshape(-1, 1))
         for layer in range(len(layers)):
-            x, c = taped_cell(x, layers[layer], leaf[f"lstm{layer}.W"], leaf[f"lstm{layer}.b"])
+            x, c = taped_cell(x, layers[layer], leaf[f"lstm{layer}.W"], leaf[f"lstm{layer}.b"],
+                              starts[layer], width)
             layers[layer] = (x, c)
         rows.append(dense(leaf["head.W"], leaf["head.b"], x))
     stacked = ad.fused(rows, np.hstack([r.data for r in rows]).T,
@@ -240,9 +246,12 @@ class TestForwardSequence:
         # from the equations alone: the same loss bits, the same gradients to rounding
         assert_gradients_match_per_step_graph(sizes, steps=9)
 
-    @pytest.mark.parametrize("steps", [1, 24])
-    def test_sequence_length_gradients_equal_per_step_graph(self, steps):
-        assert_gradients_match_per_step_graph((5, 3, 4), steps)
+    # T < L runs only the wavefront's start-up steps, where the upper layers have not begun
+    @pytest.mark.parametrize("sizes, steps", [
+        pytest.param((5, 3, 4), steps, id=str(steps)) for steps in (1, 24)] + [
+        pytest.param((7, 16, 9), steps, id=f"7-16-9-{steps}") for steps in (1, 2, 24)])
+    def test_sequence_length_gradients_equal_per_step_graph(self, sizes, steps):
+        assert_gradients_match_per_step_graph(sizes, steps)
 
     def test_feature_width_checked(self):
         cfg = model.RegressorConfig(input_dim=3, lstm_sizes=(4,))
