@@ -68,7 +68,7 @@ print("  translation:", np.round(recovered[:3, 3], 9))
 rng = np.random.default_rng(0)
 rows = np.concatenate([rng.uniform(-1, 1, (2, 3)), rng.uniform(-0.5, 0.5, (2, 3))], axis=1)
 gt = np.concatenate([rng.uniform(-1, 1, (2, 3)), rng.uniform(-0.5, 0.5, (2, 3))], axis=1)
-weights = loss.LossWeights(alpha=0.0, window=2)
+weights = loss.LossWeights(alpha=0.0, delta=1.0, zeta=1.0, window=2)
 
 tape = ad.Tape()
 leaf = tape.leaf(rows)

@@ -15,7 +15,8 @@ from curvo import synthdata as sd
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
-features = sd.FeatureModel.seeded(8, seed=0, noise_sigma=0.03, nuisance_dim=2)
+features = sd.FeatureModel.seeded(8, seed=0, noise_sigma=0.03, nuisance_dim=2, noise_rho=0.0,
+                                   bias_sigma=0.0)
 
 paths = []
 for name in ("walker", "vehicle"):

@@ -20,7 +20,8 @@ estimates = gt + rng.normal(scale=0.05, size=gt.shape)
 # The per-step term is a weighted squared pose error: the objective of one
 # step at alpha = 1.
 weights6 = np.array([1.0] * 3 + [5.0] * 3)
-step0 = loss.sequence_loss_value(estimates[:1], gt[:1], loss.LossWeights(zeta=5.0))
+step_weights = loss.LossWeights(alpha=1.0, delta=1.0, zeta=5.0, window=2)
+step0 = loss.sequence_loss_value(estimates[:1], gt[:1], step_weights)
 print(f"step-0 pose error: {step0:.6f}")
 
 # The window composite chains steps through SE(3) composition; the estimates'
@@ -52,7 +53,8 @@ for i in range(len(est_t)):
     gated += contributed
     print(f"  t={i + window - 1}: raw {raw:.6f} contributed {contributed:.6f}")
     previous = raw
-kernel = loss.sequence_loss_value(estimates, gt, loss.LossWeights(alpha=0.0, zeta=5.0, window=window))
+composite_weights = loss.LossWeights(alpha=0.0, delta=1.0, zeta=5.0, window=window)
+kernel = loss.sequence_loss_value(estimates, gt, composite_weights)
 print(f"sum of contributions {gated:.9f} vs the objective at alpha=0: {kernel:.9f}")
 
 # The full objective blends both term families in one tape node; alpha = 1

@@ -36,7 +36,7 @@ tr.write_sweep_csv(sweep, out_dir / "sweep.csv")
 svgplot.save_plot(cli.plot_csv(out_dir / "sweep.csv"), out_dir / "sweep.svg")
 
 print("\nfour-way ablation over 2 seeds (staged vs reversed vs fixed):")
-rows = tr.ablate(config, seeds=(0, 1), holdout_count=3)
+rows = tr.ablate(config, seeds=(0, 1))
 tr.write_ablation_csv(rows, out_dir / "ablation.csv")
 for mode in dict.fromkeys(row.mode for row in rows):
     per_stage = [np.mean([row.segment_trans_pct for row in rows

@@ -132,6 +132,8 @@ def backward(loss: Value) -> None:
 # --- parameters, Adam, checkpointing -----------------------------------------
 
 _CHECKPOINT_MAGIC = "CURVO-CHECKPOINT 1"
+# Adam's decay rates and denominator floor, as recommended by Kingma & Ba ("Adam", ICLR 2015)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def _views(vector: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
@@ -224,15 +226,15 @@ class ParamStore:
         return store
 
 
-def adam_step(store: ParamStore, lr: float, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+def adam_step(store: ParamStore, lr: float) -> None:
     """Standard bias-corrected Adam update over the flat vectors, elementwise as
-    per parameter; zeroes the gradients afterwards."""
+    per parameter, at ``BETA1``, ``BETA2`` and ``EPS``; zeroes the gradients afterwards."""
     store.step_count += 1
     t = store.step_count
     g, m, v = store._grad_flat, store._moment1, store._moment2
-    m[...] = beta1 * m + (1.0 - beta1) * g
-    v[...] = beta2 * v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    store._flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m[...] = BETA1 * m + (1.0 - BETA1) * g
+    v[...] = BETA2 * v + (1.0 - BETA2) * g * g
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    store._flat -= lr * m_hat / (np.sqrt(v_hat) + EPS)
     store.zero_grads()

@@ -167,7 +167,8 @@ def cmd_gen_data(args) -> int:
     try:
         spec = tr.DataSpec(preset=args.preset, seq_length=args.length, feature_dim=args.feature_dim,
                            nuisance_dim=args.nuisance_dim, noise_sigma=args.noise_sigma,
-                           noise_rho=0.0, bias_sigma=0.0, seed=args.seed)
+                           noise_rho=tr.RunConfig.noise_rho, bias_sigma=tr.RunConfig.bias_sigma,
+                           seed=args.seed)
     except ValueError as exc:
         raise UsageError(f"config errors:\n  {exc}") from None
     sequences = tr.synthesize(spec, args.sequences)
@@ -360,14 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"curvo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    run = tr.RunConfig  # gen-data's defaults
     p = sub.add_parser("gen-data", help="generate a synthetic dataset directory")
-    p.add_argument("--preset", choices=sorted(sd.MOTION_PRESETS), default="walker")
-    p.add_argument("--sequences", type=int, default=5)
-    p.add_argument("--length", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int, default=8)
-    p.add_argument("--nuisance-dim", dest="nuisance_dim", type=int, default=2)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=0.02)
+    p.add_argument("--preset", choices=sorted(sd.MOTION_PRESETS), default=run.preset)
+    p.add_argument("--sequences", type=int, default=run.n_sequences)
+    p.add_argument("--length", type=int, default=run.seq_length)
+    p.add_argument("--seed", type=int, default=run.seed)
+    p.add_argument("--feature-dim", dest="feature_dim", type=int, default=run.feature_dim)
+    p.add_argument("--nuisance-dim", dest="nuisance_dim", type=int, default=run.nuisance_dim)
+    p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=run.noise_sigma)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
 

@@ -15,6 +15,7 @@ recorded sequence reproduces the exact same transitions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .loss import LossWeights
@@ -39,8 +40,8 @@ class CurriculumSchedule:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.min_delta < 0:
-            raise ValueError("min_delta must be >= 0")
+        if not 0.0 <= self.min_delta < math.inf:  # a nan would never count an improvement
+            raise ValueError(f"min_delta must be finite and >= 0, got {self.min_delta}")
 
 
 @dataclass(frozen=True)

@@ -176,11 +176,10 @@ def write_rpe_csv(report: RpeReport, path) -> None:
     )
 
 
-def write_ate_csv(report: AteReport, path, cdf_path=None) -> None:
+def write_ate_csv(report: AteReport, path, cdf_path) -> None:
     geo.write_csv(path, ("frame", "position_error_m"), enumerate(report.errors.tolist()))
-    if cdf_path is not None:
-        geo.write_csv(
-            cdf_path,
-            ("error_m", "fraction"),
-            zip(report.cdf_values.tolist(), report.cdf_fractions.tolist()),
-        )
+    geo.write_csv(
+        cdf_path,
+        ("error_m", "fraction"),
+        zip(report.cdf_values.tolist(), report.cdf_fractions.tolist()),
+    )

@@ -58,16 +58,16 @@ def _conj(q) -> tuple:
 class LossWeights:
     """Full parameterization of the objective: blend, term weights, window."""
 
-    alpha: float = 1.0
-    delta: float = 1.0
-    zeta: float = 1.0
-    window: int = 2
+    alpha: float
+    delta: float
+    zeta: float
+    window: int
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.delta < 0 or self.zeta < 0:
-            raise ValueError("delta and zeta must be non-negative")
+        if not (0.0 <= self.delta < math.inf and 0.0 <= self.zeta < math.inf):
+            raise ValueError("delta and zeta must be finite and non-negative")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
 

@@ -36,7 +36,7 @@ _SIGN = np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]  # per block gate: f/i/
 @dataclass(frozen=True)
 class RegressorConfig:
     input_dim: int
-    lstm_sizes: tuple[int, ...] = (32, 32)
+    lstm_sizes: tuple[int, ...]
 
     def __post_init__(self):
         if self.input_dim < 1:

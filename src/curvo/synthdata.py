@@ -95,48 +95,34 @@ MOTION_PRESETS = {"vehicle": vehicle_motion, "walker": walker_motion}
 class FeatureModel:
     """Fixed linear encoding of the 6-DoF step motion, plus noise channels.
 
-    Observation noise can be frame-correlated (AR(1) with coefficient
-    ``noise_rho``) and carry a per-sequence constant offset drawn with
-    standard deviation ``bias_sigma``, mimicking calibration drift of a flow
-    front end. Both default to the plain white-noise model.
+    Observation noise of std ``noise_sigma`` can be frame-correlated (AR(1) with
+    coefficient ``noise_rho``) and carry a per-sequence constant offset of std
+    ``bias_sigma``, mimicking calibration drift of a flow front end. The
+    ``nuisance_dim`` pure-noise channels appended draw at five times ``noise_sigma``,
+    with the same correlation. No setting has a default; a run's come from RunConfig.
     """
 
     encoding: np.ndarray  # (feature_dim, 6), full column rank
-    noise_sigma: float = 0.0
-    nuisance_dim: int = 0
-    nuisance_sigma: float = 1.0
-    noise_rho: float = 0.0
-    bias_sigma: float = 0.0
+    noise_sigma: float
+    nuisance_dim: int
+    noise_rho: float
+    bias_sigma: float
 
     def __post_init__(self):
         enc = np.array(self.encoding, dtype=np.float64)
         if enc.ndim != 2 or enc.shape[1] != 6:
             raise ValueError(f"encoding must be (feature_dim, 6), got {enc.shape}")
+        check_feature_settings(len(enc), self.noise_sigma, self.nuisance_dim, self.noise_rho,
+                               self.bias_sigma)
         if np.linalg.matrix_rank(enc) != 6:
             raise ValueError("encoding must have full column rank")
         enc.flags.writeable = False
         object.__setattr__(self, "encoding", enc)
-        check_feature_settings(len(enc), self.noise_sigma, self.nuisance_dim,
-                               self.nuisance_sigma, self.noise_rho, self.bias_sigma)
-
-    @property
-    def feature_dim(self) -> int:
-        return self.encoding.shape[0] + self.nuisance_dim
 
     @staticmethod
-    def seeded(feature_dim: int, seed: int, noise_sigma=0.0, nuisance_dim=0,
-               nuisance_sigma=1.0, noise_rho=0.0, bias_sigma=0.0):
-        check_feature_settings(feature_dim, noise_sigma, nuisance_dim, nuisance_sigma,
-                               noise_rho, bias_sigma)
-        rng = np.random.default_rng(seed)
-        return FeatureModel(
-            rng.normal(size=(feature_dim, 6)),
-            noise_sigma=noise_sigma,
-            nuisance_dim=nuisance_dim,
-            nuisance_sigma=nuisance_sigma,
-            noise_rho=noise_rho,
-            bias_sigma=bias_sigma,
-        )
+    def seeded(feature_dim: int, seed: int, **settings) -> "FeatureModel":
+        """A (feature_dim, 6) standard-normal encoding drawn from ``seed``, with ``settings``."""
+        return FeatureModel(np.random.default_rng(seed).normal(size=(feature_dim, 6)), **settings)
 
     def _observation_noise(self, length: int, rng: np.random.Generator) -> np.ndarray:
         """AR(1) noise with stationary std noise_sigma, plus the sequence bias."""
@@ -149,18 +135,17 @@ class FeatureModel:
         return noise
 
 
-def check_feature_settings(feature_dim, noise_sigma=0.0, nuisance_dim=0, nuisance_sigma=1.0,
-                           noise_rho=0.0, bias_sigma=0.0) -> None:
+def check_feature_settings(feature_dim, noise_sigma, nuisance_dim, noise_rho, bias_sigma) -> None:
     """The rules on a feature model's settings, checked without drawing an encoding:
     a seeded encoding of at least 6 rows has full column rank."""
     if feature_dim < 6:
         raise ValueError("feature_dim must be >= 6 for a full-rank encoding")
-    if noise_sigma < 0 or nuisance_sigma < 0 or nuisance_dim < 0:
-        raise ValueError("noise parameters must be non-negative")
+    if not 0.0 <= noise_sigma < math.inf or nuisance_dim < 0:
+        raise ValueError("noise parameters must be finite and non-negative")
     if not 0.0 <= noise_rho < 1.0:
         raise ValueError("noise_rho must be in [0, 1)")
-    if bias_sigma < 0:
-        raise ValueError("bias_sigma must be non-negative")
+    if not 0.0 <= bias_sigma < math.inf:
+        raise ValueError("bias_sigma must be finite and non-negative")
 
 
 def _ar1(innovations: np.ndarray, rho: float) -> np.ndarray:
@@ -280,8 +265,8 @@ def generate(motion: MotionModel, feature_model: FeatureModel, length: int,
         if feature_model.noise_sigma > 0 or feature_model.bias_sigma > 0:
             features = features + feature_model._observation_noise(length, rng)
         if feature_model.nuisance_dim > 0:
-            # nuisance channels share the front end's temporal correlation
-            noise = feature_model.nuisance_sigma * rng.normal(
+            # nuisance channels draw at five times the noise and share its correlation
+            noise = feature_model.noise_sigma * 5.0 * rng.normal(
                 size=(length, feature_model.nuisance_dim)
             )
             features = np.hstack([features, _ar1(noise, feature_model.noise_rho)])
@@ -306,28 +291,17 @@ def subsequence_spans(
     return spans
 
 
-@dataclass(frozen=True)
-class FeatureStats:
-    """Training-set feature statistics, reapplied verbatim at test time."""
-
-    mean: np.ndarray
+def apply_feature_stats(sequence: Sequence, mean: np.ndarray) -> Sequence:
+    """``sequence`` with the training-set feature ``mean`` removed, as at test time."""
+    return replace(sequence, features=sequence.features - mean)
 
 
-def feature_stats(dataset: list[Sequence]) -> FeatureStats:
+def normalize_features(dataset: list[Sequence]) -> tuple[list[Sequence], np.ndarray]:
+    """Remove the per-dimension dataset mean; returns the mean for reuse."""
     if not dataset:
         raise ValueError("dataset is empty")
-    stacked = np.vstack([seq.features for seq in dataset])
-    return FeatureStats(mean=stacked.mean(axis=0))
-
-
-def apply_feature_stats(sequence: Sequence, stats: FeatureStats) -> Sequence:
-    return replace(sequence, features=sequence.features - stats.mean)
-
-
-def normalize_features(dataset: list[Sequence]) -> tuple[list[Sequence], FeatureStats]:
-    """Remove the per-dimension dataset mean; returns the stats for reuse."""
-    stats = feature_stats(dataset)
-    return [apply_feature_stats(seq, stats) for seq in dataset], stats
+    mean = np.vstack([seq.features for seq in dataset]).mean(axis=0)
+    return [apply_feature_stats(seq, mean) for seq in dataset], mean
 
 
 # --- dataset directory layout -------------------------------------------------

@@ -39,7 +39,7 @@ from . import model as md
 from . import synthdata as sd
 
 ABLATION_MODES = ("curriculum", "anti-curriculum", "fixed-relative", "fixed-bounded")
-SWEEP_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+HOLDOUT_COUNT = 3  # held-out sequences per ablation seed
 
 
 class NonFiniteLossError(RuntimeError):
@@ -75,13 +75,8 @@ class DataSpec:
         if self.preset not in sd.MOTION_PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
         sd.check_length(self.seq_length)
-        sd.check_feature_settings(self.feature_dim, **self.noise_settings())
-
-    def noise_settings(self) -> dict:
-        """The feature model's noise settings: nuisance channels at five times the noise."""
-        return dict(noise_sigma=self.noise_sigma, nuisance_dim=self.nuisance_dim,
-                    nuisance_sigma=self.noise_sigma * 5.0, noise_rho=self.noise_rho,
-                    bias_sigma=self.bias_sigma)
+        sd.check_feature_settings(self.feature_dim, self.noise_sigma, self.nuisance_dim,
+                                  self.noise_rho, self.bias_sigma)
 
 
 @dataclass(frozen=True)
@@ -121,6 +116,10 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.val_split < 1.0:
             raise ValueError("val_split must be in (0, 1)")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0.0 <= self.grad_clip < math.inf:  # 0 turns clipping off
+            raise ValueError(f"grad_clip must be finite and >= 0, got {self.grad_clip}")
         if self.preset not in sd.MOTION_PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
@@ -195,7 +194,7 @@ def save_transitions(runlog: RunLog, path) -> None:
 class PreparedData:
     train: list[sd.Sequence]
     val: list[sd.Sequence]
-    stats: sd.FeatureStats
+    stats: np.ndarray  # the training-set feature mean
     input_dim: int
 
 
@@ -217,19 +216,19 @@ def synthesize(spec: DataSpec, count: int, stream: int = 0) -> list[sd.Sequence]
         return []
     streams = _seed_streams(spec.seed)
     feature_model = sd.FeatureModel.seeded(
-        spec.feature_dim, seed=int(streams[0].integers(2**31)), **spec.noise_settings())
+        spec.feature_dim, seed=int(streams[0].integers(2**31)), noise_sigma=spec.noise_sigma,
+        nuisance_dim=spec.nuisance_dim, noise_rho=spec.noise_rho, bias_sigma=spec.bias_sigma)
     seeds = [int(streams[stream].integers(2**31)) for _ in range(count)]
     return sd.generate(sd.MOTION_PRESETS[spec.preset](), feature_model, spec.seq_length, seeds)
 
 
-def prepare_data(config: RunConfig, sequences: list[sd.Sequence] | None = None) -> PreparedData:
-    """Split at the sequence level and normalize with training-set statistics;
-    ValueError names the first training sequence shorter than ``subseq_max``."""
-    if sequences is None:
-        if config.dataset_dir is not None:
-            sequences, _ = sd.load_dataset(config.dataset_dir)
-        else:
-            sequences = synthesize(config.data_spec(), config.n_sequences)
+def prepare_data(config: RunConfig) -> PreparedData:
+    """The config's data, loaded or generated, split at the sequence level, less the
+    training-set mean; ValueError names the first training sequence shorter than ``subseq_max``."""
+    if config.dataset_dir is not None:
+        sequences, _ = sd.load_dataset(config.dataset_dir)
+    else:
+        sequences = synthesize(config.data_spec(), config.n_sequences)
     if len(sequences) < 2:
         raise ValueError("need at least 2 sequences to hold out validation data")
     n_val = max(1, int(round(config.val_split * len(sequences))))
@@ -361,7 +360,8 @@ def train(config: RunConfig, data: PreparedData | None = None) -> tuple[ad.Param
 
 @dataclass(frozen=True)
 class StageMetrics:
-    """One ``ablation.csv`` line: one mode's held-out scores at the end of one stage."""
+    """One ``ablation.csv`` line: one mode's scores at one stage end. Only the segment scores
+    are held out; ``val_relative_loss`` is on ``data.val``, whose loss set the stage ends."""
 
     mode: str
     seed: int
@@ -395,9 +395,9 @@ def check_ablation(config: RunConfig, seeds) -> None:
         raise ValueError("ablation needs at least 2 seeds")
 
 
-def holdout_sequences(config: RunConfig, stats: sd.FeatureStats, count: int) -> list[sd.Sequence]:
+def holdout_sequences(config: RunConfig, mean: np.ndarray, count: int) -> list[sd.Sequence]:
     """Extra sequences never seen in training, normalized like test data."""
-    return [sd.apply_feature_stats(seq, stats) for seq in synthesize(config.data_spec(), count, 3)]
+    return [sd.apply_feature_stats(seq, mean) for seq in synthesize(config.data_spec(), count, 3)]
 
 
 def _segment_metrics(store, model_cfg, holdouts, lengths) -> tuple[float, float]:
@@ -410,33 +410,27 @@ def _segment_metrics(store, model_cfg, holdouts, lengths) -> tuple[float, float]
     return float(np.mean(trans)), float(np.mean(rot))
 
 
-def ablate(
-    config: RunConfig,
-    seeds,
-    modes=ABLATION_MODES,
-    segment_lengths=None,
-    holdout_count: int = 3,
-) -> list[StageMetrics]:
-    """Train every mode on identical data and init per seed; one row per stage of each
-    run, by seed, then mode, then stage.
+def ablate(config: RunConfig, seeds) -> list[StageMetrics]:
+    """Train every one of ``ABLATION_MODES`` on identical data and init per seed; one
+    row per stage of each run, by seed, then mode, then stage.
 
     Modes share the full stage structure (fixed baselines repeat their single
     weight setting across the same number of stages), so every run gets the
     same epoch budget and plateau rule and only the objective differs.
-    Held-out metrics average over ``holdout_count`` fresh sequences. Every seed's
-    held-out paths must fit a segment, which is checked before any training.
+    Segment metrics average over ``HOLDOUT_COUNT`` fresh sequences, at the preset's
+    segment lengths. Every seed's held-out paths must fit a segment, which is
+    checked before any training.
     """
     seeds = list(seeds)
     check_ablation(config, seeds)
-    if segment_lengths is None:
-        segment_lengths = (
-            ev.WALKER_SEGMENT_LENGTHS if config.preset == "walker" else ev.VEHICLE_SEGMENT_LENGTHS
-        )
+    segment_lengths = (
+        ev.WALKER_SEGMENT_LENGTHS if config.preset == "walker" else ev.VEHICLE_SEGMENT_LENGTHS
+    )
     runs = []
     for seed in seeds:
         base = replace(config, seed=int(seed), out_dir=None)
         data = prepare_data(base)
-        holdouts = holdout_sequences(base, data.stats, holdout_count)
+        holdouts = holdout_sequences(base, data.stats, HOLDOUT_COUNT)
         for index, holdout in enumerate(holdouts):
             try:
                 ev._segment_spans(holdout.trajectory, segment_lengths)
@@ -446,7 +440,7 @@ def ablate(
         runs.append((seed, base, data, holdouts))
     rows = []
     for seed, base, data, holdouts in runs:
-        for mode in modes:
+        for mode in ABLATION_MODES:
             mode_cfg = _mode_config(base, mode)
             model_cfg = mode_cfg.regressor_config(data.input_dim)
             _, runlog = train(mode_cfg, data=data)
@@ -485,7 +479,7 @@ def sweep_configs(config: RunConfig, alphas, epochs: int) -> list[RunConfig]:
     ]
 
 
-def alpha_sweep(config: RunConfig, alphas=SWEEP_ALPHAS, epochs: int = 10,
+def alpha_sweep(config: RunConfig, alphas, epochs: int,
                 data: PreparedData | None = None) -> list[SweepRow]:
     """First-stage-only training at each fixed alpha, on shared data (``prepare_data``'s
     of the config unless given) and init.

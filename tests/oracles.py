@@ -210,7 +210,7 @@ def reference_generate(motion, feature_model, length, seed):
     if feature_model.noise_sigma > 0 or feature_model.bias_sigma > 0:
         features = features + feature_model._observation_noise(length, rng)
     if feature_model.nuisance_dim > 0:
-        noise = feature_model.nuisance_sigma * rng.normal(
+        noise = feature_model.noise_sigma * 5.0 * rng.normal(
             size=(length, feature_model.nuisance_dim)
         )
         features = np.hstack([features, sd._ar1(noise, feature_model.noise_rho)])

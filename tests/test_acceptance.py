@@ -138,7 +138,8 @@ def test_03_loss_identities():
     for alpha in (1.0, 0.5, 0.0):
         tape = ad.Tape()
         values = tape.leaf(gt)
-        assert ls.sequence_loss(values, gt, ls.LossWeights(alpha=alpha, window=2)).item() == 0.0
+        weights = ls.LossWeights(alpha=alpha, delta=1.0, zeta=1.0, window=2)
+        assert ls.sequence_loss(values, gt, weights).item() == 0.0
 
     # the rise/fall gate, hand-computed on pure-translation steps where the
     # window loss alternates: raws (x_{t-1}+x_t)^2 = 2.25, 1.69, 1.0, 1.21
@@ -149,7 +150,8 @@ def test_03_loss_identities():
     tape = ad.Tape()
     values = tape.leaf(pred_pure)
     alpha = 0.25
-    total = ls.sequence_loss(values, gt_zero, ls.LossWeights(alpha=alpha, window=2)).item()
+    weights = ls.LossWeights(alpha=alpha, delta=1.0, zeta=1.0, window=2)
+    total = ls.sequence_loss(values, gt_zero, weights).item()
     rel_sum = None
     for x in xs:
         term = np.sum(np.ones((6, 1)) * np.array([x, 0, 0, 0, 0, 0]).reshape(6, 1) ** 2)

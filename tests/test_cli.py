@@ -224,6 +224,23 @@ class TestTrainCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("section, setting", [
+    ("training", "learning_rate = -0.001"), ("training", "learning_rate = nan"),
+    ("training", "learning_rate = inf"), ("training", "grad_clip = -1"),
+    ("training", "grad_clip = inf"), ("training", "min_delta = nan"),
+    ("objective", "zeta = nan"), ("objective", "delta = inf"),
+    ("data", "noise_sigma = inf"), ("data", "bias_sigma = nan"),
+], ids=["lr-negative", "lr-nan", "lr-inf", "clip-negative", "clip-inf", "min-delta-nan",
+        "zeta-nan", "delta-inf", "noise-inf", "bias-nan"])
+def test_out_of_range_or_non_finite_setting_is_config_error(tmp_path, capsys, section, setting):
+    config = tmp_path / "bad.ini"
+    config.write_text(f"[{section}]\n{setting}\n")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("curvo: config errors:\n  ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", [
     "[data]\npreset = walker\npreset = vehicle\n",
     "[data]\npreset = walker\n[data]\nlength = 60\n",

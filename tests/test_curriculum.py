@@ -129,10 +129,11 @@ class TestScheduleConstruction:
 
     def test_stage_validation(self):
         rule = dict(max_epochs=200, patience=5, min_delta=1e-4)
+        stages = (LossWeights(alpha=1.0, delta=1.0, zeta=1.0, window=2),)
         with pytest.raises(ValueError):
-            cur.CurriculumSchedule(stages=(LossWeights(),), **(rule | dict(max_epochs=0)))
+            cur.CurriculumSchedule(stages=stages, **(rule | dict(max_epochs=0)))
         with pytest.raises(ValueError):
-            cur.CurriculumSchedule(stages=(LossWeights(),), **(rule | dict(patience=0)))
+            cur.CurriculumSchedule(stages=stages, **(rule | dict(patience=0)))
         with pytest.raises(ValueError):
             cur.CurriculumSchedule(stages=(), **rule)
         with pytest.raises(ValueError):

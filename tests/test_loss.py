@@ -92,11 +92,11 @@ class TestPoseError:
 class TestLossWeights:
     def test_validation(self):
         with pytest.raises(ValueError):
-            loss.LossWeights(alpha=1.5)
+            loss.LossWeights(alpha=1.5, delta=1.0, zeta=1.0, window=2)
         with pytest.raises(ValueError):
-            loss.LossWeights(window=0)
+            loss.LossWeights(alpha=1.0, delta=1.0, zeta=1.0, window=0)
         with pytest.raises(ValueError):
-            loss.LossWeights(delta=-1.0)
+            loss.LossWeights(alpha=1.0, delta=-1.0, zeta=1.0, window=2)
 
 
 def pose_vector(t, q):
@@ -234,7 +234,7 @@ class TestCompositeResidual:
     def test_yaw_past_pi_is_the_short_angle(self):
         rows, gt = np.zeros((2, 6)), np.zeros((2, 6))
         rows[:, 5], gt[:, 5] = 1.6, 1.55  # composite yaw 3.2 against 3.1
-        weights = loss.LossWeights(alpha=0.0, zeta=3.0, window=2)
+        weights = loss.LossWeights(alpha=0.0, delta=1.0, zeta=3.0, window=2)
         taped, value, grad = self._both(rows, gt, weights)
         assert abs(taped - 3.0 * 0.01) < 1e-12
         assert value == taped
@@ -243,7 +243,7 @@ class TestCompositeResidual:
     def test_composite_pitch_at_half_pi_is_finite(self):
         rows = np.zeros((2, 6))
         rows[:, 4] = np.pi / 4
-        weights = loss.LossWeights(alpha=0.0, window=2)
+        weights = loss.LossWeights(alpha=0.0, delta=1.0, zeta=1.0, window=2)
         taped, value, grad = self._both(rows, np.zeros((2, 6)), weights)
         assert abs(taped - (np.pi / 2) ** 2) < 1e-12
         assert value == taped
@@ -308,7 +308,8 @@ class TestSequenceLoss:
         pred, gt = self._seeded_case(41)
         tape = ad.Tape()
         values = make_predictions(tape, gt)
-        out = loss.sequence_loss(values, gt, loss.LossWeights(alpha=0.5, window=2))
+        weights = loss.LossWeights(alpha=0.5, delta=1.0, zeta=1.0, window=2)
+        out = loss.sequence_loss(values, gt, weights)
         assert out.item() == 0.0
 
     def test_alpha_one_independent_of_window(self):
@@ -317,16 +318,16 @@ class TestSequenceLoss:
         for window in (1, 2, 3):
             tape = ad.Tape()
             values = make_predictions(tape, pred)
-            results.append(
-                loss.sequence_loss(values, gt, loss.LossWeights(alpha=1.0, window=window)).item()
-            )
+            weights = loss.LossWeights(alpha=1.0, delta=1.0, zeta=1.0, window=window)
+            results.append(loss.sequence_loss(values, gt, weights).item())
         assert results[0] == results[1] == results[2]
 
     def test_alpha_one_bit_equals_composite_free_reference(self):
         pred, gt = self._seeded_case(43)
         tape = ad.Tape()
         values = make_predictions(tape, pred)
-        ours = loss.sequence_loss(values, gt, loss.LossWeights(alpha=1.0, window=2)).item()
+        unit = loss.LossWeights(alpha=1.0, delta=1.0, zeta=1.0, window=2)
+        ours = loss.sequence_loss(values, gt, unit).item()
         weights = np.array([1.0] * 3 + [1.0] * 3)
         per_step = [np.sum(weights * (p - g) ** 2) for p, g in zip(pred, gt)]
         reference = per_step[0]
@@ -354,7 +355,7 @@ class TestSequenceLoss:
         pred[:, 0] = [1.0, 0.5, 0.8, 0.2]
         tape = ad.Tape()
         values = make_predictions(tape, pred)
-        weights = loss.LossWeights(alpha=0.0, window=1)
+        weights = loss.LossWeights(alpha=0.0, delta=1.0, zeta=1.0, window=1)
         total = loss.sequence_loss(values, gt, weights).item()
         # contributions: 1.0 (first), 0 (fell), 0.64 (rose), 0 (fell)
         assert abs(total - (1.0 + 0.0 + 0.64 + 0.0)) < 1e-12
@@ -364,7 +365,7 @@ class TestSequenceLoss:
         # rose above the previous window's error; a window's error is the
         # objective of a sequence that holds only that window
         rng = np.random.default_rng(55)
-        single = loss.LossWeights(alpha=0.0, window=2)
+        single = loss.LossWeights(alpha=0.0, delta=1.0, zeta=1.0, window=2)
         for _ in range(20):
             steps = 6
             gt = rng.uniform(-0.2, 0.2, size=(steps, 6))
@@ -451,5 +452,5 @@ class TestSequenceLoss:
         tape = ad.Tape()
         values = make_predictions(tape, pred)
         before = len(tape)
-        loss.sequence_loss(values, gt, loss.LossWeights(alpha=0.5, window=3))
+        loss.sequence_loss(values, gt, loss.LossWeights(alpha=0.5, delta=1.0, zeta=1.0, window=3))
         assert len(tape) == before + 1

@@ -7,7 +7,9 @@ from curvo import geometry as geo
 from curvo import synthdata as sd
 from oracles import quat_to_euler, reference_generate
 
-IDENTITY_FEATURES = sd.FeatureModel(np.eye(6))  # features equal the relatives
+WHITE = dict(noise_rho=0.0, bias_sigma=0.0)  # uncorrelated, unbiased observation noise
+NOISELESS = dict(noise_sigma=0.0, nuisance_dim=0, **WHITE)
+IDENTITY_FEATURES = sd.FeatureModel(np.eye(6), **NOISELESS)  # features equal the relatives
 
 
 def check_consistency(seq, tol=1e-9):
@@ -39,7 +41,7 @@ class TestGenerateEqualsPerStepLoop:
     @pytest.mark.parametrize("preset", sorted(sd.MOTION_PRESETS))
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_presets(self, preset, seed):
-        fm = sd.FeatureModel.seeded(8, seed=1, noise_sigma=0.02, nuisance_dim=2)
+        fm = sd.FeatureModel.seeded(8, seed=1, noise_sigma=0.02, nuisance_dim=2, **WHITE)
         assert_generate_equals_per_step_loop(sd.MOTION_PRESETS[preset](), fm, 200,
                                              list(range(seed, seed + 5)))
 
@@ -47,7 +49,7 @@ class TestGenerateEqualsPerStepLoop:
         # roll has no noise, so each step draws three innovations, not four
         motion = sd.MotionModel(roll_rate=sd.OuParams(mean=0.2, reversion=2.0, sigma=0.0),
                                 yaw_oscillation_amp=0.0)
-        fm = sd.FeatureModel.seeded(7, seed=4, noise_sigma=0.05, nuisance_dim=1)
+        fm = sd.FeatureModel.seeded(7, seed=4, noise_sigma=0.05, nuisance_dim=1, **WHITE)
         assert_generate_equals_per_step_loop(motion, fm, 60, [3, 11, 12, 13, 14])
 
     def test_correlated_biased_features(self):
@@ -79,7 +81,7 @@ class TestGenerate:
 
     def test_same_seed_bit_identical(self):
         motion = sd.walker_motion()
-        fm = sd.FeatureModel.seeded(8, seed=0, noise_sigma=0.05, nuisance_dim=2)
+        fm = sd.FeatureModel.seeded(8, seed=0, noise_sigma=0.05, nuisance_dim=2, **WHITE)
         a = sd.generate(motion, fm, length=30, seeds=[7])[0]
         b = sd.generate(motion, fm, length=30, seeds=[7])[0]
         assert np.array_equal(a.features, b.features)
@@ -108,13 +110,13 @@ class TestGenerate:
 
     def test_trajectory_consistency_invariant(self):
         for preset in (sd.vehicle_motion(), sd.walker_motion()):
-            fm = sd.FeatureModel.seeded(8, seed=1, noise_sigma=0.02, nuisance_dim=2)
+            fm = sd.FeatureModel.seeded(8, seed=1, noise_sigma=0.02, nuisance_dim=2, **WHITE)
             seq = sd.generate(preset, fm, length=120, seeds=[11])[0]
             check_consistency(seq)
 
     def test_relatives_are_the_pose_path_bits(self):
         # row k is the one-row relative pose of frames k and k + 1, in scalar Euler angles
-        fm = sd.FeatureModel.seeded(8, seed=1, noise_sigma=0.02, nuisance_dim=2)
+        fm = sd.FeatureModel.seeded(8, seed=1, noise_sigma=0.02, nuisance_dim=2, **WHITE)
         for preset in (sd.vehicle_motion(), sd.walker_motion()):
             seq = sd.generate(preset, fm, length=120, seeds=[11])[0]
             t, q = seq.trajectory.positions, seq.trajectory.quaternions
@@ -143,7 +145,7 @@ class TestGenerate:
         assert walker_yaw > vehicle_yaw
 
     def test_zero_noise_least_squares_decode(self):
-        fm = sd.FeatureModel.seeded(8, seed=2)
+        fm = sd.FeatureModel.seeded(8, seed=2, **NOISELESS)
         seq = sd.generate(sd.walker_motion(), fm, length=100, seeds=[13])[0]
         decode, *_ = np.linalg.lstsq(seq.features, seq.relatives, rcond=None)
         residual = np.linalg.norm(seq.features @ decode - seq.relatives)
@@ -155,15 +157,16 @@ class TestFeatureModel:
         enc = np.zeros((8, 6))
         enc[:5, :5] = np.eye(5)
         with pytest.raises(ValueError):
-            sd.FeatureModel(enc)
+            sd.FeatureModel(enc, **NOISELESS)
 
     def test_needs_at_least_six_rows(self):
-        with pytest.raises(ValueError):
-            sd.FeatureModel.seeded(4, seed=0)
+        with pytest.raises(ValueError, match="feature_dim must be >= 6"):
+            sd.FeatureModel.seeded(4, seed=0, **NOISELESS)
 
     def test_feature_dim_counts_nuisance(self):
-        fm = sd.FeatureModel.seeded(8, seed=0, nuisance_dim=3)
-        assert fm.feature_dim == 11
+        fm = sd.FeatureModel.seeded(8, seed=0, noise_sigma=0.01, nuisance_dim=3, **WHITE)
+        assert sd.generate(sd.walker_motion(), fm, length=10, seeds=[0])[0].features.shape == (
+            10, 11)
 
 
 class TestMotionModel:
@@ -199,7 +202,7 @@ class TestSubsequenceSpans:
 
 class TestNormalizeFeatures:
     def _dataset(self, noise=0.05):
-        fm = sd.FeatureModel.seeded(8, seed=5, noise_sigma=noise, nuisance_dim=1)
+        fm = sd.FeatureModel.seeded(8, seed=5, noise_sigma=noise, nuisance_dim=1, **WHITE)
         return sd.generate(sd.walker_motion(), fm, length=50, seeds=(1, 2, 3))
 
     def test_zero_mean_after_normalization(self):
@@ -209,8 +212,8 @@ class TestNormalizeFeatures:
 
     def test_already_zero_mean_unchanged(self):
         normalized, _ = sd.normalize_features(self._dataset())
-        again, stats2 = sd.normalize_features(normalized)
-        np.testing.assert_allclose(stats2.mean, 0.0, atol=1e-12)
+        again, mean = sd.normalize_features(normalized)
+        np.testing.assert_allclose(mean, 0.0, atol=1e-12)
         for before, after in zip(normalized, again):
             np.testing.assert_allclose(before.features, after.features, atol=1e-12)
 
@@ -229,14 +232,14 @@ class TestNormalizeFeatures:
 
     def test_stats_reapplied_verbatim(self):
         dataset = self._dataset()
-        _, stats = sd.normalize_features(dataset[:2])
-        held_out = sd.apply_feature_stats(dataset[2], stats)
-        np.testing.assert_allclose(held_out.features, dataset[2].features - stats.mean)
+        _, mean = sd.normalize_features(dataset[:2])
+        held_out = sd.apply_feature_stats(dataset[2], mean)
+        np.testing.assert_allclose(held_out.features, dataset[2].features - mean)
 
 
 class TestDatasetIo:
     def test_round_trip(self, tmp_path):
-        fm = sd.FeatureModel.seeded(8, seed=6, noise_sigma=0.01, nuisance_dim=1)
+        fm = sd.FeatureModel.seeded(8, seed=6, noise_sigma=0.01, nuisance_dim=1, **WHITE)
         sequences = sd.generate(sd.walker_motion(), fm, length=25, seeds=(4, 5))
         sd.save_dataset(tmp_path / "data", sequences, {"preset": "walker"})
         loaded, meta = sd.load_dataset(tmp_path / "data")

@@ -72,6 +72,13 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             tiny_config(**overrides)
 
+    def test_run_config_holds_the_only_defaults(self):
+        # the objective's weights and the layer sizes have no second default to contradict it
+        with pytest.raises(TypeError):
+            ls.LossWeights()
+        with pytest.raises(TypeError):
+            md.RegressorConfig(input_dim=3)
+
     def test_stage_params_applied(self):
         schedule = tiny_config(max_epochs_per_stage=7, patience=4, min_delta=0.01).schedule()
         assert len(schedule.stages) == 3
@@ -89,14 +96,16 @@ class TestPrepareData:
         np.testing.assert_allclose(stacked.mean(axis=0), 0.0, atol=1e-9)
         assert data.input_dim == 6
 
-    def test_validation_needs_two_sequences(self):
+    def test_validation_needs_two_sequences(self, tmp_path):
+        sd.save_dataset(tmp_path, tr.synthesize(tiny_config().data_spec(), 1), {})
         with pytest.raises(ValueError):
-            tr.prepare_data(tiny_config(), sequences=tr.synthesize(tiny_config().data_spec(), 1))
+            tr.prepare_data(tiny_config(dataset_dir=str(tmp_path)))
 
-    def test_injected_sequences_used(self):
+    def test_injected_sequences_used(self, tmp_path):
         cfg = tiny_config()
         sequences = tr.synthesize(cfg.data_spec(), cfg.n_sequences)
-        data = tr.prepare_data(cfg, sequences=sequences)
+        sd.save_dataset(tmp_path, sequences, {})
+        data = tr.prepare_data(tiny_config(dataset_dir=str(tmp_path)))
         assert len(data.train) + len(data.val) == len(sequences)
 
     def test_no_sequences_build_no_feature_model(self, monkeypatch):
@@ -119,16 +128,14 @@ class TestPrepareData:
 
     @pytest.mark.parametrize("settings", [
         dict(feature_dim=5), dict(noise_sigma=-0.1), dict(nuisance_dim=-1),
-        dict(noise_rho=1.0), dict(bias_sigma=-1.0),
-    ], ids=["feature-dim", "noise", "nuisance", "rho", "bias"])
+        dict(noise_rho=1.0), dict(bias_sigma=-1.0), dict(noise_sigma=math.nan),
+        dict(bias_sigma=math.inf),
+    ], ids=["feature-dim", "noise", "nuisance", "rho", "bias", "noise-nan", "bias-inf"])
     def test_data_spec_rejects_what_the_feature_model_rejects(self, settings):
         bad = dict(feature_dim=6, noise_sigma=0.0, nuisance_dim=0, noise_rho=0.0,
                    bias_sigma=0.0) | settings  # tiny_config's data settings, one changed
         with pytest.raises(ValueError) as built:
-            sd.FeatureModel.seeded(bad["feature_dim"], seed=0, noise_sigma=bad["noise_sigma"],
-                                   nuisance_dim=bad["nuisance_dim"],
-                                   nuisance_sigma=bad["noise_sigma"] * 5.0,
-                                   noise_rho=bad["noise_rho"], bias_sigma=bad["bias_sigma"])
+            sd.FeatureModel.seeded(bad.pop("feature_dim"), seed=0, **bad)
         with pytest.raises(ValueError, match=f"^{re.escape(str(built.value))}$"):
             replace(tiny_config().data_spec(), **settings)
 
@@ -378,7 +385,7 @@ class TestTrain:
 class TestAblate:
     def test_report_structure_and_sharing(self):
         config = tiny_config(max_epochs_per_stage=2, patience=2, subseq_count=2)
-        rows = tr.ablate(config, seeds=[0, 1], segment_lengths=(2.0, 4.0), holdout_count=1)
+        rows = tr.ablate(config, seeds=[0, 1])
         # one row per stage of each run: by seed, then mode, then stage
         assert [(r.seed, r.mode, r.stage) for r in rows] == [
             (seed, mode, stage) for seed in (0, 1) for mode in tr.ABLATION_MODES
@@ -406,29 +413,33 @@ class TestAblate:
 
     def test_a_later_seed_that_does_not_fit_trains_nothing(self, monkeypatch):
         config = tiny_config()
-        path_m = []
+        path_m = []  # per seed, the path length of each held-out sequence
         for seed in (0, 1):
             base = replace(config, seed=seed)
-            gt = tr.holdout_sequences(base, tr.prepare_data(base).stats, 1)[0].trajectory
-            path_m.append(np.linalg.norm(np.diff(gt.positions, axis=0), axis=1).sum())
-        short = int(np.argmin(path_m))
+            holdouts = tr.holdout_sequences(base, tr.prepare_data(base).stats, tr.HOLDOUT_COUNT)
+            path_m.append([np.linalg.norm(np.diff(h.trajectory.positions, axis=0), axis=1).sum()
+                           for h in holdouts])
+        short = int(np.argmin([min(paths) for paths in path_m]))
         calls = []
         monkeypatch.setattr(tr, "train", lambda *args, **kwargs: calls.append(args))
-        seeds = [1 - short, short]  # the seed whose path is too short comes second
+        # one segment length that every held-out path of the other seed fits, and the
+        # shortest one of the seed that comes second does not
+        length = (min(path_m[short]) + min(path_m[1 - short])) / 2
+        monkeypatch.setattr(ev, "WALKER_SEGMENT_LENGTHS", (length,))
+        seeds = [1 - short, short]
+        index = int(np.argmin(path_m[short]))
         with pytest.raises(ev.SegmentTooLongError,
-                           match=rf"^seed {short}, held-out sequence 0: no "):
-            tr.ablate(config, seeds=seeds, segment_lengths=(sum(path_m) / 2,),
-                      holdout_count=1)
+                           match=rf"^seed {short}, held-out sequence {index}: no "):
+            tr.ablate(config, seeds=seeds)
         assert calls == []
 
     def test_stages_scored_from_the_stage_checkpoints(self, tmp_path):
         config = tiny_config(max_epochs_per_stage=2, patience=2, subseq_count=2)
-        lengths = (2.0, 4.0)
-        rows = tr.ablate(config, seeds=[0, 1], modes=("curriculum",),
-                         segment_lengths=lengths, holdout_count=1)
+        lengths = ev.WALKER_SEGMENT_LENGTHS
+        rows = tr.ablate(config, seeds=[0, 1])
         tr.train(replace(config, out_dir=str(tmp_path)))
         data = tr.prepare_data(config)
-        holdouts = tr.holdout_sequences(config, data.stats, 1)
+        holdouts = tr.holdout_sequences(config, data.stats, tr.HOLDOUT_COUNT)
         model_cfg = config.regressor_config(data.input_dim)
         recomputed = []
         for k in range(3):
@@ -448,7 +459,7 @@ class TestAblate:
 
     def test_csv_round_trip_shape(self, tmp_path):
         config = tiny_config(max_epochs_per_stage=2, patience=2, subseq_count=2)
-        rows = tr.ablate(config, seeds=[0, 1], segment_lengths=(2.0, 4.0), holdout_count=1)
+        rows = tr.ablate(config, seeds=[0, 1])
         path = tmp_path / "ablation.csv"
         tr.write_ablation_csv(rows, path)
         lines = path.read_text().splitlines()
